@@ -16,6 +16,7 @@ from . import __version__, degree, graphs, io, measurements, radio, trees
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
+MANIFEST_SKIP = ("func", "out")  # argparse plumbing, not configuration
 
 
 def _add_grid_flags(parser: argparse.ArgumentParser):
@@ -37,7 +38,15 @@ def _family(matrix, args) -> graphs.GraphFamily:
     )
 
 
-def _manifest_args(args, skip=("func", "out")) -> dict:
+def _tree_matrix(path) -> measurements.LossMatrix:
+    """Load a matrix for a tree command, which needs a node to root at."""
+    matrix = io.load_matrix(path)
+    if not matrix.nodes:
+        raise ValueError(f"{path}: empty matrix, no node to root a tree at")
+    return matrix
+
+
+def _manifest_args(args) -> dict:
     def plain(value):
         if isinstance(value, Path):
             return str(value)
@@ -48,7 +57,7 @@ def _manifest_args(args, skip=("func", "out")) -> dict:
     return {
         key: plain(value)
         for key, value in sorted(vars(args).items())
-        if key not in skip and not callable(value)
+        if key not in MANIFEST_SKIP and not callable(value)
     }
 
 
@@ -127,7 +136,7 @@ def cmd_degree(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    matrix = io.load_matrix(args.matrix)
+    matrix = _tree_matrix(args.matrix)
     kappa = trees.KappaSpec.parse(args.kappa)
     family = _family(matrix, args)
     if args.beta is not None:
@@ -139,7 +148,7 @@ def cmd_tree(args) -> int:
             trees.monitored_bfs(matrix, args.root, beta, args.margin, kappa)
             for beta in family.betas()
         ]
-        candidates.sort(key=lambda t: (-t.depth, t.total_nodes, t.beta, t.root))
+        candidates.sort(key=trees.rank_key)
     else:
         candidates = trees.sweep_trees(matrix, kappa, args.margin, family)
     best = candidates[0]
@@ -181,12 +190,12 @@ def cmd_verify(args) -> int:
     tree = io.load_tree(args.topology)
     fresh = io.load_matrix(args.matrix)
     kappa = trees.KappaSpec.parse(args.kappa)
-    report = trees.revalidate(tree, fresh, kappa)
-    if report.ok:
+    violations = trees.check_tree(tree, fresh, kappa)
+    if not violations:
         print("PASS: all requirements hold against the fresh matrix")
         return EXIT_OK
     print("FAIL:")
-    for requirement, detail in report.violations:
+    for requirement, detail in violations:
         print(f"  requirement {requirement}: {detail}")
     return EXIT_VERIFY
 
@@ -195,10 +204,10 @@ def cmd_sweep_report(args) -> int:
     kappa = trees.KappaSpec.parse(args.kappa)
     rows = []
     for path in args.matrices:
-        matrix = io.load_matrix(path)
+        matrix = _tree_matrix(path)
         family = _family(matrix, args)
         swept = trees.sweep_trees(matrix, kappa, args.margin, family)
-        max_depth = swept[0].depth if swept else 0
+        max_depth = swept[0].depth
         betas = sorted({t.beta for t in swept if t.depth == max_depth})
         note = "no multi-hop" if max_depth < 2 else ""
         rows.append((Path(path).stem, max_depth, betas[0], betas[-1], note))

@@ -92,7 +92,7 @@ def _make_selection(graph: BoundedGraph, c: int, selected: frozenset[int]) -> De
     )
     bad = verify_regular(selection)
     if bad:
-        raise RuntimeError(f"solver returned non-{c}-regular selection: nodes {bad}")
+        raise RuntimeError(f"selection at beta {graph.beta} not {c}-regular: nodes {bad}")
     return selection
 
 
@@ -133,29 +133,13 @@ def largest_component_selection(
     """
     if not selections:
         raise ValueError("no selections to choose from")
-    best = None
-    best_key = None
-    for selection in selections:
-        component = selection.components[0]
-        key = (-len(component), selection.beta, min(component))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (selection, component)
-    selection, component = best
-    edges = frozenset(
-        (a, b) for a, b in selection.edges if a in component and b in component
+    selection = min(
+        selections,
+        key=lambda s: (-len(s.components[0]), s.beta, min(s.components[0])),
     )
-    restricted = DegreeSelection(
+    graph = BoundedGraph(
         beta=selection.beta,
-        c=selection.c,
-        selected=frozenset(component),
-        components=(frozenset(component),),
-        edges=edges,
-        objective=len(component),
+        nodes=tuple(sorted(selection.selected)),
+        edges=selection.edges,
     )
-    bad = verify_regular(restricted)
-    if bad:
-        raise RuntimeError(
-            f"component restriction broke {selection.c}-regularity: nodes {bad}"
-        )
-    return restricted
+    return _make_selection(graph, selection.c, selection.components[0])

@@ -9,7 +9,6 @@ with the bound.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -41,20 +40,12 @@ class BoundedGraph:
         return len(self.adjacency[u])
 
 
-def neighborhood_graph(
-    matrix: LossMatrix, beta: float, family: "GraphFamily | None" = None
-) -> BoundedGraph:
+def neighborhood_graph(matrix: LossMatrix, beta: float) -> BoundedGraph:
     """Graph with an edge wherever both directed losses are <= beta.
 
     Isolated nodes are kept so per-bound degree statistics always cover
     the whole deployment.
     """
-    if family is not None and not (family.beta_min <= beta <= family.beta_max):
-        warnings.warn(
-            f"beta {beta} outside family range "
-            f"[{family.beta_min}, {family.beta_max}]",
-            stacklevel=2,
-        )
     edges = set()
     for (a, b), entry in matrix.entries.items():
         if a >= b:
@@ -67,13 +58,6 @@ def neighborhood_graph(
     return BoundedGraph(
         beta=beta, nodes=tuple(sorted(matrix.nodes)), edges=frozenset(edges)
     )
-
-
-def bounded_neighbors(graph: BoundedGraph, u: int) -> set[int]:
-    """Neighbors of u within the graph's budget bound."""
-    if u not in graph.adjacency:
-        raise ValueError(f"unknown node {u}")
-    return set(graph.adjacency[u])
 
 
 @dataclass(frozen=True)

@@ -107,15 +107,13 @@ def check_feasible(program: BinaryProgram, assignment: dict[VarId, int]) -> bool
     return True
 
 
-def solve(
-    program: BinaryProgram, variable_limit: int = DEFAULT_VARIABLE_LIMIT
-) -> Solution:
+def solve(program: BinaryProgram) -> Solution:
     """Solve to proven optimality by deterministic branch-and-bound."""
     program.validate()
-    if len(program.variables) > variable_limit:
+    if len(program.variables) > DEFAULT_VARIABLE_LIMIT:
         raise ValueError(
-            f"{len(program.variables)} variables exceed limit {variable_limit}; "
-            "decompose the program"
+            f"{len(program.variables)} variables exceed limit "
+            f"{DEFAULT_VARIABLE_LIMIT}; decompose the program"
         )
     order = _referenced_order(program)
     n = len(order)
@@ -203,15 +201,15 @@ def solve(
     )
 
 
-def brute_force(
-    program: BinaryProgram, variable_limit: int = BRUTE_FORCE_LIMIT
-) -> Solution:
+def brute_force(program: BinaryProgram) -> Solution:
     """Exhaustive-search oracle, enumerating in the solver's branch order."""
     program.validate()
     order = _referenced_order(program)
     n = len(order)
-    if n > variable_limit:
-        raise ValueError(f"{n} referenced variables exceed brute-force limit {variable_limit}")
+    if n > BRUTE_FORCE_LIMIT:
+        raise ValueError(
+            f"{n} referenced variables exceed brute-force limit {BRUTE_FORCE_LIMIT}"
+        )
     maximize = program.sense == "maximize"
 
     count = 1 << n
@@ -257,18 +255,3 @@ def brute_force(
         objective_value=evaluate_objective(program, assignment),
         explored=count,
     )
-
-
-def dump_lp(program: BinaryProgram) -> str:
-    """Human-readable LP-style dump for debugging; format not stable."""
-    lines = [program.sense]
-    terms = " + ".join(
-        f"{program.objective.get(v, 0)} {v}" for v in program.variables
-    )
-    lines.append(f"  {terms}")
-    lines.append("subject to")
-    for constraint in program.constraints:
-        lhs = " + ".join(f"{c} {v}" for v, c in constraint.coefficients.items())
-        lines.append(f"  {lhs} {constraint.op} {constraint.rhs}")
-    lines.append("binary: " + " ".join(str(v) for v in program.variables))
-    return "\n".join(lines)

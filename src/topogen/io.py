@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
 from .degree import DegreeSelection
-from .graphs import BoundedGraph
+from .graphs import BoundedGraph, neighborhood_graph
 from .measurements import LossMatrix, MatrixEntry, NodePositions
 from .radio import TransceiverProfile
 from .synth import SynthScenario, chain_scenario, generate, grid_scenario
@@ -34,14 +36,21 @@ def _dump(document: dict, path: Path | str):
     )
 
 
-def _load(path: Path | str, expected_format: str) -> dict:
-    document = json.loads(Path(path).read_text(encoding="utf-8"))
-    actual = document.get("format")
-    if actual != expected_format:
-        raise ValueError(
-            f"{path}: expected format {expected_format!r}, found {actual!r}"
-        )
-    return document
+@contextmanager
+def _load(path: Path | str, expected_format: str):
+    """Yield a tagged document; malformed content raises ValueError naming the file."""
+    try:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(document, dict):
+            raise ValueError(f"expected a JSON object, found {type(document).__name__}")
+        actual = document.get("format")
+        if actual != expected_format:
+            raise ValueError(f"expected format {expected_format!r}, found {actual!r}")
+        yield document
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_matrix(matrix: LossMatrix, path: Path | str):
@@ -66,20 +75,30 @@ def save_matrix(matrix: LossMatrix, path: Path | str):
 
 
 def load_matrix(path: Path | str) -> LossMatrix:
-    document = _load(path, MATRIX_FORMAT)
-    entries = {}
-    for item in document["entries"]:
-        entries[(item["tx"], item["rx"])] = MatrixEntry(
-            mean_loss=item["mean_loss"],
-            stddev=item["stddev"],
-            count=item["count"],
+    with _load(path, MATRIX_FORMAT) as document:
+        nodes = list(document["nodes"])
+        known = set(nodes)
+        if len(known) != len(nodes):
+            raise ValueError("nodes: duplicate node ids")
+        entries = {}
+        for i, item in enumerate(document["entries"]):
+            pair = (item["tx"], item["rx"])
+            loss = item["mean_loss"]
+            if not known.issuperset(pair):
+                raise ValueError(f"entries[{i}]: node of {pair} not in nodes")
+            if pair in entries:
+                raise ValueError(f"entries[{i}]: duplicate entry {pair}")
+            if not (math.isfinite(loss) and loss >= 0):
+                raise ValueError(f"entries[{i}]: mean_loss {loss} is not a loss >= 0")
+            entries[pair] = MatrixEntry(
+                mean_loss=loss, stddev=item["stddev"], count=item["count"]
+            )
+        return LossMatrix(
+            nodes=nodes,
+            channel=document["channel"],
+            entries=entries,
+            meta=document.get("meta", {}),
         )
-    return LossMatrix(
-        nodes=list(document["nodes"]),
-        channel=document["channel"],
-        entries=entries,
-        meta=document.get("meta", {}),
-    )
 
 
 def save_positions(positions: NodePositions, path: Path | str):
@@ -96,11 +115,11 @@ def save_positions(positions: NodePositions, path: Path | str):
 
 
 def load_positions(path: Path | str) -> NodePositions:
-    document = _load(path, POSITIONS_FORMAT)
-    return {
-        item["node"]: (item["x"], item["y"], item["z"])
-        for item in document["positions"]
-    }
+    with _load(path, POSITIONS_FORMAT) as document:
+        return {
+            item["node"]: (item["x"], item["y"], item["z"])
+            for item in document["positions"]
+        }
 
 
 def save_tree(tree: LayeredTree, path: Path | str):
@@ -118,14 +137,14 @@ def save_tree(tree: LayeredTree, path: Path | str):
 
 
 def load_tree(path: Path | str) -> LayeredTree:
-    document = _load(path, TREE_FORMAT)
-    return LayeredTree(
-        root=document["root"],
-        beta=document["beta"],
-        margin=document["margin"],
-        levels=tuple(frozenset(level) for level in document["levels"]),
-        depth=document["depth"],
-    )
+    with _load(path, TREE_FORMAT) as document:
+        return LayeredTree(
+            root=document["root"],
+            beta=document["beta"],
+            margin=document["margin"],
+            levels=tuple(frozenset(level) for level in document["levels"]),
+            depth=document["depth"],
+        )
 
 
 def save_selection(selection: DegreeSelection, path: Path | str):
@@ -144,15 +163,15 @@ def save_selection(selection: DegreeSelection, path: Path | str):
 
 
 def load_selection(path: Path | str) -> DegreeSelection:
-    document = _load(path, SELECTION_FORMAT)
-    return DegreeSelection(
-        beta=document["beta"],
-        c=document["c"],
-        selected=frozenset(document["selected"]),
-        components=tuple(frozenset(c) for c in document["components"]),
-        edges=frozenset(tuple(e) for e in document["edges"]),
-        objective=document["objective"],
-    )
+    with _load(path, SELECTION_FORMAT) as document:
+        return DegreeSelection(
+            beta=document["beta"],
+            c=document["c"],
+            selected=frozenset(document["selected"]),
+            components=tuple(frozenset(c) for c in document["components"]),
+            edges=frozenset(tuple(e) for e in document["edges"]),
+            objective=document["objective"],
+        )
 
 
 def save_profile(profile: TransceiverProfile, path: Path | str):
@@ -168,12 +187,12 @@ def save_profile(profile: TransceiverProfile, path: Path | str):
 
 
 def load_profile(path: Path | str) -> TransceiverProfile:
-    document = _load(path, PROFILE_FORMAT)
-    return TransceiverProfile(
-        name=document["name"],
-        tx_levels=tuple(document["tx_levels"]),
-        sensitivity_levels=tuple(document["sensitivity_levels"]),
-    )
+    with _load(path, PROFILE_FORMAT) as document:
+        return TransceiverProfile(
+            name=document["name"],
+            tx_levels=tuple(document["tx_levels"]),
+            sensitivity_levels=tuple(document["sensitivity_levels"]),
+        )
 
 
 def load_scenario_matrix(path: Path | str, seed: int | None = None) -> LossMatrix:
@@ -182,42 +201,42 @@ def load_scenario_matrix(path: Path | str, seed: int | None = None) -> LossMatri
     Kinds: ``log-distance`` (explicit positions), ``grid`` and ``chain``.
     A non-None ``seed`` overrides the scenario's own seed.
     """
-    document = _load(path, SCENARIO_FORMAT)
-    if seed is not None:
-        document["seed"] = seed
-    kind = document.get("kind")
-    if kind == "chain":
-        return chain_scenario(
-            n=document["n"],
-            on_loss=document["on_loss"],
-            off_loss=document["off_loss"],
-            channel=document.get("channel", 26),
-        )
-    params = {
-        key: document[key]
-        for key in (
-            "reference_loss",
-            "path_loss_exponent",
-            "shadowing_sigma",
-            "asymmetry_sigma",
-            "seed",
-            "channel",
-        )
-        if key in document
-    }
-    if kind == "grid":
-        return grid_scenario(
-            rows=document["rows"],
-            cols=document["cols"],
-            spacing=document["spacing"],
-            **params,
-        )
-    if kind == "log-distance":
-        positions = {
-            int(node): tuple(p) for node, p in document["positions"].items()
+    with _load(path, SCENARIO_FORMAT) as document:
+        if seed is not None:
+            document["seed"] = seed
+        kind = document.get("kind")
+        if kind == "chain":
+            return chain_scenario(
+                n=document["n"],
+                on_loss=document["on_loss"],
+                off_loss=document["off_loss"],
+                channel=document.get("channel", 26),
+            )
+        params = {
+            key: document[key]
+            for key in (
+                "reference_loss",
+                "path_loss_exponent",
+                "shadowing_sigma",
+                "asymmetry_sigma",
+                "seed",
+                "channel",
+            )
+            if key in document
         }
-        return generate(SynthScenario.from_positions(positions, **params))
-    raise ValueError(f"unknown scenario kind {kind!r}")
+        if kind == "grid":
+            return grid_scenario(
+                rows=document["rows"],
+                cols=document["cols"],
+                spacing=document["spacing"],
+                **params,
+            )
+        if kind == "log-distance":
+            positions = {
+                int(node): tuple(p) for node, p in document["positions"].items()
+            }
+            return generate(SynthScenario.from_positions(positions, **params))
+        raise ValueError(f"unknown scenario kind {kind!r}")
 
 
 def graph_to_dot(graph: BoundedGraph, positions: NodePositions | None = None) -> str:
@@ -235,13 +254,13 @@ def graph_to_dot(graph: BoundedGraph, positions: NodePositions | None = None) ->
 
 
 def selection_to_dot(selection: DegreeSelection) -> str:
-    lines = ["graph topology {"]
-    for node in sorted(selection.selected):
-        lines.append(f"  {node};")
-    for a, b in sorted(selection.edges):
-        lines.append(f"  {a} -- {b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return graph_to_dot(
+        BoundedGraph(
+            beta=selection.beta,
+            nodes=tuple(sorted(selection.selected)),
+            edges=selection.edges,
+        )
+    )
 
 
 def tree_to_dot(tree: LayeredTree, matrix: LossMatrix | None = None) -> str:
@@ -255,8 +274,6 @@ def tree_to_dot(tree: LayeredTree, matrix: LossMatrix | None = None) -> str:
         members = "; ".join(str(n) for n in sorted(level))
         lines.append(f"  {{ rank=same; {members}; }}")
     if matrix is not None:
-        from .graphs import neighborhood_graph
-
         graph = neighborhood_graph(matrix, tree.beta)
         for i in range(1, len(tree.levels)):
             for v in sorted(tree.levels[i]):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -150,15 +150,14 @@ def make_aggregator(spec: str) -> Callable[[list[float]], float]:
 
 
 def build_loss_matrix(
-    samples: list[LossSample],
-    aggregator: Union[str, Callable[[list[float]], float]] = "mean",
+    samples: list[LossSample], aggregator: str = "mean"
 ) -> LossMatrix:
     """Aggregate samples into a directed loss matrix.
 
     All samples must share one channel; mixing channels is a hard error
     because losses are not comparable across frequencies.
     """
-    agg = make_aggregator(aggregator) if isinstance(aggregator, str) else aggregator
+    agg = make_aggregator(aggregator)
     channels = sorted({s.channel for s in samples})
     if len(channels) > 1:
         raise ChannelMismatchError(
@@ -196,10 +195,6 @@ def warn_low_counts(
     return sorted(low, key=lambda item: (item[2], item[0], item[1]))
 
 
-def euclidean_distance(a: Position, b: Position) -> float:
-    return math.dist(a, b)
-
-
 def distance_loss_correlation(matrix: LossMatrix, positions: NodePositions) -> float:
     """Pearson correlation between node distance and mean loss.
 
@@ -214,7 +209,7 @@ def distance_loss_correlation(matrix: LossMatrix, positions: NodePositions) -> f
     distances = []
     losses = []
     for (tx, rx), entry in sorted(matrix.entries.items()):
-        distances.append(euclidean_distance(positions[tx], positions[rx]))
+        distances.append(math.dist(positions[tx], positions[rx]))
         losses.append(entry.mean_loss)
     d = np.asarray(distances)
     l = np.asarray(losses)

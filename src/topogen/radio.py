@@ -69,12 +69,12 @@ class GuardedSetting:
 
 
 def budget(setting: RadioSetting) -> float:
-    return setting.tx_power - setting.sensitivity
+    return setting.budget
 
 
 def bound_for_settings(setting: RadioSetting) -> float:
     """Largest loss receivable under the setting; equals its budget."""
-    return budget(setting)
+    return setting.budget
 
 
 def _guard_variant(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measurements import LossMatrix, MatrixEntry, NodePositions, euclidean_distance
+from .measurements import LossMatrix, MatrixEntry, NodePositions
 
 GENERATOR_ID = "numpy-pcg64-per-pair"
 
@@ -70,7 +70,7 @@ def generate(scenario: SynthScenario) -> LossMatrix:
     entries: dict[tuple[int, int], MatrixEntry] = {}
     for i, a in enumerate(nodes):
         for b in nodes[i + 1:]:
-            d = euclidean_distance(positions[a], positions[b])
+            d = math.dist(positions[a], positions[b])
             if d == 0:
                 raise ValueError(f"nodes {a} and {b} have coincident positions")
             deterministic = (

@@ -35,10 +35,16 @@ class KappaSpec:
             raise ValueError(f"unknown kappa kind {self.kind!r}")
         if self.kind == "const" and self.value < 1:
             raise ValueError("constant breadth must be >= 1")
-        if self.kind == "table":
-            for depth, breadth in self.table:
-                if breadth < 1:
-                    raise ValueError(f"breadth for depth {depth} must be >= 1")
+        depths: set[int] = set()
+        for depth, breadth in self.table:
+            item = f"kappa table item '{depth}={breadth}'"
+            if depth < 1:
+                raise ValueError(f"{item}: depth must be >= 1")
+            if depth in depths:
+                raise ValueError(f"{item}: duplicate depth {depth}")
+            if breadth < 1:
+                raise ValueError(f"{item}: breadth must be >= 1")
+            depths.add(depth)
 
     def __call__(self, depth: int) -> int:
         if self.kind == "const":
@@ -57,17 +63,12 @@ class KappaSpec:
         if text.startswith("table:"):
             pairs = []
             for item in text.split(":", 1)[1].split(","):
+                if item.count("=") != 1:
+                    raise ValueError(f"kappa table item {item!r}: expected depth=breadth")
                 depth, breadth = item.split("=")
                 pairs.append((int(depth), int(breadth)))
             return cls(kind="table", table=tuple(sorted(pairs)))
         raise ValueError(f"cannot parse kappa spec {text!r}")
-
-    def spec_string(self) -> str:
-        if self.kind == "linear":
-            return "linear"
-        if self.kind == "const":
-            return f"const:{self.value}"
-        return "table:" + ",".join(f"{d}={b}" for d, b in self.table)
 
 
 @dataclass(frozen=True)
@@ -142,24 +143,23 @@ def monitored_bfs(
     )
 
 
+def rank_key(tree: LayeredTree) -> tuple:
+    """Best-first sort key: deepest, fewest nodes, smaller bound, smaller root."""
+    return (-tree.depth, tree.total_nodes, tree.beta, tree.root)
+
+
 def sweep_trees(
     matrix: LossMatrix,
     kappa: KappaSpec,
     margin: float,
     family: GraphFamily,
 ) -> list[LayeredTree]:
-    """One tree per (bound, root) pair, best first.
-
-    Order: deepest, then fewest nodes, then smaller bound, then smaller
-    root id.
-    """
+    """One tree per (bound, root) pair, best first by ``rank_key``."""
     trees = []
     for beta in family.betas():
         for v0 in sorted(matrix.nodes):
             trees.append(monitored_bfs(matrix, v0, beta, margin, kappa))
-    return sorted(
-        trees, key=lambda t: (-t.depth, t.total_nodes, t.beta, t.root)
-    )
+    return sorted(trees, key=rank_key)
 
 
 def check_tree(
@@ -204,24 +204,6 @@ def check_tree(
                     (4, f"node {v} at level {i} has strong links to {sorted(strong)}")
                 )
     return violations
-
-
-@dataclass(frozen=True)
-class RevalidationReport:
-    ok: bool
-    violations: tuple[tuple[int, str], ...]
-
-
-def revalidate(
-    tree: LayeredTree, fresh: LossMatrix, kappa: KappaSpec
-) -> RevalidationReport:
-    """Re-check all four requirements against a fresh measurement campaign.
-
-    Channel conditions drift, so a stored topology must be verified
-    shortly before the actual experiment.
-    """
-    violations = tuple(check_tree(tree, fresh, kappa))
-    return RevalidationReport(ok=not violations, violations=violations)
 
 
 def build_reduction_program(

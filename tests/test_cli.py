@@ -5,6 +5,7 @@ import pytest
 from topogen import io
 from topogen.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 from topogen.synth import chain_scenario
+from topogen.trees import KappaSpec, monitored_bfs
 
 
 def write_chain_scenario(path, n=6, on=45, off=90):
@@ -262,3 +263,55 @@ def test_single_matrix_report(tmp_path):
 
 def test_missing_file_is_input_error(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("command", ["tree", "sweep-report"])
+def test_empty_matrix_is_input_error(tmp_path, capsys, command):
+    log = tmp_path / "empty.log"
+    log.write_text("# nothing\n")
+    assert main(["ingest", str(log), "--out", str(tmp_path)]) == EXIT_OK
+    matrix = tmp_path / "matrix.json"
+    assert main([command, str(matrix), "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    assert f"error: {matrix}: empty matrix" in capsys.readouterr().err
+
+
+def _without(key):
+    return lambda d: {k: v for k, v in d.items() if k != key}
+
+
+def _first_entry(**fields):
+    return lambda d: {**d, "entries": [{**d["entries"][0], **fields}, *d["entries"][1:]]}
+
+
+# case: (file to corrupt, corruption, text the error must contain)
+MALFORMED = {
+    "matrix without entries": ("matrix", _without("entries"), "'entries'"),
+    "entry node not in nodes": ("matrix", _first_entry(tx=99), "entries[0]: node"),
+    "top-level list": ("matrix", lambda d: [d], "JSON object"),
+    "tree without levels": ("tree", _without("levels"), "'levels'"),
+    "NaN loss": ("matrix", _first_entry(mean_loss=float("nan")), "entries[0]: mean_loss"),
+    "infinite loss": ("matrix", _first_entry(mean_loss=float("inf")), "entries[0]: mean_loss"),
+    "negative loss": ("matrix", _first_entry(mean_loss=-1.0), "entries[0]: mean_loss"),
+    "duplicate node id": (
+        "matrix", lambda d: {**d, "nodes": d["nodes"] + d["nodes"][:1]}, "duplicate node ids"),
+    "duplicate entry": (
+        "matrix", lambda d: {**d, "entries": d["entries"] + d["entries"][:1]},
+        "duplicate entry"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_file_is_input_error(tmp_path, capsys, case):
+    target, mutate, field = MALFORMED[case]
+    matrix = write_chain_matrix(tmp_path, n=3)
+    tree = tmp_path / "tree.json"
+    one = KappaSpec.parse("const:1")
+    io.save_tree(monitored_bfs(chain_scenario(3, 45, 90), 0, 50, 15, one), tree)
+    path, argv = {
+        "matrix": (matrix, ["degree", str(matrix), "1", "--out", str(tmp_path / "o")]),
+        "tree": (tree, ["verify", str(tree), str(matrix), "--kappa", "const:1"]),
+    }[target]
+    path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and field in err

@@ -6,7 +6,6 @@ import pytest
 from helpers import matrix_from_losses, random_matrix, symmetric_matrix
 from topogen.graphs import (
     GraphFamily,
-    bounded_neighbors,
     connected_components,
     degree_distribution,
     monotonicity_report,
@@ -34,22 +33,14 @@ def test_full_mesh_at_max_bound():
     assert len(graph.edges) == 10
 
 
-def test_out_of_family_range_warns():
-    matrix = symmetric_matrix({(1, 2): 45.0})
-    family = GraphFamily(matrix)
-    with pytest.warns(UserWarning, match="outside family range"):
-        neighborhood_graph(matrix, 120, family=family)
-
-
 def test_bounded_neighbors():
     matrix = symmetric_matrix({(1, 2): 45.0}, nodes={1, 2, 3})
     graph = neighborhood_graph(matrix, 50)
-    assert bounded_neighbors(graph, 3) == set()
-    assert bounded_neighbors(graph, 1) == {2}
-    with pytest.raises(ValueError, match="unknown node"):
-        bounded_neighbors(graph, 99)
+    assert graph.adjacency[3] == set()
+    assert graph.adjacency[1] == {2}
+    assert 99 not in graph.adjacency
     mesh = symmetric_matrix({(a, b): 50.0 for a in range(6) for b in range(a + 1, 6)})
-    assert len(bounded_neighbors(neighborhood_graph(mesh, 60), 0)) == 5
+    assert len(neighborhood_graph(mesh, 60).adjacency[0]) == 5
 
 
 def test_degree_distribution_extremes():

@@ -8,7 +8,6 @@ from topogen.ilp import (
     Constraint,
     brute_force,
     check_feasible,
-    dump_lp,
     evaluate_objective,
     solve,
 )
@@ -150,16 +149,3 @@ def test_satisfied_constraint_keeps_optimum():
         )
         assert solve(p).objective_value == solution.objective_value
         checked += 1
-
-
-def test_dump_lp_mentions_everything():
-    p = program(
-        ["x1", "x2"],
-        "maximize",
-        {"x1": 1, "x2": 2},
-        [Constraint({"x1": 1, "x2": 1}, "<=", 1)],
-    )
-    text = dump_lp(p)
-    assert "maximize" in text
-    assert "x1" in text and "x2" in text
-    assert "<= 1" in text
