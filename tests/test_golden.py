@@ -29,7 +29,14 @@ GRID_COMMANDS = {
     "degree": ["degree", "grid.json", "3", "--out", "degree"],
     "verify": ["verify", "tree-reduce/tree.json", "grid.json"],
     "settings": ["settings", "46"],
+    # 6x6: enough bound ties and near-equal losses to pin the tree sweep
+    "tree6-reduce": ["tree", "grid6.json", "--kappa", "linear", "--margin", "15",
+                     "--reduce", "--out", "tree6-reduce"],
+    "sweep-report6": ["sweep-report", "grid6.json", "--out", "sweep-report6"],
 }
+
+# matrix file -> (rows, cols) of the seed-1 grid scenario written to it
+GRIDS = {"grid.json": (4, 4), "grid6.json": (6, 6)}
 
 GOLDEN = {
     "stdout:pipeline": "0489438fb58a77c1d2ffbf1656fdd7f61f7353cdc3aaf6ba76151788379776fd",
@@ -43,10 +50,15 @@ GOLDEN = {
     "stdout:verify": "50a8cbd5b947070cb751abae1cda97f51c62bbe28797f9f32b1d855ae10b2a80",
     "exit:settings": 0,
     "stdout:settings": "93f68481cf4521968ed53e84432ced5426076bcb6ff174b4c11e6fbf9301c067",
+    "exit:tree6-reduce": 0,
+    "stdout:tree6-reduce": "2c85ce30797d28731ecf2835016d21adbc330635287d4de6ae2688f2301b9b98",
+    "exit:sweep-report6": 0,
+    "stdout:sweep-report6": "441824c41dcf4c4d3bdb3ceb4096003b784296ce5e78455a5ad9119de3c9160d",
     "file:degree/manifest.json": "7156f477bdbc0c305cdb3a2019913a73f4d40ba7a06d820e2897dbe665af046e",
     "file:degree/selection.dot": "299fadfb07d06adc341e17572bbfaadfc429cb887352eb15a7bf7f0ac3c2dcac",
     "file:degree/selection.json": "ed5271766f89556aac69b0c105280bb82c100fb4f130a574839077b838201303",
     "file:grid.json": "e985ab4819b98a5caaa889b507c11d9b45861f42f2d53ac8342f9a3713d8da1b",
+    "file:grid6.json": "6e1e6addd7978d38c53d63c5fe29591329e73b7916551e6d9183bff426691f2a",
     "file:pipeline/analyze/degrees.csv": "479e165597ed3f970ea2bc2ce784b7380e4bc1770b1f1964ce726d13f25a8c74",
     "file:pipeline/analyze/manifest.json": "38c189154acd0c593eb718f96d969f457a4154bd0fde6ace9f4d4165b450183c",
     "file:pipeline/analyze/monotonicity.txt": "6149548ecf94d54ffc712a1994ab79ecceac516a735c2622b5476de35b9c7318",
@@ -62,12 +74,17 @@ GOLDEN = {
     "file:pipeline/tree/manifest.json": "95b7c38ad1af4747375771172f5da3a1e68ce72d7cc2a0fab66d255ebebbc064",
     "file:pipeline/tree/tree.dot": "ea02e5be39ad7b7df7b88742fced709214f756d35f22ca2909999dea8697ce18",
     "file:pipeline/tree/tree.json": "b3bc4789532bfb35dfdc619f153213063c3b6a3f3a337da8bf4650ee90545066",
+    "file:sweep-report6/manifest.json": "1495c53590f6d65f4a1df7755f533d7503b07e826db8c2e3d6c3055e5836c207",
+    "file:sweep-report6/sweep_report.csv": "1b81614ed5286ea873376970c32012870778ffd340c643a4aa71296155dc5413",
     "file:tree-reduce/manifest.json": "f701359edff1980f493bd2233ea18ffadb2e84b40a8dc421f3f83ede23efcde2",
     "file:tree-reduce/tree.dot": "b197a9d36dcf7eb19a18185babe66a32f2d00128b4398a1aa17ebcf2f8c5e489",
     "file:tree-reduce/tree.json": "859505fd47805527faab66bb0a038dc91b5f5acd3216760a99375fe4e55a6e6d",
     "file:tree-root/manifest.json": "d54115416c022a3f4ba9747860010d656e216bc5ae0bbc15aac86b2f1d9aa4d0",
     "file:tree-root/tree.dot": "20f7433fb84373f50dc7a8f2e55772b65a244a48fa98bb03854d3c5cdd9d29ac",
     "file:tree-root/tree.json": "f979a58734963793085b6342634985b71d29eb02ded8b39a90ecb877fba0f730",
+    "file:tree6-reduce/manifest.json": "1308e7f05e08b480cd79d08dcb3f6733e4350f461b52653c9756525efa8c8eb6",
+    "file:tree6-reduce/tree.dot": "8fe0ee16ed9f0a26cdc935c5857f5fb98fc9995c491cb95340c70e5b92a451ca",
+    "file:tree6-reduce/tree.json": "29d91a5e02718f9e482b20a9d6a790e51e7d67a641ba6f70e108c2cefb7274b4",
 }
 
 
@@ -82,11 +99,12 @@ def collect() -> dict:
     with contextlib.redirect_stdout(stdout):
         run_pipeline(Path("pipeline"))
     record["stdout:pipeline"] = _sha256(stdout.getvalue().encode())
-    io.save_matrix(
-        synth.grid_scenario(4, 4, 3.0, path_loss_exponent=3.0,
-                            shadowing_sigma=4.0, asymmetry_sigma=1.0, seed=1),
-        "grid.json",
-    )
+    for path, (rows, cols) in GRIDS.items():
+        io.save_matrix(
+            synth.grid_scenario(rows, cols, 3.0, path_loss_exponent=3.0,
+                                shadowing_sigma=4.0, asymmetry_sigma=1.0, seed=1),
+            path,
+        )
     for name, argv in GRID_COMMANDS.items():
         stdout = textio.StringIO()
         with contextlib.redirect_stdout(stdout):
