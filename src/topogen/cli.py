@@ -8,6 +8,7 @@ identical inputs, so full runs can be diffed and reproduced. Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -19,10 +20,21 @@ EXIT_VERIFY = 3
 MANIFEST_SKIP = ("func", "out")  # argparse plumbing, not configuration
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for dB values: a number, neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, not {text!r}")
+    return value
+
+
 def _add_grid_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--beta-min", type=float, default=graphs.DEFAULT_BETA_MIN)
-    parser.add_argument("--beta-max", type=float, default=graphs.DEFAULT_BETA_MAX)
-    parser.add_argument("--beta-step", type=float, default=1.0)
+    parser.add_argument("--beta-min", type=_finite_float, default=graphs.DEFAULT_BETA_MIN)
+    parser.add_argument("--beta-max", type=_finite_float, default=graphs.DEFAULT_BETA_MAX)
+    parser.add_argument("--beta-step", type=_finite_float, default=1.0)
 
 
 def _add_out_flag(parser: argparse.ArgumentParser):
@@ -273,18 +285,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tree", help="construct a layered tree topology")
     p.add_argument("matrix", type=Path)
     p.add_argument("--kappa", default="linear", help="const:K, linear or table:1=2,...")
-    p.add_argument("--margin", type=float, default=15.0)
+    p.add_argument("--margin", type=_finite_float, default=15.0)
     p.add_argument("--reduce", action="store_true", help="minimize node count")
     p.add_argument("--root", type=int, help="fix the root instead of sweeping")
-    p.add_argument("--beta", type=float, help="fix the bound instead of sweeping")
+    p.add_argument("--beta", type=_finite_float, help="fix the bound instead of sweeping")
     _add_grid_flags(p)
     _add_out_flag(p)
     p.set_defaults(func=cmd_tree)
 
     p = sub.add_parser("settings", help="transceiver settings for a bound")
-    p.add_argument("beta", type=float)
+    p.add_argument("beta", type=_finite_float)
     p.add_argument("--profile", type=Path, help="radio profile file")
-    p.add_argument("--guard", type=float, default=3.0)
+    p.add_argument("--guard", type=_finite_float, default=3.0)
     p.set_defaults(func=cmd_settings)
 
     p = sub.add_parser("verify", help="revalidate a topology against fresh data")
@@ -298,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("matrices", nargs="+", type=Path)
     p.add_argument("--kappa", default="linear")
-    p.add_argument("--margin", type=float, default=15.0)
+    p.add_argument("--margin", type=_finite_float, default=15.0)
     _add_grid_flags(p)
     _add_out_flag(p)
     p.set_defaults(func=cmd_sweep_report)

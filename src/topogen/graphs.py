@@ -3,12 +3,14 @@
 For a bound beta, an undirected edge {a, b} exists when both directed
 mean losses are at most beta. Sweeping beta over the budget range a
 transceiver can realize yields a family of graphs whose density grows
-with the bound.
+with the bound. Every graph of the family is a prefix of the loss
+matrix's edge-birth rows (``LossMatrix.edge_births``).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -16,6 +18,7 @@ from .measurements import LossMatrix
 
 DEFAULT_BETA_MIN = 31.0
 DEFAULT_BETA_MAX = 104.0
+MAX_GRID_STEPS = 100_000  # far past any transceiver's budget resolution
 
 
 @dataclass(frozen=True)
@@ -46,18 +49,15 @@ def neighborhood_graph(matrix: LossMatrix, beta: float) -> BoundedGraph:
     Isolated nodes are kept so per-bound degree statistics always cover
     the whole deployment.
     """
-    edges = set()
-    for (a, b), entry in matrix.entries.items():
-        if a >= b:
-            continue
-        reverse = matrix.entries.get((b, a))
-        if reverse is None:
-            continue
-        if entry.mean_loss <= beta and reverse.mean_loss <= beta:
-            edges.add((a, b))
-    return BoundedGraph(
-        beta=beta, nodes=tuple(sorted(matrix.nodes)), edges=frozenset(edges)
+    if math.isnan(beta):
+        raise ValueError("bound is NaN")
+    edges = frozenset(
+        (u, v)
+        for u in matrix.edge_births
+        for v in matrix.neighbors_within(u, beta)
+        if u < v
     )
+    return BoundedGraph(beta=beta, nodes=tuple(sorted(matrix.nodes)), edges=edges)
 
 
 @dataclass(frozen=True)
@@ -75,10 +75,18 @@ class GraphFamily:
     step: float = 1.0
 
     def __post_init__(self):
+        for name in ("beta_min", "beta_max", "step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)!r}")
         if self.beta_min > self.beta_max:
             raise ValueError("beta_min must not exceed beta_max")
         if self.step <= 0:
             raise ValueError("step must be positive")
+        if (self.beta_max - self.beta_min) / self.step > MAX_GRID_STEPS:
+            raise ValueError(
+                f"step {self.step!r} gives more than {MAX_GRID_STEPS} steps "
+                f"from {self.beta_min!r} to {self.beta_max!r}"
+            )
 
     def betas(self) -> list[float]:
         count = int(math.floor((self.beta_max - self.beta_min) / self.step + 1e-9))
@@ -88,13 +96,15 @@ class GraphFamily:
         return neighborhood_graph(self.matrix, beta)
 
 
+def _degrees(matrix: LossMatrix, beta: float) -> list[int]:
+    return [bisect_right(births, beta) for births, _ in matrix.edge_births.values()]
+
+
 def degree_distribution(family: GraphFamily) -> dict[float, tuple[int, ...]]:
     """Per-bound multiset of node degrees (sorted ascending)."""
-    result = {}
-    for beta in family.betas():
-        graph = family.graph(beta)
-        result[beta] = tuple(sorted(graph.degree(n) for n in graph.nodes))
-    return result
+    return {
+        beta: tuple(sorted(_degrees(family.matrix, beta))) for beta in family.betas()
+    }
 
 
 def connected_components(graph: BoundedGraph) -> list[set[int]]:
@@ -125,7 +135,7 @@ def monotonicity_report(family: GraphFamily) -> list[tuple[float, float, int]]:
     betas = family.betas()
     if len(betas) < 2:
         raise ValueError("family grid needs at least 2 points")
-    counts = [len(family.graph(beta).edges) for beta in betas]
+    counts = [sum(_degrees(family.matrix, beta)) // 2 for beta in betas]
     return [
         (betas[i], betas[i + 1], counts[i + 1] - counts[i])
         for i in range(len(betas) - 1)

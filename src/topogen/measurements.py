@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 import statistics
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -85,6 +87,43 @@ class LossMatrix:
     def loss(self, tx: int, rx: int) -> float | None:
         entry = self.entries.get((tx, rx))
         return entry.mean_loss if entry is not None else None
+
+    @cached_property
+    def edge_births(self) -> dict[int, tuple[list[float], list[int]]]:
+        """Per node, its neighbours in the order their edges are born.
+
+        The birth of edge {a, b} is max(loss(a->b), loss(b->a)): the
+        smallest bound at which both directions are within budget. A pair
+        missing a direction, or with a NaN loss either way, is never an
+        edge. Each node maps to parallel lists of births and neighbours
+        sorted by (birth, neighbour), so the graph at any bound is a prefix
+        of every row. Computed once; a matrix is not mutated after
+        construction.
+        """
+        rows: dict[int, list[tuple[float, int]]] = {n: [] for n in self.nodes}
+        for (a, b), entry in self.entries.items():
+            if a >= b:
+                continue
+            reverse = self.entries.get((b, a))
+            if reverse is None:
+                continue
+            forward, backward = entry.mean_loss, reverse.mean_loss
+            if math.isnan(forward) or math.isnan(backward):
+                continue
+            birth = max(forward, backward)
+            rows[a].append((birth, b))
+            rows[b].append((birth, a))
+        for row in rows.values():
+            row.sort()
+        return {
+            node: ([birth for birth, _ in row], [v for _, v in row])
+            for node, row in rows.items()
+        }
+
+    def neighbors_within(self, node: int, beta: float) -> list[int]:
+        """Neighbours of ``node`` whose edge is born at or below ``beta``."""
+        births, neighbors = self.edge_births[node]
+        return neighbors[: bisect_right(births, beta)]
 
 
 def parse_campaign_log(lines: Iterable[str]) -> tuple[list[LossSample], list[Rejection]]:

@@ -11,7 +11,8 @@ sustain the breadth requirements and parent connectivity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from . import ilp
 from .graphs import BoundedGraph, GraphFamily, neighborhood_graph
@@ -109,24 +110,24 @@ def monitored_bfs(
     """
     if v0 not in matrix.nodes:
         raise ValueError(f"unknown root {v0}")
-    if margin < 0:
+    if math.isnan(beta):
+        raise ValueError("bound is NaN")
+    if not margin >= 0:
         raise ValueError("margin must be >= 0")
-    graph = neighborhood_graph(matrix, beta)
-    margin_graph = neighborhood_graph(matrix, beta + margin)
+    outer = beta + margin
 
     levels: list[set[int]] = [{v0}]
     placed = {v0}
     shallow: set[int] = set()  # union of levels strictly above the frontier
     depth = 0
     while True:
-        nxt: set[int] = set()
-        for u in sorted(levels[depth]):
-            for v in sorted(graph.adjacency[u]):
-                if v in placed or v in nxt:
-                    continue
-                if margin_graph.adjacency[v] & shallow:
-                    continue
-                nxt.add(v)
+        # Admission depends only on placed and shallow, not on visiting order.
+        reached = set().union(*(matrix.neighbors_within(u, beta) for u in levels[depth]))
+        nxt = {
+            v
+            for v in reached - placed
+            if shallow.isdisjoint(matrix.neighbors_within(v, outer))
+        }
         shallow |= levels[depth]
         levels.append(nxt)
         placed |= nxt

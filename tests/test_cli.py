@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -315,3 +316,39 @@ def test_malformed_file_is_input_error(tmp_path, capsys, case):
     assert main(argv) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and field in err
+
+
+# (command line, float flag); "M" stands for a matrix file, "beta" is positional
+FLOAT_FLAGS = [
+    (["analyze", "M"], "--beta-min"),
+    (["analyze", "M"], "--beta-max"),
+    (["degree", "M", "3"], "--beta-step"),
+    (["tree", "M"], "--beta"),
+    (["tree", "M"], "--margin"),
+    (["sweep-report", "M"], "--margin"),
+    (["settings", "46"], "--guard"),
+    (["settings"], "beta"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, flag", FLOAT_FLAGS, ids=[f"{c[0]} {f}" for c, f in FLOAT_FLAGS]
+)
+def test_non_finite_float_flag_is_usage_error(tmp_path, capsys, command, flag, value):
+    matrix = write_chain_matrix(tmp_path, n=3)
+    argv = [str(matrix) if arg == "M" else arg for arg in command]
+    argv += ["--", value] if flag == "beta" else [f"{flag}={value}"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == EXIT_INPUT
+    assert f"argument {flag}: must be finite, not '{value}'" in capsys.readouterr().err
+
+
+def test_runaway_beta_step_is_input_error(tmp_path, capsys):
+    matrix = write_chain_matrix(tmp_path, n=3)
+    start = time.monotonic()
+    code = main(["analyze", str(matrix), "--beta-step", "1e-9", "--out", str(tmp_path / "o")])
+    assert code == EXIT_INPUT
+    assert time.monotonic() - start < 1.0
+    assert "error: step 1e-09 gives more than" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import matrix_from_losses, random_matrix, symmetric_matrix
 from topogen.graphs import (
+    MAX_GRID_STEPS,
     GraphFamily,
     connected_components,
     degree_distribution,
@@ -195,3 +196,22 @@ def test_family_validation():
     assert GraphFamily(matrix).betas()[0] == 31
     assert GraphFamily(matrix).betas()[-1] == 104
     assert len(GraphFamily(matrix).betas()) == 74
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"beta_min": float("nan")}, "beta_min"),
+        ({"beta_max": float("inf")}, "beta_max"),
+        ({"step": float("nan")}, "step"),
+        ({"step": 1e-9}, "step 1e-09"),
+        ({"step": 5e-324}, "step 5e-324"),  # the span overflows to inf
+        ({"beta_min": 0.0, "beta_max": 100_001.0}, "step 1.0"),
+    ],
+)
+def test_family_rejects_non_finite_and_runaway_grids(fields, named):
+    matrix = symmetric_matrix({(1, 2): 40.0})
+    with pytest.raises(ValueError, match=named):
+        GraphFamily(matrix, **fields)
+    widest = GraphFamily(matrix, beta_min=0.0, beta_max=float(MAX_GRID_STEPS))
+    assert len(widest.betas()) == MAX_GRID_STEPS + 1
