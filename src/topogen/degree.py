@@ -106,12 +106,8 @@ def select_constant_degree(
     recount.
     """
     selections = []
-    previous_edges: frozenset | None = None
     for beta in family.betas():
         graph = family.graph(beta)
-        if previous_edges is not None and not previous_edges <= graph.edges:
-            raise RuntimeError(f"edge monotonicity violated at beta {beta}")
-        previous_edges = graph.edges
         solution = ilp.solve(build_degree_program(graph, c))
         selected = frozenset(
             u for u, value in solution.assignment.items() if value

@@ -118,17 +118,14 @@ def monitored_bfs(
 
     levels: list[set[int]] = [{v0}]
     placed = {v0}
-    shallow: set[int] = set()  # union of levels strictly above the frontier
+    # Nodes with a strong link into a level strictly above the frontier.
+    # Links are symmetric, so these are the levels' own strong neighbours.
+    blocked: set[int] = set()
     depth = 0
     while True:
-        # Admission depends only on placed and shallow, not on visiting order.
         reached = set().union(*(matrix.neighbors_within(u, beta) for u in levels[depth]))
-        nxt = {
-            v
-            for v in reached - placed
-            if shallow.isdisjoint(matrix.neighbors_within(v, outer))
-        }
-        shallow |= levels[depth]
+        nxt = reached - placed - blocked
+        blocked.update(*(matrix.neighbors_within(u, outer) for u in levels[depth]))
         levels.append(nxt)
         placed |= nxt
         depth += 1
