@@ -138,6 +138,9 @@ def save_tree(tree: LayeredTree, path: Path | str):
 
 def load_tree(path: Path | str) -> LayeredTree:
     with _load(path, TREE_FORMAT) as document:
+        for name in ("beta", "margin"):
+            if not math.isfinite(document[name]):
+                raise ValueError(f"{name} {document[name]} is not finite")
         return LayeredTree(
             root=document["root"],
             beta=document["beta"],

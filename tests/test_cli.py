@@ -290,6 +290,8 @@ MALFORMED = {
     "entry node not in nodes": ("matrix", _first_entry(tx=99), "entries[0]: node"),
     "top-level list": ("matrix", lambda d: [d], "JSON object"),
     "tree without levels": ("tree", _without("levels"), "'levels'"),
+    "NaN tree margin": ("tree", lambda d: {**d, "margin": float("nan")}, "margin nan"),
+    "infinite tree bound": ("tree", lambda d: {**d, "beta": float("inf")}, "beta inf"),
     "NaN loss": ("matrix", _first_entry(mean_loss=float("nan")), "entries[0]: mean_loss"),
     "infinite loss": ("matrix", _first_entry(mean_loss=float("inf")), "entries[0]: mean_loss"),
     "negative loss": ("matrix", _first_entry(mean_loss=-1.0), "entries[0]: mean_loss"),
