@@ -155,11 +155,10 @@ def test_rows_skip_nan_in_either_direction():
     assert neighborhood_graph(matrix, math.inf).edges == {(1, 2)}
 
 
-@pytest.mark.parametrize("beta, margin", [(math.nan, 0.0), (50.0, math.nan)])
-def test_nan_bound_or_margin_is_rejected(beta, margin):
+def test_nan_bound_or_margin_is_rejected():
     matrix = LossMatrix(nodes=[0], channel=26, entries={})
-    with pytest.raises(ValueError):
-        monitored_bfs(matrix, 0, beta, margin, KappaSpec.parse("linear"))
-    if math.isnan(beta):
+    for beta, margin in ((math.nan, 0.0), (50.0, math.nan)):
         with pytest.raises(ValueError):
-            neighborhood_graph(matrix, beta)
+            monitored_bfs(matrix, 0, beta, margin, KappaSpec.parse("linear"))
+    with pytest.raises(ValueError):
+        neighborhood_graph(matrix, math.nan)
