@@ -3,16 +3,20 @@
 ``LossMatrix.edge_births`` gives every bound's graph as a prefix of
 per-node rows. The oracles below are the earlier implementations, kept
 here verbatim in behaviour: a scan over every directed entry per bound,
-and a monitored BFS over two such graphs with sorted visiting order.
+a monitored BFS over two such graphs with sorted visiting order, and the
+tree requirement checker and DOT link listing over rebuilt graphs.
 Hypothesis draws matrices with one-way entries, NaN losses and losses
 exactly on the bound grid and on bound + margin, where ``<=`` decides.
 """
 
+import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
+
+from topogen import io
 
 from topogen.graphs import (
     BoundedGraph,
@@ -22,7 +26,7 @@ from topogen.graphs import (
     neighborhood_graph,
 )
 from topogen.measurements import LossMatrix, MatrixEntry
-from topogen.trees import KappaSpec, LayeredTree, monitored_bfs
+from topogen.trees import KappaSpec, LayeredTree, check_tree, monitored_bfs
 
 BETA_MIN, BETA_MAX, STEP = 40.0, 60.0, 5.0
 MARGINS = (0.0, 5.0, 7.5)
@@ -114,6 +118,130 @@ def graph_bfs(matrix, v0, beta, margin, kappa):
         margin=margin,
         levels=tuple(frozenset(level) for level in levels),
         depth=depth - 1,
+    )
+
+
+def graph_check_tree(tree, matrix, kappa):
+    """Oracle: the requirement checker over two rebuilt graphs."""
+    violations = []
+    missing = sorted(tree.nodes - set(matrix.nodes))
+    if missing:
+        raise ValueError(f"matrix lacks tree nodes {missing}")
+    graph = scan_graph(matrix, tree.beta)
+    margin_graph = scan_graph(matrix, tree.beta + tree.margin)
+    if set(tree.levels[0]) != {tree.root}:
+        violations.append((2, f"level 0 is {sorted(tree.levels[0])}, not the root"))
+    seen = set()
+    for level in tree.levels:
+        overlap = level & seen
+        if overlap:
+            violations.append((1, f"nodes {sorted(overlap)} appear in multiple levels"))
+        seen |= level
+    for i in range(1, tree.depth + 1):
+        if len(tree.levels[i]) < kappa(i):
+            violations.append(
+                (3, f"level {i} has {len(tree.levels[i])} nodes, needs {kappa(i)}")
+            )
+        for v in sorted(tree.levels[i]):
+            if not graph.adjacency[v] & tree.levels[i - 1]:
+                violations.append((1, f"node {v} at level {i} has no parent at level {i - 1}"))
+    for i in range(2, tree.depth + 1):
+        above = set().union(*tree.levels[: i - 1])
+        for v in sorted(tree.levels[i]):
+            strong = margin_graph.adjacency[v] & above
+            if strong:
+                violations.append(
+                    (4, f"node {v} at level {i} has strong links to {sorted(strong)}")
+                )
+    return violations
+
+
+def graph_dot_links(tree, matrix):
+    """Oracle: the DOT link lines, parents read from a rebuilt graph."""
+    graph = scan_graph(matrix, tree.beta)
+    return [
+        f"  {parent} -- {v};"
+        for i in range(1, len(tree.levels))
+        for v in sorted(tree.levels[i])
+        for parent in sorted(graph.adjacency[v] & tree.levels[i - 1])
+    ]
+
+
+@st.composite
+def line_matrices(draw):
+    """Nodes on a line with loss growing by distance, so trees run deep."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    spots = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n, unique=True))
+    entries = {
+        (a, b): MatrixEntry(
+            mean_loss=35.0 + 5.0 * abs(spots[a] - spots[b]) + draw(st.sampled_from([0.0, 2.5])),
+            stddev=0.0,
+            count=1,
+        )
+        for a in range(n)
+        for b in range(n)
+        if a != b
+    }
+    return LossMatrix(nodes=list(range(n)), channel=26, entries=entries)
+
+
+@st.composite
+def remeasured(draw, matrix):
+    """The same deployment measured again: each directed entry kept, dropped or redrawn."""
+    entries = {}
+    for a in matrix.nodes:
+        for b in matrix.nodes:
+            if a == b:
+                continue
+            fate = draw(st.sampled_from(["keep", "keep", "drop", "redraw"]))
+            if fate == "redraw":
+                entries[a, b] = MatrixEntry(mean_loss=draw(LOSSES), stddev=0.0, count=1)
+            elif (a, b) in matrix.entries:
+                entries[a, b] = matrix.entries[a, b]
+    return LossMatrix(nodes=list(matrix.nodes), channel=26, entries=entries)
+
+
+@st.composite
+def checked_trees(draw):
+    """A tree grown on one matrix, to be checked against it and a re-measurement.
+
+    The tree is grown with breadth 1, which keeps it deep; the check draws
+    its own breadth, and the root is sometimes moved off level 0, so
+    requirements 2 and 3 fail as well as 1 and 4.
+    """
+    built = draw(st.one_of(matrices(), line_matrices()))
+    n = len(built.nodes)
+    fresh = draw(remeasured(built))
+    beta = draw(st.sampled_from(ON_GRID))
+    margin = draw(st.sampled_from(MARGINS))
+    root = draw(st.integers(0, n - 1))
+    tree = monitored_bfs(built, root, beta, margin, KappaSpec.parse("const:1"))
+    if draw(st.booleans()):
+        tree = dataclasses.replace(tree, root=draw(st.integers(0, n - 1)))
+    return tree, built, fresh, KappaSpec.parse(draw(KAPPAS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(checked_trees())
+def test_check_tree_and_dot_match_graph_oracles(case):
+    tree, built, fresh, kappa = case
+    for matrix in (built, fresh):
+        assert check_tree(tree, matrix, kappa) == graph_check_tree(tree, matrix, kappa)
+        links = io.tree_to_dot(tree, matrix).splitlines()[2 + len(tree.levels) : -1]
+        assert links == graph_dot_links(tree, matrix)
+
+
+@pytest.mark.parametrize("requirement", [1, 2, 3, 4])
+def test_checked_trees_reach_every_requirement(requirement):
+    find(
+        checked_trees(),
+        lambda case: any(
+            req == requirement for req, _ in graph_check_tree(case[0], case[2], case[3])
+        ),
+        settings=settings(
+            max_examples=2000, database=None, deadline=None, derandomize=True,
+            phases=[Phase.generate],
+        ),
     )
 
 
