@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ilp
-from .graphs import BoundedGraph, GraphFamily, connected_components
+from .graphs import BoundedGraph, GraphFamily, connected_components, neighborhood_graph
 from .measurements import LossMatrix
 
 
@@ -28,6 +28,11 @@ class DegreeSelection:
     components: tuple[frozenset[int], ...]
     edges: frozenset[tuple[int, int]]  # induced subgraph edges
     objective: int
+
+    @property
+    def graph(self) -> BoundedGraph:
+        """The subgraph induced by the selected nodes."""
+        return BoundedGraph(beta=self.beta, nodes=tuple(sorted(self.selected)), edges=self.edges)
 
 
 def build_degree_program(graph: BoundedGraph, c: int) -> ilp.BinaryProgram:
@@ -107,7 +112,7 @@ def select_constant_degree(
     """
     selections = []
     for beta in family.betas():
-        graph = family.graph(beta)
+        graph = neighborhood_graph(matrix, beta)
         solution = ilp.solve(build_degree_program(graph, c))
         selected = frozenset(
             u for u, value in solution.assignment.items() if value
@@ -133,9 +138,4 @@ def largest_component_selection(
         selections,
         key=lambda s: (-len(s.components[0]), s.beta, min(s.components[0])),
     )
-    graph = BoundedGraph(
-        beta=selection.beta,
-        nodes=tuple(sorted(selection.selected)),
-        edges=selection.edges,
-    )
-    return _make_selection(graph, selection.c, selection.components[0])
+    return _make_selection(selection.graph, selection.c, selection.components[0])

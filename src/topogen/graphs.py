@@ -3,14 +3,14 @@
 For a bound beta, an undirected edge {a, b} exists when both directed
 mean losses are at most beta. Sweeping beta over the budget range a
 transceiver can realize yields a family of graphs whose density grows
-with the bound. Every graph of the family is a prefix of the loss
-matrix's edge-birth rows (``LossMatrix.edge_births``).
+with the bound. The loss matrix keeps each node's neighbours in the order
+their edges appear, so every graph of the family reads prefixes of the
+same rows (``LossMatrix.neighbors_within``).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -53,7 +53,7 @@ def neighborhood_graph(matrix: LossMatrix, beta: float) -> BoundedGraph:
         raise ValueError("bound is NaN")
     edges = frozenset(
         (u, v)
-        for u in matrix.edge_births
+        for u in matrix.nodes
         for v in matrix.neighbors_within(u, beta)
         if u < v
     )
@@ -97,7 +97,7 @@ class GraphFamily:
 
 
 def _degrees(matrix: LossMatrix, beta: float) -> list[int]:
-    return [bisect_right(births, beta) for births, _ in matrix.edge_births.values()]
+    return [len(matrix.neighbors_within(u, beta)) for u in matrix.nodes]
 
 
 def degree_distribution(family: GraphFamily) -> dict[float, tuple[int, ...]]:

@@ -16,11 +16,11 @@ from pathlib import Path
 
 from . import __version__
 from .degree import DegreeSelection
-from .graphs import BoundedGraph, neighborhood_graph
+from .graphs import BoundedGraph
 from .measurements import LossMatrix, MatrixEntry, NodePositions
 from .radio import TransceiverProfile
 from .synth import SynthScenario, chain_scenario, generate, grid_scenario
-from .trees import LayeredTree
+from .trees import LayeredTree, parents_of
 
 MATRIX_FORMAT = "loss-matrix/1"
 POSITIONS_FORMAT = "node-positions/1"
@@ -257,31 +257,19 @@ def graph_to_dot(graph: BoundedGraph, positions: NodePositions | None = None) ->
 
 
 def selection_to_dot(selection: DegreeSelection) -> str:
-    return graph_to_dot(
-        BoundedGraph(
-            beta=selection.beta,
-            nodes=tuple(sorted(selection.selected)),
-            edges=selection.edges,
-        )
-    )
+    return graph_to_dot(selection.graph)
 
 
-def tree_to_dot(tree: LayeredTree, matrix: LossMatrix | None = None) -> str:
-    """DOT export with one rank per level.
-
-    With the matrix available, inter-level links are drawn; otherwise
-    only the level structure is emitted.
-    """
+def tree_to_dot(tree: LayeredTree, matrix: LossMatrix) -> str:
+    """DOT export with one rank per level and each node's links to its parents."""
     lines = ["graph tree {", "  rankdir=TB;"]
     for level in tree.levels:
         members = "; ".join(str(n) for n in sorted(level))
         lines.append(f"  {{ rank=same; {members}; }}")
-    if matrix is not None:
-        graph = neighborhood_graph(matrix, tree.beta)
-        for i in range(1, len(tree.levels)):
-            for v in sorted(tree.levels[i]):
-                for parent in sorted(graph.adjacency[v] & tree.levels[i - 1]):
-                    lines.append(f"  {parent} -- {v};")
+    for i in range(1, len(tree.levels)):
+        for v in sorted(tree.levels[i]):
+            for parent in sorted(parents_of(tree, matrix, v, i)):
+                lines.append(f"  {parent} -- {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -83,6 +83,8 @@ class LayeredTree:
     def __post_init__(self):
         if self.depth != len(self.levels) - 1:
             raise ValueError("depth must equal number of levels minus one")
+        if math.isnan(self.beta + self.margin):
+            raise ValueError(f"bound {self.beta} plus margin {self.margin} is NaN")
 
     @property
     def nodes(self) -> set[int]:
@@ -110,8 +112,6 @@ def monitored_bfs(
     """
     if v0 not in matrix.nodes:
         raise ValueError(f"unknown root {v0}")
-    if math.isnan(beta):
-        raise ValueError("bound is NaN")
     if not margin >= 0:
         raise ValueError("margin must be >= 0")
     outer = beta + margin
@@ -160,6 +160,11 @@ def sweep_trees(
     return sorted(trees, key=rank_key)
 
 
+def parents_of(tree: LayeredTree, matrix: LossMatrix, v: int, i: int) -> frozenset[int]:
+    """Nodes of level i - 1 that node ``v`` of level i links to at the tree's bound."""
+    return tree.levels[i - 1].intersection(matrix.neighbors_within(v, tree.beta))
+
+
 def check_tree(
     tree: LayeredTree, matrix: LossMatrix, kappa: KappaSpec
 ) -> list[tuple[int, str]]:
@@ -173,8 +178,6 @@ def check_tree(
     missing = sorted(tree.nodes - set(matrix.nodes))
     if missing:
         raise ValueError(f"matrix lacks tree nodes {missing}")
-    graph = neighborhood_graph(matrix, tree.beta)
-    margin_graph = neighborhood_graph(matrix, tree.beta + tree.margin)
 
     if set(tree.levels[0]) != {tree.root}:
         violations.append((2, f"level 0 is {sorted(tree.levels[0])}, not the root"))
@@ -190,13 +193,13 @@ def check_tree(
                 (3, f"level {i} has {len(tree.levels[i])} nodes, needs {kappa(i)}")
             )
         for v in sorted(tree.levels[i]):
-            parents = graph.adjacency[v] & tree.levels[i - 1]
-            if not parents:
+            if not parents_of(tree, matrix, v, i):
                 violations.append((1, f"node {v} at level {i} has no parent at level {i - 1}"))
+    outer = tree.beta + tree.margin
     for i in range(2, tree.depth + 1):
         above = set().union(*tree.levels[: i - 1])
         for v in sorted(tree.levels[i]):
-            strong = margin_graph.adjacency[v] & above
+            strong = above.intersection(matrix.neighbors_within(v, outer))
             if strong:
                 violations.append(
                     (4, f"node {v} at level {i} has strong links to {sorted(strong)}")

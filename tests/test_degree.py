@@ -82,6 +82,16 @@ def test_random_selections_regular_and_optimal():
                 assert len(graph.adjacency[u] & selection.selected) == c
 
 
+def test_sweep_solves_the_matrix_it_is_given():
+    rng = random.Random(5)
+    matrix = random_matrix(rng, 8, present=0.8)
+    other = random_matrix(rng, 8, present=0.8)
+    grid = dict(beta_min=55, beta_max=85, step=10)
+    expected = select_constant_degree(matrix, 2, GraphFamily(matrix, **grid))
+    assert expected
+    assert select_constant_degree(matrix, 2, GraphFamily(other, **grid)) == expected
+
+
 def test_components_partition_selected():
     matrix = symmetric_matrix(
         {(0, 1): 45.0, (1, 2): 45.0, (0, 2): 45.0, (5, 6): 45.0, (6, 7): 45.0, (5, 7): 45.0}
