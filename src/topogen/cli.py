@@ -202,7 +202,10 @@ def cmd_verify(args) -> int:
     tree = io.load_tree(args.topology)
     fresh = io.load_matrix(args.matrix)
     kappa = trees.KappaSpec.parse(args.kappa)
-    violations = trees.check_tree(tree, fresh, kappa)
+    try:
+        violations = trees.check_tree(tree, fresh, kappa)
+    except ValueError as exc:
+        raise ValueError(f"{args.matrix}: {exc}") from None
     if not violations:
         print("PASS: all requirements hold against the fresh matrix")
         return EXIT_OK

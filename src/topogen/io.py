@@ -53,6 +53,12 @@ def _load(path: Path | str, expected_format: str):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _node_id(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where}: node id {value!r} is not an integer")
+    return value
+
+
 def save_matrix(matrix: LossMatrix, path: Path | str):
     document = {
         "format": MATRIX_FORMAT,
@@ -76,7 +82,7 @@ def save_matrix(matrix: LossMatrix, path: Path | str):
 
 def load_matrix(path: Path | str) -> LossMatrix:
     with _load(path, MATRIX_FORMAT) as document:
-        nodes = list(document["nodes"])
+        nodes = [_node_id(n, f"nodes[{i}]") for i, n in enumerate(document["nodes"])]
         known = set(nodes)
         if len(known) != len(nodes):
             raise ValueError("nodes: duplicate node ids")
@@ -139,13 +145,19 @@ def save_tree(tree: LayeredTree, path: Path | str):
 def load_tree(path: Path | str) -> LayeredTree:
     with _load(path, TREE_FORMAT) as document:
         for name in ("beta", "margin"):
-            if not math.isfinite(document[name]):
-                raise ValueError(f"{name} {document[name]} is not finite")
+            value = document[name]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} {value!r} is not a number")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} {value} is not finite")
         return LayeredTree(
-            root=document["root"],
+            root=_node_id(document["root"], "root"),
             beta=document["beta"],
             margin=document["margin"],
-            levels=tuple(frozenset(level) for level in document["levels"]),
+            levels=tuple(
+                frozenset(_node_id(n, f"levels[{i}]") for n in level)
+                for i, level in enumerate(document["levels"])
+            ),
             depth=document["depth"],
         )
 

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from topogen import io
+from topogen import degree, graphs, io, trees
 from topogen.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 from topogen.synth import chain_scenario
 from topogen.trees import KappaSpec, monitored_bfs
@@ -231,6 +231,36 @@ def test_verify_pass_and_fail(tmp_path, capsys):
     assert "requirement 4" in capsys.readouterr().out
 
 
+def test_tree_reduce_and_verify_build_one_graph(tmp_path, monkeypatch):
+    build = graphs.neighborhood_graph
+    builds = []
+
+    def counted(matrix, beta):
+        builds.append(beta)
+        return build(matrix, beta)
+
+    for module in (graphs, trees, degree, io):
+        if getattr(module, "neighborhood_graph", None) is build:
+            monkeypatch.setattr(module, "neighborhood_graph", counted)
+    matrix = write_chain_matrix(tmp_path, n=5)
+    out = tmp_path / "out"
+    args = ["--kappa", "const:1", "--beta-min", "45", "--beta-max", "55", "--beta-step", "5"]
+    assert main(["tree", str(matrix), "--reduce", "--out", str(out), *args]) == EXIT_OK
+    assert main(["verify", str(out / "tree.json"), str(matrix), "--kappa", "const:1"]) == EXIT_OK
+    assert len(builds) == 1
+
+
+def test_verify_names_the_matrix_lacking_tree_nodes(tmp_path, capsys):
+    matrix = write_chain_matrix(tmp_path, n=4)
+    out = tmp_path / "out"
+    main(["tree", str(matrix), "--kappa", "const:1", "--out", str(out),
+          "--beta-min", "50", "--beta-max", "50", "--beta-step", "1"])
+    fresh = write_chain_matrix(tmp_path, "fresh.json", n=3)
+    code = main(["verify", str(out / "tree.json"), str(fresh), "--kappa", "const:1"])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {fresh}: matrix lacks tree nodes [3]\n"
+
+
 def test_sweep_report(tmp_path, capsys):
     sparse = write_chain_matrix(tmp_path, "sparse.json")
     from helpers import symmetric_matrix
@@ -300,6 +330,12 @@ MALFORMED = {
     "duplicate entry": (
         "matrix", lambda d: {**d, "entries": d["entries"] + d["entries"][:1]},
         "duplicate entry"),
+    "string node id": ("matrix", lambda d: {**d, "nodes": [*d["nodes"], "a"]}, "nodes[3]"),
+    "boolean node id": ("matrix", lambda d: {**d, "nodes": [*d["nodes"], True]}, "nodes[3]"),
+    "list tree root": ("tree", lambda d: {**d, "root": [d["root"]]}, "root: node id [0]"),
+    "string level member": (
+        "tree", lambda d: {**d, "levels": [*d["levels"][:-1], ["a"]]}, "levels[2]: node id 'a'"),
+    "boolean tree bound": ("tree", lambda d: {**d, "beta": True}, "beta True"),
 }
 
 
