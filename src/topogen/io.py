@@ -54,7 +54,7 @@ def _load(path: Path | str, expected_format: str):
 
 
 def _node_id(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:  # bool is an int subclass, but not a node id
         raise ValueError(f"{where}: node id {value!r} is not an integer")
     return value
 
@@ -146,10 +146,8 @@ def load_tree(path: Path | str) -> LayeredTree:
     with _load(path, TREE_FORMAT) as document:
         for name in ("beta", "margin"):
             value = document[name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} {value!r} is not a number")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} {value} is not finite")
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise ValueError(f"{name} {value!r} is not a finite number")
         return LayeredTree(
             root=_node_id(document["root"], "root"),
             beta=document["beta"],

@@ -290,3 +290,7 @@ def test_nan_bound_or_margin_is_rejected():
             monitored_bfs(matrix, 0, beta, margin, KappaSpec.parse("linear"))
     with pytest.raises(ValueError):
         neighborhood_graph(matrix, math.nan)
+    # check_tree and tree_to_dot read rows, which take a NaN bound as "all"
+    for beta, margin in ((math.nan, 0.0), (50.0, math.nan), (math.inf, -math.inf)):
+        with pytest.raises(ValueError, match="is NaN"):
+            LayeredTree(root=0, beta=beta, margin=margin, levels=(frozenset({0}),), depth=0)
