@@ -6,11 +6,23 @@ constraints with integer coefficients. Solved by deterministic
 branch-and-bound (feasibility pruning plus best-so-far objective bound),
 so results are reproducible byte-for-byte without an external solver.
 
+Objective bound: every variable not yet fixed can still take its better
+value. When maximizing with every objective coefficient 0 or 1 (the
+constant-degree program), each ``<=`` constraint tightens this into a
+packing bound. With every unfixed negative coefficient taken, the
+constraint has ``slack`` left; each of its ``cnt`` unfixed objective-1
+variables with a positive coefficient uses at least ``minpos`` of it, so
+at most ``fit = slack // minpos`` of them can be 1 and the bound drops by
+``cnt - fit``. The largest drop over the constraints is the one applied.
+
 Determinism contract: variables are branched in declaration order, the
 1-branch is explored first when maximizing and the 0-branch first when
 minimizing, and the incumbent is replaced only on strict improvement.
 The brute-force oracle enumerates assignments in the same order, so both
-return identical assignments, not just identical objectives.
+return identical assignments, not just identical objectives. Both bounds
+cut only subtrees that cannot strictly beat the incumbent, and no such
+subtree can replace it, so the sequence of incumbents, and with it the
+returned assignment, is that of the unpruned search.
 """
 
 from __future__ import annotations
@@ -75,7 +87,7 @@ class Solution:
     status: str  # "optimal" | "infeasible"
     assignment: dict[VarId, int]
     objective_value: int | None
-    explored: int | None = None
+    explored: int | None = None  # B&B nodes entered, or assignments enumerated
 
 
 def _referenced_order(program: BinaryProgram) -> list[VarId]:
@@ -121,6 +133,7 @@ def solve(program: BinaryProgram) -> Solution:
     maximize = program.sense == "maximize"
 
     obj = [program.objective.get(v, 0) for v in order]
+    packing = maximize and all(c in (0, 1) for c in obj)
     # Suffix bounds on the objective contribution of variables >= depth d.
     obj_hi = [0] * (n + 1)
     obj_lo = [0] * (n + 1)
@@ -137,11 +150,20 @@ def solve(program: BinaryProgram) -> Solution:
                 coefs[index[v]] += c
         lo = [0] * (n + 1)
         hi = [0] * (n + 1)
+        # Packing bound: count and least coefficient of the objective-1
+        # variables >= d with a positive coefficient; read only for "<=".
+        cnt = [0] * (n + 1)
+        minpos = [0] * (n + 1)
         for d in range(n - 1, -1, -1):
-            lo[d] = lo[d + 1] + min(0, coefs[d])
-            hi[d] = hi[d + 1] + max(0, coefs[d])
+            c = coefs[d]
+            lo[d] = lo[d + 1] + min(0, c)
+            hi[d] = hi[d + 1] + max(0, c)
+            cnt[d], minpos[d] = cnt[d + 1], minpos[d + 1]
+            if packing and obj[d] and c > 0:
+                cnt[d] += 1
+                minpos[d] = min(minpos[d], c) if cnt[d + 1] else c
         ci = len(cons)
-        cons.append((constraint.op, constraint.rhs, lo, hi))
+        cons.append((constraint.op, constraint.rhs, lo, hi, cnt, minpos))
         for d, c in enumerate(coefs):
             if c != 0:
                 touching[d].append((ci, c))
@@ -151,34 +173,39 @@ def solve(program: BinaryProgram) -> Solution:
     values = [0] * n
     sums = [0] * len(cons)
     branch_values = (1, 0) if maximize else (0, 1)
+    explored = 0
 
     def recurse(d: int, partial_obj: int):
-        nonlocal best_obj, best_assign
-        for ci, (op, rhs, lo, hi) in enumerate(cons):
+        nonlocal best_obj, best_assign, explored
+        explored += 1
+        # How far the subtree's objective bound is past the incumbent; with
+        # no incumbent, past any packing drop (at most n).
+        room = n + 1
+        if best_obj is not None:
+            if maximize:
+                room = partial_obj + obj_hi[d] - best_obj
+            else:
+                room = best_obj - partial_obj - obj_lo[d]
+            if room <= 0:
+                return
+        for ci, (op, rhs, lo, hi, cnt, minpos) in enumerate(cons):
             low = sums[ci] + lo[d]
-            high = sums[ci] + hi[d]
             if op == "<=":
                 if low > rhs:
                     return
+                if cnt[d] and cnt[d] - (rhs - low) // minpos[d] >= room:
+                    return
             elif op == ">=":
-                if high < rhs:
+                if sums[ci] + hi[d] < rhs:
                     return
             else:
-                if low > rhs or high < rhs:
+                if low > rhs or sums[ci] + hi[d] < rhs:
                     return
         if d == n:
-            if best_obj is None or (
-                partial_obj > best_obj if maximize else partial_obj < best_obj
-            ):
-                best_obj = partial_obj
-                best_assign = values.copy()
+            # Feasible, and strictly better than any incumbent (room > 0).
+            best_obj = partial_obj
+            best_assign = values.copy()
             return
-        if best_obj is not None:
-            bound = partial_obj + (obj_hi[d] if maximize else obj_lo[d])
-            if maximize and bound <= best_obj:
-                return
-            if not maximize and bound >= best_obj:
-                return
         for value in branch_values:
             values[d] = value
             if value:
@@ -192,12 +219,15 @@ def solve(program: BinaryProgram) -> Solution:
     recurse(0, 0)
 
     if best_assign is None:
-        return Solution(status="infeasible", assignment={}, objective_value=None)
+        return Solution(
+            status="infeasible", assignment={}, objective_value=None, explored=explored
+        )
     assignment = _complete(program, dict(zip(order, best_assign)))
     return Solution(
         status="optimal",
         assignment=assignment,
         objective_value=evaluate_objective(program, assignment),
+        explored=explored,
     )
 
 

@@ -88,10 +88,15 @@ def load_matrix(path: Path | str) -> LossMatrix:
             raise ValueError("nodes: duplicate node ids")
         entries = {}
         for i, item in enumerate(document["entries"]):
-            pair = (item["tx"], item["rx"])
+            pair = (
+                _node_id(item["tx"], f"entries[{i}].tx"),
+                _node_id(item["rx"], f"entries[{i}].rx"),
+            )
             loss = item["mean_loss"]
             if not known.issuperset(pair):
                 raise ValueError(f"entries[{i}]: node of {pair} not in nodes")
+            if pair[0] == pair[1]:
+                raise ValueError(f"entries[{i}].rx: node {pair[1]} equals tx, a self pair")
             if pair in entries:
                 raise ValueError(f"entries[{i}]: duplicate entry {pair}")
             if not (math.isfinite(loss) and loss >= 0):

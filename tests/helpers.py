@@ -2,6 +2,7 @@
 
 import random
 
+from topogen.graphs import BoundedGraph
 from topogen.ilp import BinaryProgram, Constraint
 from topogen.measurements import LossMatrix, MatrixEntry
 
@@ -51,6 +52,28 @@ def random_program(rng: random.Random, n):
         objective=objective,
         constraints=constraints,
     )
+
+
+def random_unit_program(rng: random.Random, n):
+    """Maximize a 0/1 objective under mixed-sign ``<=`` constraints."""
+    variables = list(range(n))
+    objective = {v: rng.randint(0, 1) for v in variables}
+    constraints = []
+    for _ in range(rng.randint(1, n)):
+        chosen = rng.sample(variables, rng.randint(1, n))
+        coefficients = {v: rng.randint(-2, 4) for v in chosen}
+        constraints.append(Constraint(coefficients, "<=", rng.randint(-2, 8)))
+    return BinaryProgram(
+        variables=variables, sense="maximize", objective=objective, constraints=constraints
+    )
+
+
+def random_graph(rng: random.Random, n, density):
+    nodes = tuple(range(n))
+    edges = frozenset(
+        (a, b) for a in nodes for b in nodes if a < b and rng.random() < density
+    )
+    return BoundedGraph(beta=0.0, nodes=nodes, edges=edges)
 
 
 def best_regular_subset_size(graph, c):

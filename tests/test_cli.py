@@ -336,6 +336,9 @@ MALFORMED = {
     "string level member": (
         "tree", lambda d: {**d, "levels": [*d["levels"][:-1], ["a"]]}, "levels[2]: node id 'a'"),
     "boolean tree bound": ("tree", lambda d: {**d, "beta": True}, "beta True"),
+    "float entry node id": (
+        "matrix", _first_entry(tx=1.0, rx=1), "entries[0].tx: node id 1.0"),
+    "self-pair entry": ("matrix", _first_entry(tx=1, rx=1), "entries[0].rx: node 1"),
 }
 
 

@@ -1,9 +1,11 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from helpers import best_regular_subset_size, random_matrix, symmetric_matrix
-from topogen import ilp
+from topogen import ilp, synth
 from topogen.degree import (
     build_degree_program,
     largest_component_selection,
@@ -157,3 +159,38 @@ def test_connected_3_regular_shape():
     assert best.selected == frozenset(range(8))
     assert len(best.components) == 1
     assert verify_regular(best) == []
+
+
+def test_packing_bound_proves_k16_optimum_quickly():
+    # every node of K16 sees the other 15, so only the packing bound stops
+    # the search from trying each further node beside the first K4
+    graph = graph_of(list(itertools.combinations(range(16), 2)))
+    solution = ilp.solve(build_degree_program(graph, 3))
+    assert solution.objective_value == 4
+    assert solution.explored <= 100
+
+
+@pytest.mark.parametrize("beta", [60.0, 63.0, 66.0, 72.0, 77.0, 104.0])
+def test_objective_matches_highs_on_5x5_grid(beta):
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    matrix = synth.grid_scenario(
+        5, 5, 3.0, path_loss_exponent=3.0, shadowing_sigma=4.0,
+        asymmetry_sigma=1.0, seed=1,
+    )
+    program = build_degree_program(neighborhood_graph(matrix, beta), 3)
+    column = {v: k for k, v in enumerate(program.variables)}
+    rows = np.zeros((len(program.constraints), len(program.variables)))
+    for i, constraint in enumerate(program.constraints):
+        assert constraint.op == "<="
+        for v, coefficient in constraint.coefficients.items():
+            rows[i, column[v]] = coefficient
+    highs = scipy_optimize.milp(
+        -np.array([program.objective[v] for v in program.variables], dtype=float),
+        constraints=scipy_optimize.LinearConstraint(
+            rows, -np.inf, [constraint.rhs for constraint in program.constraints]
+        ),
+        integrality=np.ones(len(program.variables)),
+        bounds=scipy_optimize.Bounds(0, 1),
+    )
+    assert highs.success
+    assert ilp.solve(program).objective_value == round(-highs.fun)

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from helpers import random_program
+from helpers import random_graph, random_program, random_unit_program
+from topogen.degree import build_degree_program
 from topogen.ilp import (
     BinaryProgram,
     Constraint,
@@ -114,8 +115,15 @@ def test_validation_errors():
 
 def test_solve_equals_brute_force_on_random_programs():
     rng = random.Random(42)
-    for _ in range(250):
-        p = random_program(rng, rng.randrange(1, 16))
+    programs = [random_program(rng, rng.randrange(1, 16)) for _ in range(250)]
+    # 0/1 objectives under <= constraints, where the packing bound prunes
+    rng = random.Random(43)
+    programs += [random_unit_program(rng, rng.randrange(1, 16)) for _ in range(250)]
+    rng = random.Random(44)
+    for _ in range(60):
+        graph = random_graph(rng, rng.randrange(2, 19), rng.uniform(0.2, 0.9))
+        programs.append(build_degree_program(graph, rng.randint(1, 4)))
+    for p in programs:
         exact = solve(p)
         oracle = brute_force(p)
         assert exact.status == oracle.status
