@@ -15,6 +15,7 @@ import contextlib
 import hashlib
 import io as textio
 import os
+import random
 import tempfile
 from pathlib import Path
 
@@ -22,7 +23,11 @@ from test_acceptance import run_pipeline
 from topogen import io, synth
 from topogen.cli import main
 
-GRID_COMMANDS = {
+COMMANDS = {
+    "ingest": ["ingest", "campaign-a.log", "campaign-b.log", "--min-count", "12",
+               "--out", "ingest"],
+    "ingest-median": ["ingest", "campaign-b.log", "--aggregator", "median",
+                      "--out", "ingest-median"],
     "tree-reduce": ["tree", "grid.json", "--kappa", "linear", "--margin", "15",
                     "--reduce", "--out", "tree-reduce"],
     "tree-root": ["tree", "grid.json", "--root", "5", "--out", "tree-root"],
@@ -35,10 +40,30 @@ GRID_COMMANDS = {
     "sweep-report6": ["sweep-report", "grid6.json", "--out", "sweep-report6"],
 }
 
+# one line of each kind that ingest rejects
+MALFORMED_LINES = [
+    "1 2 3.0 -50.0 26",  # field count
+    "1 2 3.0 minus-fifty 26 3",  # conversion
+    "2 2 3.0 -50.0 26 3",  # self-reception
+    "1 2 3.0 10.0 26 3",  # negative loss
+    "1 2 3.0 -50.0 9 3",  # channel
+    "1 2 3.0 -50.0 26 -1",  # sequence number
+]
+
 # matrix file -> (rows, cols) of the seed-1 grid scenario written to it
 GRIDS = {"grid.json": (4, 4), "grid6.json": (6, 6)}
 
 GOLDEN = {
+    "exit:ingest": 0,
+    "stdout:ingest": "8b8383b0eb19e194b5f3193b6e2babdc78a5b4372bf5f01ff15a336c33a22729",
+    "exit:ingest-median": 0,
+    "stdout:ingest-median": "fd57cbcfb04bd3929e0fbad8064f02f60a505545af0f40d7f2b65c686a0f02c7",
+    "file:campaign-a.log": "4b734d7f58a0acbf945647cca8ffc32ea44c29925b4d4f0ceb9c0ada2084232e",
+    "file:campaign-b.log": "2c418ad32fc8744cd43293c21940d87ab984d15b067a60a99a0eb4a62269f807",
+    "file:ingest/manifest.json": "cc7fe55e1b4101e821eb8a1248c7306fa6eccff1b8d8309ae75626f5a627fccf",
+    "file:ingest/matrix.json": "bf19143415e5311d9754faa9d953cbfcbf1a4a8d6b250406e87e9b71b6a40fcf",
+    "file:ingest-median/manifest.json": "645fc063ef3cf2f8c432f3a81e271056449bee7ecabe58df318a5cb536fafb7c",
+    "file:ingest-median/matrix.json": "561a31de3bccb60875870b1b73434dda6230c61820774807485f22220d6fe12d",
     "stdout:pipeline": "0489438fb58a77c1d2ffbf1656fdd7f61f7353cdc3aaf6ba76151788379776fd",
     "exit:tree-reduce": 0,
     "stdout:tree-reduce": "d75a92c4c5786c5dcbb7a032162ddc799086013a8cde2d49de668bbf22b60784",
@@ -92,6 +117,30 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def write_campaign_logs():
+    """Two seeded campaign logs with comments, blank lines and rejected lines.
+
+    About one packet in five is lost; RSSI is written either as an integer
+    or as the repr of a float, so the stddev of a pair depends on every bit.
+    """
+    rng = random.Random(6)
+    pairs = [(a, b) for a in range(5) for b in range(5) if a != b]
+    for name, seqs in (("campaign-a.log", range(0, 14)), ("campaign-b.log", range(14, 20))):
+        lines = ["# tx rx tx_power rssi channel seq", ""]
+        for seq in seqs:
+            for tx, rx in pairs:
+                if rng.random() < 0.2:
+                    continue
+                tx_power = rng.choice((3, 0.0, -7.5))
+                rssi = tx_power - rng.uniform(40.0, 95.0) - 2.0 * tx - rx
+                text = f"{round(rssi)}" if rng.random() < 0.3 else repr(rssi)
+                lines.append(f"{tx} {rx} {tx_power} {text} 26 {seq}")
+            if seq == seqs[0] + 1:
+                lines += ["", "  # mid-run comment", *MALFORMED_LINES]
+        lines.append("0 1 3 -61.25 26 99  # trailing comment")
+        Path(name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def collect() -> dict:
     """Run the pinned commands in the current directory and hash their output."""
     record = {}
@@ -105,7 +154,8 @@ def collect() -> dict:
                                 shadowing_sigma=4.0, asymmetry_sigma=1.0, seed=1),
             path,
         )
-    for name, argv in GRID_COMMANDS.items():
+    write_campaign_logs()
+    for name, argv in COMMANDS.items():
         stdout = textio.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = main(argv)
