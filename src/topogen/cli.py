@@ -74,7 +74,7 @@ def _manifest_args(args) -> dict:
 
 
 def cmd_ingest(args) -> int:
-    samples = []
+    samples = measurements.LossColumns()
     rejections = []
     for path in args.logs:
         with open(path, encoding="utf-8") as stream:

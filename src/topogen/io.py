@@ -59,6 +59,12 @@ def _node_id(value, where: str) -> int:
     return value
 
 
+def _finite(value, where: str) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{where} {value!r} is not a finite number")
+    return value
+
+
 def save_matrix(matrix: LossMatrix, path: Path | str):
     document = {
         "format": MATRIX_FORMAT,
@@ -128,8 +134,10 @@ def save_positions(positions: NodePositions, path: Path | str):
 def load_positions(path: Path | str) -> NodePositions:
     with _load(path, POSITIONS_FORMAT) as document:
         return {
-            item["node"]: (item["x"], item["y"], item["z"])
-            for item in document["positions"]
+            _node_id(item["node"], f"positions[{i}].node"): tuple(
+                _finite(item[axis], f"positions[{i}].{axis}") for axis in "xyz"
+            )
+            for i, item in enumerate(document["positions"])
         }
 
 
@@ -149,14 +157,10 @@ def save_tree(tree: LayeredTree, path: Path | str):
 
 def load_tree(path: Path | str) -> LayeredTree:
     with _load(path, TREE_FORMAT) as document:
-        for name in ("beta", "margin"):
-            value = document[name]
-            if type(value) not in (int, float) or not math.isfinite(value):
-                raise ValueError(f"{name} {value!r} is not a finite number")
         return LayeredTree(
             root=_node_id(document["root"], "root"),
-            beta=document["beta"],
-            margin=document["margin"],
+            beta=_finite(document["beta"], "beta"),
+            margin=_finite(document["margin"], "margin"),
             levels=tuple(
                 frozenset(_node_id(n, f"levels[{i}]") for n in level)
                 for i, level in enumerate(document["levels"])
@@ -206,11 +210,13 @@ def save_profile(profile: TransceiverProfile, path: Path | str):
 
 def load_profile(path: Path | str) -> TransceiverProfile:
     with _load(path, PROFILE_FORMAT) as document:
-        return TransceiverProfile(
-            name=document["name"],
-            tx_levels=tuple(document["tx_levels"]),
-            sensitivity_levels=tuple(document["sensitivity_levels"]),
-        )
+        levels = {}
+        for name in ("tx_levels", "sensitivity_levels"):
+            values = document[name]
+            if not isinstance(values, list):
+                raise ValueError(f"{name}: expected a list of numbers")
+            levels[name] = tuple(_finite(v, f"{name}[{i}]") for i, v in enumerate(values))
+        return TransceiverProfile(name=document["name"], **levels)
 
 
 def load_scenario_matrix(path: Path | str, seed: int | None = None) -> LossMatrix:

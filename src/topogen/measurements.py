@@ -9,10 +9,10 @@ input of every downstream step.
 from __future__ import annotations
 
 import math
-import statistics
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter, mul
 from typing import Callable, Iterable
 
 import numpy as np
@@ -27,6 +27,30 @@ class ChannelMismatchError(ValueError):
     """Samples from different IEEE 802.15.4 channels were mixed."""
 
 
+def check_record(
+    tx: int, rx: int, tx_power: float, rssi: float, channel: int, seq: int
+) -> float:
+    """Loss of a campaign record; ValueError names the first rule it breaks.
+
+    The finiteness test comes last so that a line failing an earlier rule
+    keeps that rule as its reason.
+    """
+    if tx == rx:
+        raise ValueError(f"self-reception {tx} -> {rx}")
+    if rssi > tx_power:
+        raise ValueError("negative loss")
+    if channel not in VALID_CHANNELS:
+        raise ValueError(f"channel {channel} outside 11-26")
+    if seq < 0:
+        raise ValueError(f"negative sequence number {seq}")
+    loss = tx_power - rssi
+    if not math.isfinite(loss):
+        for name, value in (("tx_power", tx_power), ("rssi", rssi), ("loss", loss)):
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite {name} {value}")
+    return loss
+
+
 @dataclass(frozen=True)
 class LossSample:
     """One received packet with the levels needed to derive its loss."""
@@ -39,19 +63,33 @@ class LossSample:
     seq: int
 
     def __post_init__(self):
-        if self.tx == self.rx:
-            raise ValueError(f"self-reception {self.tx} -> {self.rx}")
-        if self.rssi > self.tx_power:
-            raise ValueError("negative loss")
-        if self.channel not in VALID_CHANNELS:
-            raise ValueError(f"channel {self.channel} outside 11-26")
-        if self.seq < 0:
-            raise ValueError(f"negative sequence number {self.seq}")
+        check_record(self.tx, self.rx, self.tx_power, self.rssi, self.channel, self.seq)
 
     @property
     def loss(self) -> float:
         """Signal loss in dB derived from transmit power and RSSI."""
         return self.tx_power - self.rssi
+
+
+@dataclass
+class LossColumns:
+    """Accepted losses per directed (tx, rx) pair, in log order.
+
+    ``len()`` is the number of samples; ``channels`` holds every channel
+    seen, so a mix is caught when the matrix is built.
+    """
+
+    losses: dict[tuple[int, int], list[float]] = field(default_factory=dict)
+    channels: set[int] = field(default_factory=set)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.losses.values()))
+
+    def extend(self, other: LossColumns):
+        """Append the samples of ``other`` after those already held."""
+        for pair, losses in other.losses.items():
+            self.losses.setdefault(pair, []).extend(losses)
+        self.channels |= other.channels
 
 
 @dataclass(frozen=True)
@@ -126,37 +164,39 @@ class LossMatrix:
         return neighbors[: bisect_right(births, beta)]
 
 
-def parse_campaign_log(lines: Iterable[str]) -> tuple[list[LossSample], list[Rejection]]:
-    """Parse campaign log lines into loss samples.
+def parse_campaign_log(lines: Iterable[str]) -> tuple[LossColumns, list[Rejection]]:
+    """Parse campaign log lines into per-pair loss columns.
 
     Record format: ``tx rx tx_power_dBm rssi_dBm channel seq``,
     whitespace-separated; ``#`` starts a comment. Malformed lines are
     collected as rejections and never abort the parse.
     """
-    samples: list[LossSample] = []
+    columns = LossColumns()
+    losses = columns.losses
+    channels = columns.channels
     rejections: list[Rejection] = []
     for number, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 6:
-            rejections.append(Rejection(number, raw.rstrip("\n"), "expected 6 fields"))
+        fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not fields:
             continue
         try:
-            sample = LossSample(
-                tx=int(fields[0]),
-                rx=int(fields[1]),
-                tx_power=float(fields[2]),
-                rssi=float(fields[3]),
-                channel=int(fields[4]),
-                seq=int(fields[5]),
-            )
+            if len(fields) != 6:
+                raise ValueError("expected 6 fields")
+            tx, rx, tx_power, rssi, channel, seq = fields
+            tx, rx = int(tx), int(rx)
+            tx_power, rssi = float(tx_power), float(rssi)
+            channel, seq = int(channel), int(seq)
+            loss = check_record(tx, rx, tx_power, rssi, channel, seq)
         except ValueError as exc:
             rejections.append(Rejection(number, raw.rstrip("\n"), str(exc)))
             continue
-        samples.append(sample)
-    return samples, rejections
+        column = losses.get((tx, rx))
+        if column is None:
+            losses[tx, rx] = [loss]
+        else:
+            column.append(loss)
+        channels.add(channel)
+    return columns, rejections
 
 
 def format_sample(sample: LossSample) -> str:
@@ -188,34 +228,55 @@ def make_aggregator(spec: str) -> Callable[[list[float]], float]:
     raise ValueError(f"unknown aggregator {spec!r}")
 
 
-def build_loss_matrix(
-    samples: list[LossSample], aggregator: str = "mean"
-) -> LossMatrix:
-    """Aggregate samples into a directed loss matrix.
+def sample_stddev(losses: list[float]) -> float:
+    """Sample standard deviation of two or more finite floats, rounded once.
+
+    The sums are exact integers over the samples' common power-of-two
+    denominator, and the square root of the exact variance is correctly
+    rounded by round-to-odd, as ``statistics.stdev`` does from Python
+    3.11 on; so the bits are the same on every supported Python.
+    """
+    ratios = list(map(float.as_integer_ratio, losses))
+    scale = max(map(itemgetter(1), ratios))
+    values = [n * (scale // d) for n, d in ratios]
+    count = len(values)
+    total = sum(values)
+    num = count * sum(map(mul, values, values)) - total * total
+    den = count * (count - 1) * scale * scale
+    # sqrt(num / den) to 55 or more bits, the last one odd if inexact, so
+    # that converting to a 53-bit float rounds once and correctly
+    shift = (num.bit_length() - den.bit_length() - 109) // 2
+    if shift >= 0:
+        den <<= 2 * shift
+    else:
+        num <<= -2 * shift
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << shift) if shift >= 0 else root / (1 << -shift)
+
+
+def build_loss_matrix(columns: LossColumns, aggregator: str = "mean") -> LossMatrix:
+    """Aggregate per-pair loss columns into a directed loss matrix.
 
     All samples must share one channel; mixing channels is a hard error
     because losses are not comparable across frequencies.
     """
     agg = make_aggregator(aggregator)
-    channels = sorted({s.channel for s in samples})
+    channels = sorted(columns.channels)
     if len(channels) > 1:
         raise ChannelMismatchError(
             f"samples mix channels {channels[0]} and {channels[1]}"
         )
-    groups: dict[tuple[int, int], list[float]] = {}
-    nodes: set[int] = set()
-    for s in samples:
-        groups.setdefault((s.tx, s.rx), []).append(s.loss)
-        nodes.add(s.tx)
-        nodes.add(s.rx)
     entries = {}
-    for pair, losses in groups.items():
+    nodes: set[int] = set()
+    for pair, losses in columns.losses.items():
         # sort so aggregation is exactly permutation-invariant in float math
         losses = sorted(losses)
-        stddev = statistics.stdev(losses) if len(losses) >= 2 else 0.0
+        stddev = sample_stddev(losses) if len(losses) >= 2 else 0.0
         entries[pair] = MatrixEntry(
             mean_loss=agg(losses), stddev=stddev, count=len(losses)
         )
+        nodes.update(pair)
     channel = channels[0] if channels else None
     return LossMatrix(nodes=sorted(nodes), channel=channel, entries=entries)
 

@@ -5,6 +5,7 @@ import pytest
 
 from topogen import degree, graphs, io, trees
 from topogen.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
+from topogen.radio import AT86RF231
 from topogen.synth import chain_scenario
 from topogen.trees import KappaSpec, monitored_bfs
 
@@ -76,6 +77,18 @@ def test_ingest_mixed_channels_fails(tmp_path, capsys):
     log_b.write_text("2 1 3.0 -60.0 26 0\n")
     assert main(["ingest", str(log_a), str(log_b), "--out", str(tmp_path / "o")]) == EXIT_INPUT
     assert "mix channels" in capsys.readouterr().err
+
+
+def test_ingest_rejects_non_finite_levels(tmp_path, capsys):
+    log = tmp_path / "campaign.log"
+    log.write_text("1 2 3.0 -60.0 26 0\n2 1 3 -inf 26 0\n2 1 3.0 -61.0 26 1\n")
+    out = tmp_path / "out"
+    assert main(["ingest", str(log), "--out", str(out), "--min-count", "1"]) == EXIT_OK
+    captured = capsys.readouterr().out
+    assert "2 samples accepted, 1 lines rejected" in captured
+    assert f"rejected {log}:2: non-finite rssi -inf" in captured
+    matrix = io.load_matrix(out / "matrix.json")
+    assert matrix.loss(2, 1) == 64.0 and matrix.entries[(2, 1)].count == 1
 
 
 def test_ingest_empty_log_warns(tmp_path, capsys):
@@ -314,6 +327,10 @@ def _first_entry(**fields):
     return lambda d: {**d, "entries": [{**d["entries"][0], **fields}, *d["entries"][1:]]}
 
 
+def _last_position(**fields):
+    return lambda d: {**d, "positions": [*d["positions"][:-1], {**d["positions"][-1], **fields}]}
+
+
 # case: (file to corrupt, corruption, text the error must contain)
 MALFORMED = {
     "matrix without entries": ("matrix", _without("entries"), "'entries'"),
@@ -339,6 +356,19 @@ MALFORMED = {
     "float entry node id": (
         "matrix", _first_entry(tx=1.0, rx=1), "entries[0].tx: node id 1.0"),
     "self-pair entry": ("matrix", _first_entry(tx=1, rx=1), "entries[0].rx: node 1"),
+    "NaN position": ("positions", _last_position(z=float("nan")), "positions[2].z nan"),
+    "infinite position": ("positions", _last_position(x=float("-inf")), "positions[2].x -inf"),
+    "boolean position": ("positions", _last_position(y=True), "positions[2].y True"),
+    "string position": ("positions", _last_position(x="1.0"), "positions[2].x '1.0'"),
+    "missing position": ("positions", _last_position(y=None), "positions[2].y None"),
+    "string position node": (
+        "positions", _last_position(node="2"), "positions[2].node: node id '2'"),
+    "string tx level": ("profile", lambda d: {**d, "tx_levels": ["a"]}, "tx_levels[0] 'a'"),
+    "NaN sensitivity level": (
+        "profile", lambda d: {**d, "sensitivity_levels": [-101.0, float("nan")]},
+        "sensitivity_levels[1] nan"),
+    "boolean tx level": ("profile", lambda d: {**d, "tx_levels": [True]}, "tx_levels[0] True"),
+    "scalar tx levels": ("profile", lambda d: {**d, "tx_levels": 3.0}, "tx_levels: expected a list"),
 }
 
 
@@ -349,9 +379,16 @@ def test_malformed_file_is_input_error(tmp_path, capsys, case):
     tree = tmp_path / "tree.json"
     one = KappaSpec.parse("const:1")
     io.save_tree(monitored_bfs(chain_scenario(3, 45, 90), 0, 50, 15, one), tree)
+    positions = tmp_path / "positions.json"
+    io.save_positions({i: (float(i), 0.0, 0.0) for i in range(3)}, positions)
+    profile = tmp_path / "profile.json"
+    io.save_profile(AT86RF231, profile)
     path, argv = {
         "matrix": (matrix, ["degree", str(matrix), "1", "--out", str(tmp_path / "o")]),
         "tree": (tree, ["verify", str(tree), str(matrix), "--kappa", "const:1"]),
+        "positions": (positions, ["analyze", str(matrix), "--correlation", "--positions",
+                                  str(positions), "--out", str(tmp_path / "o")]),
+        "profile": (profile, ["settings", "46", "--profile", str(profile)]),
     }[target]
     path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
     assert main(argv) == EXIT_INPUT
