@@ -79,8 +79,8 @@ def test_parse_rejects_non_finite_levels_last(line, reason):
     samples, rejections = parse_campaign_log([line, "2 1 3 -60 26 1"])
     assert samples.losses == {(2, 1): [63.0]}
     assert rejections == [Rejection(1, line, reason)]
+    tx, rx, tx_power, rssi, channel, seq = line.split()
     with pytest.raises(ValueError, match=reason):
-        tx, rx, tx_power, rssi, channel, seq = line.split()
         LossSample(int(tx), int(rx), float(tx_power), float(rssi), int(channel), int(seq))
 
 
