@@ -12,12 +12,16 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter, mul
+from itertools import accumulate
+from operator import itemgetter, mul, or_
 from typing import Callable, Iterable
 
 import numpy as np
 
 VALID_CHANNELS = range(11, 27)
+# Bounds whose neighbour-mask vectors a matrix keeps: a tree sweep asks,
+# bound by bound, for beta and beta + margin.
+MASK_BOUNDS = 2
 
 Position = tuple[float, float, float]
 NodePositions = dict[int, Position]
@@ -121,6 +125,9 @@ class LossMatrix:
     channel: int | None
     entries: dict[tuple[int, int], MatrixEntry]
     meta: dict = field(default_factory=dict)
+    bound_masks: dict[float, list[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def loss(self, tx: int, rx: int) -> float | None:
         entry = self.entries.get((tx, rx))
@@ -162,6 +169,43 @@ class LossMatrix:
         """Neighbours of ``node`` whose edge is born at or below ``beta``."""
         births, neighbors = self.edge_births[node]
         return neighbors[: bisect_right(births, beta)]
+
+    @cached_property
+    def bit_nodes(self) -> list[int]:
+        """The nodes in sorted order: bit i of a neighbour mask is ``bit_nodes[i]``."""
+        return sorted(self.nodes)
+
+    @cached_property
+    def edge_masks(self) -> dict[int, list[int]]:
+        """Per node, the prefix masks of its ``edge_births`` row.
+
+        Mask k holds the bits of the row's first k neighbours, so mask 0 is
+        empty and ``neighbors_within(node, beta)`` has the bits of mask
+        ``bisect_right(births, beta)``.
+        """
+        bit = {node: 1 << i for i, node in enumerate(self.bit_nodes)}
+        return {
+            node: list(accumulate((bit[v] for v in neighbors), or_, initial=0))
+            for node, (_, neighbors) in self.edge_births.items()
+        }
+
+    def masks_within(self, beta: float) -> list[int]:
+        """Per position in ``bit_nodes``, the mask of its neighbours at ``beta``.
+
+        The vectors of the last ``MASK_BOUNDS`` bounds asked for stay in
+        ``bound_masks``, so a sweep that asks for the same bounds for every
+        root bisects each row once per bound, however long the grid.
+        """
+        masks = self.bound_masks.get(beta)
+        if masks is None:
+            if len(self.bound_masks) >= MASK_BOUNDS:
+                del self.bound_masks[next(iter(self.bound_masks))]
+            rows, prefixes = self.edge_births, self.edge_masks
+            masks = [
+                prefixes[node][bisect_right(rows[node][0], beta)] for node in self.bit_nodes
+            ]
+            self.bound_masks[beta] = masks
+        return masks
 
 
 def parse_campaign_log(lines: Iterable[str]) -> tuple[LossColumns, list[Rejection]]:
@@ -259,7 +303,9 @@ def build_loss_matrix(columns: LossColumns, aggregator: str = "mean") -> LossMat
     """Aggregate per-pair loss columns into a directed loss matrix.
 
     All samples must share one channel; mixing channels is a hard error
-    because losses are not comparable across frequencies.
+    because losses are not comparable across frequencies. Finite losses
+    near the float maximum can aggregate to infinity, which no matrix
+    holds: that is a ValueError naming the pair.
     """
     agg = make_aggregator(aggregator)
     channels = sorted(columns.channels)
@@ -269,14 +315,20 @@ def build_loss_matrix(columns: LossColumns, aggregator: str = "mean") -> LossMat
         )
     entries = {}
     nodes: set[int] = set()
-    for pair, losses in columns.losses.items():
-        # sort so aggregation is exactly permutation-invariant in float math
-        losses = sorted(losses)
-        stddev = sample_stddev(losses) if len(losses) >= 2 else 0.0
-        entries[pair] = MatrixEntry(
-            mean_loss=agg(losses), stddev=stddev, count=len(losses)
-        )
-        nodes.update(pair)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        for pair, losses in columns.losses.items():
+            # sort so aggregation is exactly permutation-invariant in float math
+            losses = sorted(losses)
+            loss = agg(losses)
+            if not math.isfinite(loss):
+                tx, rx = pair
+                raise ValueError(
+                    f"pair {tx} -> {rx}: {aggregator} of {len(losses)} losses "
+                    f"is {loss}, not finite"
+                )
+            stddev = sample_stddev(losses) if len(losses) >= 2 else 0.0
+            entries[pair] = MatrixEntry(mean_loss=loss, stddev=stddev, count=len(losses))
+            nodes.update(pair)
     channel = channels[0] if channels else None
     return LossMatrix(nodes=sorted(nodes), channel=channel, entries=entries)
 

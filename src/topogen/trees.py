@@ -56,20 +56,26 @@ class KappaSpec:
 
     @classmethod
     def parse(cls, text: str) -> "KappaSpec":
-        """Parse ``const:K``, ``linear`` or ``table:1=2,2=3``."""
-        if text == "linear":
-            return cls(kind="linear")
-        if text.startswith("const:"):
-            return cls(kind="const", value=int(text.split(":", 1)[1]))
-        if text.startswith("table:"):
-            pairs = []
-            for item in text.split(":", 1)[1].split(","):
-                if item.count("=") != 1:
-                    raise ValueError(f"kappa table item {item!r}: expected depth=breadth")
-                depth, breadth = item.split("=")
-                pairs.append((int(depth), int(breadth)))
-            return cls(kind="table", table=tuple(sorted(pairs)))
-        raise ValueError(f"cannot parse kappa spec {text!r}")
+        """Parse ``const:K``, ``linear`` or ``table:1=2,2=3``.
+
+        Every error names the spec: ``kappa spec 'const:x': ...``.
+        """
+        try:
+            if text == "linear":
+                return cls(kind="linear")
+            if text.startswith("const:"):
+                return cls(kind="const", value=int(text.split(":", 1)[1]))
+            if text.startswith("table:"):
+                pairs = []
+                for item in text.split(":", 1)[1].split(","):
+                    if item.count("=") != 1:
+                        raise ValueError(f"kappa table item {item!r}: expected depth=breadth")
+                    depth, breadth = item.split("=")
+                    pairs.append((int(depth), int(breadth)))
+                return cls(kind="table", table=tuple(sorted(pairs)))
+        except ValueError as exc:
+            raise ValueError(f"kappa spec {text!r}: {exc}") from None
+        raise ValueError(f"kappa spec {text!r}: expected const:K, linear or table:D=B,...")
 
 
 @dataclass(frozen=True)
@@ -114,31 +120,45 @@ def monitored_bfs(
         raise ValueError(f"unknown root {v0}")
     if not margin >= 0:
         raise ValueError("margin must be >= 0")
-    outer = beta + margin
+    near = matrix.masks_within(beta)
+    far = matrix.masks_within(beta + margin)
+    order = matrix.bit_nodes
 
-    levels: list[set[int]] = [{v0}]
-    placed = {v0}
+    levels = [frozenset({v0})]
+    frontier = [order.index(v0)]
+    placed = 1 << frontier[0]
     # Nodes with a strong link into a level strictly above the frontier.
     # Links are symmetric, so these are the levels' own strong neighbours.
-    blocked: set[int] = set()
-    depth = 0
+    blocked = 0
     while True:
-        reached = set().union(*(matrix.neighbors_within(u, beta) for u in levels[depth]))
-        nxt = reached - placed - blocked
-        blocked.update(*(matrix.neighbors_within(u, outer) for u in levels[depth]))
-        levels.append(nxt)
+        reached = strong = 0
+        for i in frontier:
+            reached |= near[i]
+            strong |= far[i]
+        nxt = reached & ~placed & ~blocked
+        blocked |= strong
+        if nxt.bit_count() < kappa(len(levels)):
+            break  # the partial level is dropped without being decoded
         placed |= nxt
-        depth += 1
-        if len(nxt) < kappa(depth):
-            break
-    levels.pop()  # remove partially filled layer
+        frontier = _positions(nxt)
+        levels.append(frozenset(map(order.__getitem__, frontier)))
     return LayeredTree(
         root=v0,
         beta=beta,
         margin=margin,
-        levels=tuple(frozenset(level) for level in levels),
-        depth=depth - 1,
+        levels=tuple(levels),
+        depth=len(levels) - 1,
     )
+
+
+def _positions(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return positions
 
 
 def rank_key(tree: LayeredTree) -> tuple:
@@ -152,7 +172,10 @@ def sweep_trees(
     margin: float,
     family: GraphFamily,
 ) -> list[LayeredTree]:
-    """One tree per (bound, root) pair, best first by ``rank_key``."""
+    """One tree per (bound, root) pair, best first by ``rank_key``.
+
+    Bound by bound, so the matrix's per-bound mask vectors serve every root.
+    """
     trees = []
     for beta in family.betas():
         for v0 in sorted(matrix.nodes):

@@ -91,6 +91,17 @@ def test_ingest_rejects_non_finite_levels(tmp_path, capsys):
     assert matrix.loss(2, 1) == 64.0 and matrix.entries[(2, 1)].count == 1
 
 
+def test_ingest_rejects_an_aggregate_that_overflows(tmp_path, capsys):
+    # each loss is finite, but numpy's mean of the two overflows
+    log = tmp_path / "campaign.log"
+    log.write_text("1 2 1e308 -60 26 0\n1 2 1e308 -60 26 1\n2 1 3.0 -60.0 26 0\n")
+    out = tmp_path / "out"
+    assert main(["ingest", str(log), "--out", str(out), "--min-count", "1"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == "error: pair 1 -> 2: mean of 2 losses is inf, not finite\n"
+    assert not out.exists()
+
+
 def test_ingest_empty_log_warns(tmp_path, capsys):
     log = tmp_path / "empty.log"
     log.write_text("# nothing\n")
@@ -421,6 +432,24 @@ def test_non_finite_float_flag_is_usage_error(tmp_path, capsys, command, flag, v
         main(argv)
     assert exit_info.value.code == EXIT_INPUT
     assert f"argument {flag}: must be finite, not '{value}'" in capsys.readouterr().err
+
+
+BAD_KAPPAS = [
+    ("const:x", "invalid literal for int() with base 10: 'x'"),
+    ("const:", "invalid literal for int() with base 10: ''"),
+    ("table:1=a", "invalid literal for int() with base 10: 'a'"),
+    ("table:0=5", "kappa table item '0=5': depth must be >= 1"),
+    ("cubic", "expected const:K, linear or table:D=B,..."),
+]
+
+
+@pytest.mark.parametrize("command", ["tree", "sweep-report"])
+@pytest.mark.parametrize("spec, detail", BAD_KAPPAS, ids=[spec for spec, _ in BAD_KAPPAS])
+def test_bad_kappa_spec_is_named(tmp_path, capsys, command, spec, detail):
+    matrix = write_chain_matrix(tmp_path, n=3)
+    code = main([command, str(matrix), "--kappa", spec, "--out", str(tmp_path / "o")])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: kappa spec '{spec}': {detail}\n"
 
 
 def test_runaway_beta_step_is_input_error(tmp_path, capsys):

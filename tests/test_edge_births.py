@@ -7,10 +7,13 @@ a monitored BFS over two such graphs with sorted visiting order, and the
 tree requirement checker and DOT link listing over rebuilt graphs.
 Hypothesis draws matrices with one-way entries, NaN losses and losses
 exactly on the bound grid and on bound + margin, where ``<=`` decides.
+Node ids are drawn unsorted, sparse, negative and large, because the
+monitored BFS keys its bit masks by position in sorted node order.
 """
 
 import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import Phase, find, given, settings
@@ -25,8 +28,16 @@ from topogen.graphs import (
     monotonicity_report,
     neighborhood_graph,
 )
-from topogen.measurements import LossMatrix, MatrixEntry
-from topogen.trees import KappaSpec, LayeredTree, check_tree, monitored_bfs
+from topogen import trees
+from topogen.measurements import MASK_BOUNDS, LossMatrix, MatrixEntry
+from topogen.trees import (
+    KappaSpec,
+    LayeredTree,
+    check_tree,
+    monitored_bfs,
+    rank_key,
+    sweep_trees,
+)
 
 BETA_MIN, BETA_MAX, STEP = 40.0, 60.0, 5.0
 MARGINS = (0.0, 5.0, 7.5)
@@ -39,12 +50,21 @@ LOSSES = st.one_of(
     st.floats(min_value=0.0, max_value=120.0),
 )
 KAPPAS = st.sampled_from(["const:1", "const:2", "linear", "table:1=2,2=1"])
+ODD_IDS = st.one_of(st.integers(-5, 12), st.sampled_from([10**6, -(10**6), 2**70]))
+
+
+def node_ids(min_size, max_size):
+    """0..n-1, or unique ids in drawn order: unsorted, sparse, negative, large."""
+    return st.one_of(
+        st.integers(min_size, max_size).map(lambda n: list(range(n))),
+        st.lists(ODD_IDS, min_size=min_size, max_size=max_size, unique=True),
+    )
 
 
 @st.composite
 def matrices(draw):
-    n = draw(st.integers(min_value=1, max_value=7))
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    nodes = draw(node_ids(1, 7))
+    pairs = [(a, b) for a in nodes for b in nodes if a != b]
     present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     entries = {
         pair: MatrixEntry(mean_loss=draw(LOSSES), stddev=0.0, count=1)
@@ -52,7 +72,7 @@ def matrices(draw):
         if keep
     }
     # constructors accept what loaders reject: NaN goes in directly
-    return LossMatrix(nodes=list(range(n)), channel=26, entries=entries)
+    return LossMatrix(nodes=nodes, channel=26, entries=entries)
 
 
 def scan_graph(matrix, beta):
@@ -170,10 +190,11 @@ def graph_dot_links(tree, matrix):
 @st.composite
 def line_matrices(draw):
     """Nodes on a line with loss growing by distance, so trees run deep."""
-    n = draw(st.integers(min_value=2, max_value=7))
+    nodes = draw(node_ids(2, 7))
+    n = len(nodes)
     spots = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n, unique=True))
     entries = {
-        (a, b): MatrixEntry(
+        (nodes[a], nodes[b]): MatrixEntry(
             mean_loss=35.0 + 5.0 * abs(spots[a] - spots[b]) + draw(st.sampled_from([0.0, 2.5])),
             stddev=0.0,
             count=1,
@@ -182,7 +203,7 @@ def line_matrices(draw):
         for b in range(n)
         if a != b
     }
-    return LossMatrix(nodes=list(range(n)), channel=26, entries=entries)
+    return LossMatrix(nodes=nodes, channel=26, entries=entries)
 
 
 @st.composite
@@ -210,14 +231,13 @@ def checked_trees(draw):
     requirements 2 and 3 fail as well as 1 and 4.
     """
     built = draw(st.one_of(matrices(), line_matrices()))
-    n = len(built.nodes)
     fresh = draw(remeasured(built))
     beta = draw(st.sampled_from(ON_GRID))
     margin = draw(st.sampled_from(MARGINS))
-    root = draw(st.integers(0, n - 1))
+    root = draw(st.sampled_from(built.nodes))
     tree = monitored_bfs(built, root, beta, margin, KappaSpec.parse("const:1"))
     if draw(st.booleans()):
-        tree = dataclasses.replace(tree, root=draw(st.integers(0, n - 1)))
+        tree = dataclasses.replace(tree, root=draw(st.sampled_from(built.nodes)))
     return tree, built, fresh, KappaSpec.parse(draw(KAPPAS))
 
 
@@ -265,6 +285,67 @@ def test_monitored_bfs_matches_graph_oracle(matrix, margin, kappa_text):
         for v0 in matrix.nodes:
             expected = graph_bfs(matrix, v0, beta, margin, kappa)
             assert monitored_bfs(matrix, v0, beta, margin, kappa) == expected
+
+
+def grid_matrix(rows, cols, seed):
+    """Nodes on a grid with shuffled, sparse ids; links only to near spots.
+
+    Losses grow with distance in steps of 2.5 dB, so many fall exactly on
+    a bound or on bound + margin of the grid below.
+    """
+    rng = random.Random(seed)
+    ids = rng.sample(range(-1000, 10**6), rows * cols)
+    spots = {node: divmod(k, cols) for k, node in enumerate(ids)}
+    entries = {
+        (a, b): MatrixEntry(
+            mean_loss=30.0 + 10.0 * math.dist(spots[a], spots[b]) + rng.choice([0.0, 2.5, 5.0]),
+            stddev=0.0,
+            count=1,
+        )
+        for a in ids
+        for b in ids
+        if a != b and math.dist(spots[a], spots[b]) < 2.9 and rng.random() < 0.95
+    }
+    return LossMatrix(nodes=ids, channel=26, entries=entries)
+
+
+def test_monitored_bfs_matches_graph_oracle_past_64_nodes():
+    # 72 nodes: masks span several machine words, and bit positions
+    # differ from both the ids and their order in ``nodes``
+    matrix = grid_matrix(9, 8, seed=5)
+    family = GraphFamily(matrix, beta_min=40.0, beta_max=70.0, step=2.5)
+    kappa = KappaSpec.parse("const:1")
+    largest = 0
+    for beta in family.betas():
+        for v0 in matrix.nodes:
+            expected = graph_bfs(matrix, v0, beta, 5.0, kappa)
+            assert monitored_bfs(matrix, v0, beta, 5.0, kappa) == expected
+            largest = max(largest, expected.total_nodes)
+    assert largest > 64
+
+
+def test_mask_cache_stays_bounded_over_a_long_sweep(monkeypatch):
+    matrix = grid_matrix(2, 3, seed=1)
+    family = GraphFamily(matrix, beta_min=30.0, beta_max=100.0, step=0.025)
+    kappa = KappaSpec.parse("linear")
+    held = []
+
+    def watched(m, *args):
+        tree = monitored_bfs(m, *args)
+        held.append(len(m.bound_masks))
+        return tree
+
+    monkeypatch.setattr(trees, "monitored_bfs", watched)
+    swept = sweep_trees(matrix, kappa, 5.0, family)
+    assert len(family.betas()) > 2000
+    assert len(held) == len(family.betas()) * len(matrix.nodes)
+    assert max(held) == MASK_BOUNDS
+    fresh = [
+        monitored_bfs(LossMatrix(list(matrix.nodes), 26, dict(matrix.entries)), v0, beta, 5.0, kappa)
+        for beta in family.betas()
+        for v0 in sorted(matrix.nodes)
+    ]
+    assert swept == sorted(fresh, key=rank_key)
 
 
 def test_rows_skip_nan_in_either_direction():

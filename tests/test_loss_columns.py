@@ -177,12 +177,13 @@ def ingest_both(files, aggregator):
         old = str(exc)
     try:
         new = build_loss_matrix(columns, aggregator)
-    except ChannelMismatchError as exc:
+    except ValueError as exc:  # a channel mix, or an aggregate that overflows
         new = str(exc)
     return results, old, new
 
 
-# two losses near the float maximum overflow numpy's mean, in both paths
+# two losses near the float maximum overflow numpy's mean in the oracle;
+# build_loss_matrix rejects such a pair instead of storing infinity
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(log_files(), AGGREGATORS)
@@ -194,6 +195,15 @@ def test_columns_match_per_sample_oracle(files, aggregator):
         assert new == old
         return
     groups, nodes = old
+    overflows = [
+        (pair, loss, count)
+        for pair, (loss, count, _) in groups.items()
+        if not math.isfinite(loss)
+    ]
+    if overflows:
+        (tx, rx), loss, count = overflows[0]
+        assert new == f"pair {tx} -> {rx}: {aggregator} of {count} losses is {loss}, not finite"
+        return
     assert new.nodes == sorted(nodes)
     assert new.entries.keys() == groups.keys()
     for pair, entry in new.entries.items():
@@ -219,6 +229,7 @@ REASONS = [
     "non-finite rssi",
     "non-finite loss",
     "samples mix channels",
+    "losses is inf, not finite",
 ]
 
 
@@ -226,9 +237,10 @@ REASONS = [
 @pytest.mark.parametrize("reason", REASONS)
 def test_drawn_logs_reach_every_rejection_and_the_channel_mix(reason):
     def reaches(files):
-        per_file, old, _ = ingest_both(files, "mean")
+        per_file, old, new = ingest_both(files, "mean")
         texts = [r.reason for _, (_, rejected) in per_file for r in rejected]
-        return any(reason in text for text in texts + [old if isinstance(old, str) else ""])
+        texts += [error for error in (old, new) if isinstance(error, str)]
+        return any(reason in text for text in texts)
 
     find(
         log_files(),
