@@ -19,7 +19,7 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from topogen import io
+from topogen import io, trees
 
 from topogen.graphs import (
     BoundedGraph,
@@ -28,7 +28,6 @@ from topogen.graphs import (
     monotonicity_report,
     neighborhood_graph,
 )
-from topogen import trees
 from topogen.measurements import MASK_BOUNDS, LossMatrix, MatrixEntry
 from topogen.trees import (
     KappaSpec,
@@ -290,8 +289,9 @@ def test_monitored_bfs_matches_graph_oracle(matrix, margin, kappa_text):
 def grid_matrix(rows, cols, seed):
     """Nodes on a grid with shuffled, sparse ids; links only to near spots.
 
-    Losses grow with distance in steps of 2.5 dB, so many fall exactly on
-    a bound or on bound + margin of the grid below.
+    A loss is 30 dB plus 10 dB per unit of distance plus 0, 2.5 or 5 dB,
+    so links along grid lines fall exactly on a bound, or on bound +
+    margin, of the 2.5 dB grids below.
     """
     rng = random.Random(seed)
     ids = rng.sample(range(-1000, 10**6), rows * cols)
