@@ -31,6 +31,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: an integer of 1 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {text!r}")
+    return value
+
+
 def _add_grid_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--beta-min", type=_finite_float, default=graphs.DEFAULT_BETA_MIN)
     parser.add_argument("--beta-max", type=_finite_float, default=graphs.DEFAULT_BETA_MAX)
@@ -77,8 +88,11 @@ def cmd_ingest(args) -> int:
     samples = measurements.LossColumns()
     rejections = []
     for path in args.logs:
-        with open(path, encoding="utf-8") as stream:
-            file_samples, file_rejections = measurements.parse_campaign_log(stream)
+        try:
+            with open(path, encoding="utf-8") as stream:
+                file_samples, file_rejections = measurements.parse_campaign_log(stream)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         samples.extend(file_samples)
         rejections.extend((path, r) for r in file_rejections)
     matrix = measurements.build_loss_matrix(samples, aggregator=args.aggregator)
@@ -266,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse campaign logs into a loss matrix")
     p.add_argument("logs", nargs="+", type=Path)
     p.add_argument("--aggregator", default="mean", help="mean, median or pNN")
-    p.add_argument("--min-count", type=int, default=250)
+    p.add_argument("--min-count", type=_positive_int, default=250)
     _add_out_flag(p)
     p.set_defaults(func=cmd_ingest)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -22,6 +23,9 @@ VALID_CHANNELS = range(11, 27)
 # Bounds whose neighbour-mask vectors a matrix keeps: a tree sweep asks,
 # bound by bound, for beta and beta + margin.
 MASK_BOUNDS = 2
+# Distinct record heads (a line's text before its last space) whose column
+# and loss one parse keeps; a log with more heads parses the rest line by line.
+HEAD_CACHE = 1 << 16
 
 Position = tuple[float, float, float]
 NodePositions = dict[int, Position]
@@ -214,12 +218,29 @@ def parse_campaign_log(lines: Iterable[str]) -> tuple[LossColumns, list[Rejectio
     Record format: ``tx rx tx_power_dBm rssi_dBm channel seq``,
     whitespace-separated; ``#`` starts a comment. Malformed lines are
     collected as rejections and never abort the parse.
+
+    A log repeats few heads, the text before a line's last space. Once a
+    line is accepted and its head holds exactly five fields, later lines
+    with that head only check their seq and append the head's loss, one
+    shared float. Those lines hold no comment: ``int`` rejects a ``#`` in
+    the seq, and a head with a ``#`` has at most five fields before it,
+    so no line with such a head is ever accepted.
     """
     columns = LossColumns()
     losses = columns.losses
     channels = columns.channels
     rejections: list[Rejection] = []
+    heads: dict[str, tuple[list[float], float]] = {}
     for number, raw in enumerate(lines, start=1):
+        head, _, seq = raw.rpartition(" ")
+        cached = heads.get(head)
+        if cached is not None:
+            try:
+                if int(seq) >= 0:
+                    cached[0].append(cached[1])
+                    continue
+            except ValueError:
+                pass
         fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not fields:
             continue
@@ -236,10 +257,12 @@ def parse_campaign_log(lines: Iterable[str]) -> tuple[LossColumns, list[Rejectio
             continue
         column = losses.get((tx, rx))
         if column is None:
-            losses[tx, rx] = [loss]
+            column = losses[tx, rx] = [loss]
         else:
             column.append(loss)
         channels.add(channel)
+        if len(heads) < HEAD_CACHE and len(head.split()) == 5:
+            heads[head] = (column, loss)
     return columns, rejections
 
 
@@ -276,16 +299,20 @@ def sample_stddev(losses: list[float]) -> float:
     """Sample standard deviation of two or more finite floats, rounded once.
 
     The sums are exact integers over the samples' common power-of-two
-    denominator, and the square root of the exact variance is correctly
-    rounded by round-to-odd, as ``statistics.stdev`` does from Python
-    3.11 on; so the bits are the same on every supported Python.
+    denominator, taken once per distinct value and weighted by its count,
+    so a column of few distinct losses costs few terms. The square root of
+    the exact variance is correctly rounded by round-to-odd, as
+    ``statistics.stdev`` does from Python 3.11 on; so the bits are the
+    same on every supported Python.
     """
-    ratios = list(map(float.as_integer_ratio, losses))
+    counts = Counter(losses)
+    weights = counts.values()
+    ratios = list(map(float.as_integer_ratio, counts))
     scale = max(map(itemgetter(1), ratios))
     values = [n * (scale // d) for n, d in ratios]
-    count = len(values)
-    total = sum(values)
-    num = count * sum(map(mul, values, values)) - total * total
+    count = len(losses)
+    total = sum(map(mul, values, weights))
+    num = count * sum(map(mul, map(mul, values, values), weights)) - total * total
     den = count * (count - 1) * scale * scale
     # sqrt(num / den) to 55 or more bits, the last one odd if inexact, so
     # that converting to a 53-bit float rounds once and correctly

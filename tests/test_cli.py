@@ -109,6 +109,35 @@ def test_ingest_empty_log_warns(tmp_path, capsys):
     assert "empty matrix" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "value, reason",
+    [("0", "must be >= 1, not '0'"), ("-3", "must be >= 1, not '-3'"),
+     ("two", "not an integer: 'two'")],
+)
+def test_ingest_min_count_must_be_a_positive_integer(tmp_path, capsys, value, reason):
+    log = tmp_path / "campaign.log"
+    log.write_text("0 1 3 -40 26 0\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["ingest", str(log), "--min-count", value, "--out", str(out)])
+    assert exit_info.value.code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert f"argument --min-count: {reason}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_ingest_names_a_log_that_is_not_utf8(tmp_path, capsys):
+    log = tmp_path / "campaign.log"
+    log.write_bytes(b"0 1 3 -40 26 0\n0 1 3 \xff40 26 1\n")
+    out = tmp_path / "out"
+    assert main(["ingest", str(log), "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(
+        f"error: {log}: 'utf-8' codec can't decode byte 0xff in position"
+    )
+    assert not out.exists()
+
+
 def test_analyze_chain(tmp_path):
     matrix = write_chain_matrix(tmp_path)
     out = tmp_path / "out"

@@ -7,10 +7,14 @@ earlier implementations, kept here in behaviour: a parse that builds one
 added since, finiteness of both levels and the loss, is the oracle's last
 check too. Hypothesis draws multi-file logs with integer, decimal,
 exponent-form and repr floats, comments, blank lines, every kind of
-rejected line and mixed channels.
+rejected line and mixed channels. A second strategy repeats a few heads
+(a line's text before its last space) with drawn separators and last
+tokens, so that most lines take the parse's head cache.
 
 Stddev is checked against exact correct rounding on every Python, and
-against ``statistics.stdev`` from 3.11 on, where it rounds once.
+against ``statistics.stdev`` from 3.11 on, where it rounds once, and
+on columns that repeat a few values many times against the per-sample
+sums it replaced.
 """
 
 import math
@@ -18,12 +22,14 @@ import statistics
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter, mul
 
 import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from topogen.measurements import (
+    HEAD_CACHE,
     VALID_CHANNELS,
     ChannelMismatchError,
     LossColumns,
@@ -269,3 +275,120 @@ def test_stddev_is_correctly_rounded(losses):
     assert_correctly_rounded(stddev, losses)
     if sys.version_info >= (3, 11):
         assert stddev.hex() == statistics.stdev(losses).hex()
+
+
+def old_columns(samples):
+    """Oracle columns: each pair's losses as hex strings, in log order."""
+    columns = {}
+    for s in samples:
+        columns.setdefault((s.tx, s.rx), []).append(s.loss.hex())
+    return list(columns.items()), {s.channel for s in samples}
+
+
+def new_columns(columns):
+    pairs = [(pair, [loss.hex() for loss in losses]) for pair, losses in columns.losses.items()]
+    return pairs, columns.channels
+
+
+def assert_parses_as_oracle(lines):
+    samples, old_rejected = old_parse(lines)
+    columns, rejected = parse_campaign_log(lines)
+    assert rejected == old_rejected
+    assert new_columns(columns) == old_columns(samples)
+    return columns
+
+
+# a head's fields, mostly those of an accepted line; the pool also draws
+# heads that are rejected and heads with a comment before or after their
+# fifth field
+HEAD_NODES = st.sampled_from(["0", "1", "2"])
+HEAD_POWERS = st.sampled_from(["3"] * 3 + ["0.5", "-1e308"])
+HEAD_RSSIS = st.sampled_from(["-40"] * 3 + ["-40.25", "-0.0", "1e308", "9"])
+HEAD_CHANNELS = st.sampled_from(["26"] * 4 + ["11", "27"])
+HEAD_SEPARATORS = st.sampled_from([" "] * 6 + ["  ", "\u2003"])
+HEAD_COMMENTS = st.sampled_from([""] * 8 + ["#c", " 5#", " 5 #"])
+SEQ_SEPARATORS = st.sampled_from([" ", " ", " ", "  ", "\t", "\u2003"])
+# None ends the line after the head, with no separator and no seq
+LAST_TOKENS = st.sampled_from(["0", "-0", "+7", "1_0", "-1", "x", "#4", "7 #c", "", None])
+LINE_ENDS = st.sampled_from(["\n", "\n", "\r\n", "  \n", "", " \u2003\n"])
+
+
+def heads():
+    return st.builds(
+        lambda fields, separators, comment: "".join(
+            f"{field}{separator}" for field, separator in zip(fields, separators)
+        ) + fields[-1] + comment,
+        st.tuples(HEAD_NODES, HEAD_NODES, HEAD_POWERS, HEAD_RSSIS, HEAD_CHANNELS),
+        st.lists(HEAD_SEPARATORS, min_size=4, max_size=4),
+        HEAD_COMMENTS,
+    )
+
+
+def repeated_head_log(pool):
+    def line(head, separator, token, end):
+        return head + ("" if token is None else separator + token) + end
+
+    return st.lists(
+        st.builds(line, st.sampled_from(pool), SEQ_SEPARATORS, LAST_TOKENS, LINE_ENDS),
+        min_size=8,
+        max_size=40,
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.lists(heads(), min_size=1, max_size=3).flatmap(repeated_head_log),
+                min_size=1, max_size=3))
+def test_head_cache_matches_per_sample_oracle(files):
+    for lines in files:
+        assert_parses_as_oracle(lines)
+
+
+def test_heads_past_the_cache_bound_parse_line_by_line():
+    # one pair per head, each head twice: a cached head's second loss is
+    # the first one's float object, any other head's is a fresh float
+    heads = [f"{i} {i + 1} 3 -{i % 100}.5 26" for i in range(HEAD_CACHE + 64)]
+    lines = [f"{head} 0\n" for head in heads] + [f"{head} 1\n" for head in heads]
+    columns = assert_parses_as_oracle(lines)
+    shared = [first is second for first, second in columns.losses.values()]
+    assert shared == [True] * HEAD_CACHE + [False] * 64
+
+
+def old_stddev(losses):
+    """Oracle: the exact sums taken sample by sample, before values were counted."""
+    ratios = list(map(float.as_integer_ratio, losses))
+    scale = max(map(itemgetter(1), ratios))
+    values = [n * (scale // d) for n, d in ratios]
+    count = len(values)
+    total = sum(values)
+    num = count * sum(map(mul, values, values)) - total * total
+    den = count * (count - 1) * scale * scale
+    shift = (num.bit_length() - den.bit_length() - 109) // 2
+    if shift >= 0:
+        den <<= 2 * shift
+    else:
+        num <<= -2 * shift
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << shift) if shift >= 0 else root / (1 << -shift)
+
+
+REPEATED_VALUES = [
+    0.0, -0.0, 5e-324, 2.5e-323, 2.2250738585072014e-308,
+    1e6, 999999.9999999999, 1000000.0000000001, -1e6, 43.0, 43.5,
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(REPEATED_VALUES), st.floats(min_value=-1e6, max_value=1e6)),
+        min_size=1,
+        max_size=4,
+    ).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=300))
+)
+def test_stddev_over_repeated_values_matches_per_sample_sums(losses):
+    column = sorted(losses)
+    stddev = sample_stddev(column)
+    assert stddev.hex() == old_stddev(column).hex()
+    assert sample_stddev(losses).hex() == stddev.hex()
+    assert_correctly_rounded(stddev, column)
