@@ -346,8 +346,8 @@ def test_head_cache_matches_per_sample_oracle(files):
 def test_heads_past_the_cache_bound_parse_line_by_line():
     # one pair per head, each head twice: a cached head's second loss is
     # the first one's float object, any other head's is a fresh float
-    heads = [f"{i} {i + 1} 3 -{i % 100}.5 26" for i in range(HEAD_CACHE + 64)]
-    lines = [f"{head} 0\n" for head in heads] + [f"{head} 1\n" for head in heads]
+    texts = [f"{i} {i + 1} 3 -{i % 100}.5 26" for i in range(HEAD_CACHE + 64)]
+    lines = [f"{head} 0\n" for head in texts] + [f"{head} 1\n" for head in texts]
     columns = assert_parses_as_oracle(lines)
     shared = [first is second for first, second in columns.losses.values()]
     assert shared == [True] * HEAD_CACHE + [False] * 64
