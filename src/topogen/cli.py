@@ -84,6 +84,18 @@ def _manifest_args(args) -> dict:
     }
 
 
+def _name_undecodable_line(path):
+    """Raise ValueError naming '<path>:<line>', the first line of a log not in UTF-8."""
+    with open(path, "rb") as stream:
+        # splitlines counts a lone carriage return as the text-mode parse does
+        lines = (line for chunk in stream for line in chunk.splitlines())
+        for number, line in enumerate(lines, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
+
+
 def cmd_ingest(args) -> int:
     samples = measurements.LossColumns()
     rejections = []
@@ -92,6 +104,7 @@ def cmd_ingest(args) -> int:
             with open(path, encoding="utf-8") as stream:
                 file_samples, file_rejections = measurements.parse_campaign_log(stream)
         except UnicodeDecodeError as exc:
+            _name_undecodable_line(path)
             raise ValueError(f"{path}: {exc}") from None
         samples.extend(file_samples)
         rejections.extend((path, r) for r in file_rejections)

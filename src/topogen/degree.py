@@ -13,7 +13,7 @@ for deselected nodes and forces S(u) = c for selected ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import ilp
 from .graphs import BoundedGraph, GraphFamily, connected_components, neighborhood_graph
@@ -52,21 +52,7 @@ def build_degree_program(graph: BoundedGraph, c: int) -> ilp.BinaryProgram:
         upper = {v: 1 for v in neighbors}
         upper[u] = m
         constraints.append(ilp.Constraint(upper, "<=", c + m))
-    return ilp.BinaryProgram(
-        variables=nodes,
-        sense="maximize",
-        objective={u: 1 for u in nodes},
-        constraints=constraints,
-    )
-
-
-def induced_subgraph(graph: BoundedGraph, selected: frozenset[int]) -> BoundedGraph:
-    edges = frozenset(
-        (a, b) for a, b in graph.edges if a in selected and b in selected
-    )
-    return BoundedGraph(
-        beta=graph.beta, nodes=tuple(sorted(selected)), edges=edges
-    )
+    return ilp.BinaryProgram(variables=nodes, sense="maximize", constraints=constraints)
 
 
 def verify_regular(selection: DegreeSelection) -> list[int]:
@@ -83,18 +69,16 @@ def verify_regular(selection: DegreeSelection) -> list[int]:
 
 
 def _make_selection(graph: BoundedGraph, c: int, selected: frozenset[int]) -> DegreeSelection:
-    sub = induced_subgraph(graph, selected)
-    components = tuple(
-        frozenset(comp) for comp in connected_components(sub)
-    )
     selection = DegreeSelection(
         beta=graph.beta,
         c=c,
         selected=selected,
-        components=components,
-        edges=sub.edges,
+        components=(),
+        edges=frozenset((a, b) for a, b in graph.edges if a in selected and b in selected),
         objective=len(selected),
     )
+    components = connected_components(selection.graph)
+    selection = replace(selection, components=tuple(frozenset(comp) for comp in components))
     bad = verify_regular(selection)
     if bad:
         raise RuntimeError(f"selection at beta {graph.beta} not {c}-regular: nodes {bad}")

@@ -1,25 +1,26 @@
 """Exact solver for binary integer linear programs.
 
 Covers exactly the two program shapes the topology pipeline needs:
-maximize or minimize a sum of binary variables under linear inequality
-constraints with integer coefficients. Solved by deterministic
-branch-and-bound (feasibility pruning plus best-so-far objective bound),
-so results are reproducible byte-for-byte without an external solver.
+maximize or minimize the number of selected (value 1) binary variables
+under ``<=`` and ``>=`` constraints with integer coefficients. Solved by
+deterministic branch-and-bound (feasibility pruning plus best-so-far
+count bound), so results are reproducible byte-for-byte without an
+external solver.
 
-Objective bound: every variable not yet fixed can still take its better
-value. When maximizing with every objective coefficient 0 or 1 (the
-constant-degree program), each ``<=`` constraint tightens this into a
-packing bound. With every unfixed negative coefficient taken, the
-constraint has ``slack`` left; each of its ``cnt`` unfixed objective-1
-variables with a positive coefficient uses at least ``minpos`` of it, so
-at most ``fit = slack // minpos`` of them can be 1 and the bound drops by
-``cnt - fit``. The largest drop over the constraints is the one applied.
+Count bound: when maximizing, every variable not yet fixed can still be
+1; each ``<=`` constraint tightens this into a packing bound. With every
+unfixed negative coefficient taken, the constraint has ``slack`` left;
+each of its ``cnt`` unfixed variables with a positive coefficient uses
+at least ``minpos`` of it, so at most ``fit = slack // minpos`` of them
+can be 1 and the bound drops by ``cnt - fit``. The largest drop over the
+constraints is the one applied. When minimizing, every unfixed variable
+can still be 0, so the bound is the count selected so far.
 
 Determinism contract: variables are branched in declaration order, the
 1-branch is explored first when maximizing and the 0-branch first when
 minimizing, and the incumbent is replaced only on strict improvement.
 The brute-force oracle enumerates assignments in the same order, so both
-return identical assignments, not just identical objectives. Both bounds
+return identical assignments, not just identical counts. Both bounds
 cut only subtrees that cannot strictly beat the incumbent, and no such
 subtree can replace it, so the sequence of incumbents, and with it the
 returned assignment, is that of the unpruned search.
@@ -34,7 +35,7 @@ import numpy as np
 
 VarId = Hashable
 
-OPS = ("<=", ">=", "==")
+OPS = ("<=", ">=")
 SENSES = ("maximize", "minimize")
 
 DEFAULT_VARIABLE_LIMIT = 256
@@ -52,9 +53,10 @@ class Constraint:
 
 @dataclass
 class BinaryProgram:
+    """Maximize or minimize the count of variables set to 1."""
+
     variables: list[VarId]
     sense: str
-    objective: dict[VarId, int]
     constraints: list[Constraint] = field(default_factory=list)
 
     def validate(self):
@@ -63,11 +65,6 @@ class BinaryProgram:
         declared = set(self.variables)
         if len(declared) != len(self.variables):
             raise ValueError("duplicate variable ids")
-        for var, coef in self.objective.items():
-            if var not in declared:
-                raise ValueError(f"objective references undeclared variable {var!r}")
-            if not isinstance(coef, int):
-                raise ValueError(f"non-integer objective coefficient for {var!r}")
         for i, constraint in enumerate(self.constraints):
             if constraint.op not in OPS:
                 raise ValueError(f"constraint {i}: unknown comparator {constraint.op!r}")
@@ -90,23 +87,6 @@ class Solution:
     explored: int | None = None  # B&B nodes entered, or assignments enumerated
 
 
-def _referenced_order(program: BinaryProgram) -> list[VarId]:
-    # Variables in neither objective nor any constraint are free; they
-    # are excluded from the search and fixed to 0 afterwards.
-    referenced = {v for v, c in program.objective.items() if c != 0}
-    for constraint in program.constraints:
-        referenced.update(v for v, c in constraint.coefficients.items() if c != 0)
-    return [v for v in program.variables if v in referenced]
-
-
-def _complete(program: BinaryProgram, partial: dict[VarId, int]) -> dict[VarId, int]:
-    return {v: partial.get(v, 0) for v in program.variables}
-
-
-def evaluate_objective(program: BinaryProgram, assignment: dict[VarId, int]) -> int:
-    return sum(coef * assignment[var] for var, coef in program.objective.items())
-
-
 def check_feasible(program: BinaryProgram, assignment: dict[VarId, int]) -> bool:
     for constraint in program.constraints:
         lhs = sum(c * assignment[v] for v, c in constraint.coefficients.items())
@@ -114,44 +94,29 @@ def check_feasible(program: BinaryProgram, assignment: dict[VarId, int]) -> bool
             return False
         if constraint.op == ">=" and lhs < constraint.rhs:
             return False
-        if constraint.op == "==" and lhs != constraint.rhs:
-            return False
     return True
 
 
 def solve(program: BinaryProgram) -> Solution:
     """Solve to proven optimality by deterministic branch-and-bound."""
     program.validate()
-    if len(program.variables) > DEFAULT_VARIABLE_LIMIT:
-        raise ValueError(
-            f"{len(program.variables)} variables exceed limit "
-            f"{DEFAULT_VARIABLE_LIMIT}; decompose the program"
-        )
-    order = _referenced_order(program)
+    order = program.variables
     n = len(order)
-    index = {v: k for k, v in enumerate(order)}
+    if n > DEFAULT_VARIABLE_LIMIT:
+        raise ValueError(
+            f"{n} variables exceed limit {DEFAULT_VARIABLE_LIMIT}; decompose the program"
+        )
     maximize = program.sense == "maximize"
-
-    obj = [program.objective.get(v, 0) for v in order]
-    packing = maximize and all(c in (0, 1) for c in obj)
-    # Suffix bounds on the objective contribution of variables >= depth d.
-    obj_hi = [0] * (n + 1)
-    obj_lo = [0] * (n + 1)
-    for d in range(n - 1, -1, -1):
-        obj_hi[d] = obj_hi[d + 1] + max(0, obj[d])
-        obj_lo[d] = obj_lo[d + 1] + min(0, obj[d])
 
     cons = []
     touching: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for constraint in program.constraints:
-        coefs = [0] * n
-        for v, c in constraint.coefficients.items():
-            if c != 0:
-                coefs[index[v]] += c
+        coefs = [constraint.coefficients.get(v, 0) for v in order]
         lo = [0] * (n + 1)
         hi = [0] * (n + 1)
-        # Packing bound: count and least coefficient of the objective-1
-        # variables >= d with a positive coefficient; read only for "<=".
+        # Packing bound: count and least coefficient of the variables >= d
+        # with a positive coefficient; kept only when maximizing, read only
+        # for "<=".
         cnt = [0] * (n + 1)
         minpos = [0] * (n + 1)
         for d in range(n - 1, -1, -1):
@@ -159,7 +124,7 @@ def solve(program: BinaryProgram) -> Solution:
             lo[d] = lo[d + 1] + min(0, c)
             hi[d] = hi[d + 1] + max(0, c)
             cnt[d], minpos[d] = cnt[d + 1], minpos[d + 1]
-            if packing and obj[d] and c > 0:
+            if maximize and c > 0:
                 cnt[d] += 1
                 minpos[d] = min(minpos[d], c) if cnt[d + 1] else c
         ci = len(cons)
@@ -168,42 +133,35 @@ def solve(program: BinaryProgram) -> Solution:
             if c != 0:
                 touching[d].append((ci, c))
 
-    best_obj: int | None = None
+    best: int | None = None
     best_assign: list[int] | None = None
     values = [0] * n
     sums = [0] * len(cons)
     branch_values = (1, 0) if maximize else (0, 1)
     explored = 0
 
-    def recurse(d: int, partial_obj: int):
-        nonlocal best_obj, best_assign, explored
+    def recurse(d: int, partial: int):
+        nonlocal best, best_assign, explored
         explored += 1
-        # How far the subtree's objective bound is past the incumbent; with
-        # no incumbent, past any packing drop (at most n).
+        # How far the subtree's count bound is past the incumbent; with no
+        # incumbent, past any packing drop (at most n).
         room = n + 1
-        if best_obj is not None:
-            if maximize:
-                room = partial_obj + obj_hi[d] - best_obj
-            else:
-                room = best_obj - partial_obj - obj_lo[d]
+        if best is not None:
+            room = partial + (n - d) - best if maximize else best - partial
             if room <= 0:
                 return
         for ci, (op, rhs, lo, hi, cnt, minpos) in enumerate(cons):
-            low = sums[ci] + lo[d]
             if op == "<=":
+                low = sums[ci] + lo[d]
                 if low > rhs:
                     return
                 if cnt[d] and cnt[d] - (rhs - low) // minpos[d] >= room:
                     return
-            elif op == ">=":
-                if sums[ci] + hi[d] < rhs:
-                    return
-            else:
-                if low > rhs or sums[ci] + hi[d] < rhs:
-                    return
+            elif sums[ci] + hi[d] < rhs:
+                return
         if d == n:
             # Feasible, and strictly better than any incumbent (room > 0).
-            best_obj = partial_obj
+            best = partial
             best_assign = values.copy()
             return
         for value in branch_values:
@@ -211,7 +169,7 @@ def solve(program: BinaryProgram) -> Solution:
             if value:
                 for ci, c in touching[d]:
                     sums[ci] += c
-            recurse(d + 1, partial_obj + obj[d] * value)
+            recurse(d + 1, partial + value)
             if value:
                 for ci, c in touching[d]:
                     sums[ci] -= c
@@ -222,11 +180,10 @@ def solve(program: BinaryProgram) -> Solution:
         return Solution(
             status="infeasible", assignment={}, objective_value=None, explored=explored
         )
-    assignment = _complete(program, dict(zip(order, best_assign)))
     return Solution(
         status="optimal",
-        assignment=assignment,
-        objective_value=evaluate_objective(program, assignment),
+        assignment=dict(zip(order, best_assign)),
+        objective_value=best,
         explored=explored,
     )
 
@@ -234,12 +191,10 @@ def solve(program: BinaryProgram) -> Solution:
 def brute_force(program: BinaryProgram) -> Solution:
     """Exhaustive-search oracle, enumerating in the solver's branch order."""
     program.validate()
-    order = _referenced_order(program)
+    order = program.variables
     n = len(order)
     if n > BRUTE_FORCE_LIMIT:
-        raise ValueError(
-            f"{n} referenced variables exceed brute-force limit {BRUTE_FORCE_LIMIT}"
-        )
+        raise ValueError(f"{n} variables exceed brute-force limit {BRUTE_FORCE_LIMIT}")
     maximize = program.sense == "maximize"
 
     count = 1 << n
@@ -247,41 +202,30 @@ def brute_force(program: BinaryProgram) -> Solution:
     if maximize:
         # 1-branch first with variable 0 most significant: descending codes.
         codes = codes[::-1]
-    if n:
-        shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-        bits = (codes[:, None] >> shifts[None, :]) & 1
-    else:
-        bits = np.zeros((1, 0), dtype=np.int64)
+    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+    bits = (codes[:, None] >> shifts[None, :]) & 1
 
     feasible = np.ones(count, dtype=bool)
-    index = {v: k for k, v in enumerate(order)}
     for constraint in program.constraints:
-        coefs = np.zeros(n, dtype=np.int64)
-        for v, c in constraint.coefficients.items():
-            if c != 0:
-                coefs[index[v]] += c
+        coefs = np.array([constraint.coefficients.get(v, 0) for v in order], dtype=np.int64)
         lhs = bits @ coefs
         if constraint.op == "<=":
             feasible &= lhs <= constraint.rhs
-        elif constraint.op == ">=":
-            feasible &= lhs >= constraint.rhs
         else:
-            feasible &= lhs == constraint.rhs
+            feasible &= lhs >= constraint.rhs
 
     if not feasible.any():
         return Solution(
             status="infeasible", assignment={}, objective_value=None, explored=count
         )
-    obj_coefs = np.array([program.objective.get(v, 0) for v in order], dtype=np.int64)
-    objectives = bits @ obj_coefs if n else np.zeros(1, dtype=np.int64)
-    masked = np.where(feasible, objectives, np.iinfo(np.int64).min if maximize else np.iinfo(np.int64).max)
+    counts = bits.sum(axis=1)
+    masked = np.where(feasible, counts, -1 if maximize else n + 1)
     # argmax/argmin return the first index, which is the first assignment
     # in branch order attaining the optimum.
     pick = int(np.argmax(masked) if maximize else np.argmin(masked))
-    assignment = _complete(program, {v: int(bits[pick, k]) for k, v in enumerate(order)})
     return Solution(
         status="optimal",
-        assignment=assignment,
-        objective_value=evaluate_objective(program, assignment),
+        assignment={v: int(bits[pick, k]) for k, v in enumerate(order)},
+        objective_value=int(counts[pick]),
         explored=count,
     )

@@ -59,26 +59,6 @@ def check_record(
     return loss
 
 
-@dataclass(frozen=True)
-class LossSample:
-    """One received packet with the levels needed to derive its loss."""
-
-    tx: int
-    rx: int
-    tx_power: float
-    rssi: float
-    channel: int
-    seq: int
-
-    def __post_init__(self):
-        check_record(self.tx, self.rx, self.tx_power, self.rssi, self.channel, self.seq)
-
-    @property
-    def loss(self) -> float:
-        """Signal loss in dB derived from transmit power and RSSI."""
-        return self.tx_power - self.rssi
-
-
 @dataclass
 class LossColumns:
     """Accepted losses per directed (tx, rx) pair, in log order.
@@ -264,18 +244,6 @@ def parse_campaign_log(lines: Iterable[str]) -> tuple[LossColumns, list[Rejectio
         if len(heads) < HEAD_CACHE and len(head.split()) == 5:
             heads[head] = (column, loss)
     return columns, rejections
-
-
-def format_sample(sample: LossSample) -> str:
-    """Render a sample in the campaign log record format.
-
-    Float fields use repr so that parse -> format -> parse round-trips
-    bit-exactly.
-    """
-    return (
-        f"{sample.tx} {sample.rx} {sample.tx_power!r} {sample.rssi!r} "
-        f"{sample.channel} {sample.seq}"
-    )
 
 
 def make_aggregator(spec: str) -> Callable[[list[float]], float]:

@@ -68,15 +68,6 @@ class GuardedSetting:
     saturated: bool
 
 
-def budget(setting: RadioSetting) -> float:
-    return setting.budget
-
-
-def bound_for_settings(setting: RadioSetting) -> float:
-    """Largest loss receivable under the setting; equals its budget."""
-    return setting.budget
-
-
 def _guard_variant(
     base: RadioSetting, guard: float, profile: TransceiverProfile
 ) -> RadioSetting | None:

@@ -10,7 +10,7 @@ in the matrix metadata.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,11 @@ from .measurements import LossMatrix, MatrixEntry, NodePositions
 GENERATOR_ID = "numpy-pcg64-per-pair"
 
 SYNTH_COUNT = 250  # nominal campaign size recorded for generated entries
+
+
+def _check_finite(name: str, value: float):
+    if not math.isfinite(value):
+        raise ValueError(f"{name} {value!r} is not a finite number")
 
 
 @dataclass(frozen=True)
@@ -32,15 +37,22 @@ class SynthScenario:
     channel: int = 26
 
     def __post_init__(self):
+        for name in ("reference_loss", "path_loss_exponent", "shadowing_sigma",
+                     "asymmetry_sigma"):
+            _check_finite(name, getattr(self, name))
+        if self.reference_loss < 0:
+            raise ValueError(f"reference_loss {self.reference_loss!r} is a negative loss")
         if self.path_loss_exponent <= 0:
             raise ValueError("path loss exponent must be positive")
         if self.shadowing_sigma < 0 or self.asymmetry_sigma < 0:
             raise ValueError("sigmas must be >= 0")
         if len(self.positions) < 2:
             raise ValueError("need at least 2 positioned nodes")
-        for node, _ in self.positions:
+        for node, position in self.positions:
             if node < 0:
                 raise ValueError("node ids must be non-negative")
+            for axis, value in zip("xyz", position):
+                _check_finite(f"positions[{node}].{axis}", value)
 
     @classmethod
     def from_positions(cls, positions: NodePositions, **params) -> "SynthScenario":
@@ -82,7 +94,10 @@ def generate(scenario: SynthScenario) -> LossMatrix:
                 asym = _normal(
                     [scenario.seed, tag, a, b], scenario.asymmetry_sigma
                 )
-                loss = max(0.0, deterministic + shadow + asym)
+                loss = deterministic + shadow + asym
+                if not math.isfinite(loss):
+                    raise ValueError(f"loss {tx} -> {rx} {loss!r} is not a finite number")
+                loss = max(0.0, loss)
                 entries[(tx, rx)] = MatrixEntry(
                     mean_loss=loss, stddev=0.0, count=SYNTH_COUNT
                 )
@@ -111,6 +126,10 @@ def chain_scenario(
     """
     if n < 2:
         raise ValueError("chain needs at least 2 nodes")
+    _check_finite("on_loss", on_loss)
+    _check_finite("off_loss", off_loss)
+    if on_loss < 0:
+        raise ValueError(f"on_loss {on_loss!r} is a negative loss")
     if on_loss >= off_loss:
         raise ValueError("on_loss must be below off_loss")
     entries = {}
@@ -140,6 +159,7 @@ def grid_scenario(rows: int, cols: int, spacing: float, **params) -> LossMatrix:
     """Regular grid layout fed through the log-distance generator."""
     if rows * cols < 2:
         raise ValueError("grid needs at least 2 nodes")
+    _check_finite("spacing", spacing)
     if spacing <= 0:
         raise ValueError("spacing must be positive")
     scenario = SynthScenario.from_positions(

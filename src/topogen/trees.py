@@ -254,12 +254,7 @@ def build_reduction_program(
             coefficients = {v: -1 for v in sorted(parents) if v != tree.root}
             coefficients[u] = 1
             constraints.append(ilp.Constraint(coefficients, "<=", constant))
-    return ilp.BinaryProgram(
-        variables=variables,
-        sense="minimize",
-        objective={u: 1 for u in variables},
-        constraints=constraints,
-    )
+    return ilp.BinaryProgram(variables=variables, sense="minimize", constraints=constraints)
 
 
 def reduce_tree(

@@ -38,34 +38,29 @@ def random_matrix(rng: random.Random, n, present=0.7, lo=35.0, hi=100.0):
 
 def random_program(rng: random.Random, n):
     variables = list(range(n))
-    objective = {v: rng.randint(-3, 3) for v in variables}
     constraints = []
     for _ in range(rng.randint(1, max(1, n))):
         chosen = rng.sample(variables, rng.randint(1, n))
         coefficients = {v: rng.randint(-4, 4) for v in chosen}
         constraints.append(
-            Constraint(coefficients, rng.choice(["<=", ">=", "=="]), rng.randint(-5, 8))
+            Constraint(coefficients, rng.choice(["<=", ">="]), rng.randint(-5, 8))
         )
     return BinaryProgram(
         variables=variables,
         sense=rng.choice(["maximize", "minimize"]),
-        objective=objective,
         constraints=constraints,
     )
 
 
 def random_unit_program(rng: random.Random, n):
-    """Maximize a 0/1 objective under mixed-sign ``<=`` constraints."""
+    """Maximize the count under mixed-sign ``<=`` constraints."""
     variables = list(range(n))
-    objective = {v: rng.randint(0, 1) for v in variables}
     constraints = []
     for _ in range(rng.randint(1, n)):
         chosen = rng.sample(variables, rng.randint(1, n))
         coefficients = {v: rng.randint(-2, 4) for v in chosen}
         constraints.append(Constraint(coefficients, "<=", rng.randint(-2, 8)))
-    return BinaryProgram(
-        variables=variables, sense="maximize", objective=objective, constraints=constraints
-    )
+    return BinaryProgram(variables=variables, sense="maximize", constraints=constraints)
 
 
 def random_graph(rng: random.Random, n, density):

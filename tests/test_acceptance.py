@@ -17,7 +17,7 @@ from topogen import ilp, io
 from topogen.cli import main
 from topogen.degree import select_constant_degree, verify_regular
 from topogen.graphs import GraphFamily, neighborhood_graph
-from topogen.radio import AT86RF231, RadioSetting, bound_for_settings, budget
+from topogen.radio import AT86RF231, RadioSetting
 from topogen.synth import SynthScenario, chain_scenario, generate
 from topogen.trees import KappaSpec, monitored_bfs, reduce_tree
 
@@ -30,8 +30,8 @@ def report(name):
 
 
 def test_link_budget_arithmetic():
-    assert budget(RadioSetting(-17, -63)) == 46
-    assert bound_for_settings(RadioSetting(-3, -66)) == 63
+    assert RadioSetting(-17, -63).budget == 46
+    assert RadioSetting(-3, -66).budget == 63
     report("link-budget arithmetic (46 dB and 63 dB worked examples, exact)")
 
 

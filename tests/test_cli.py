@@ -52,6 +52,43 @@ def test_synth_seed_override(tmp_path):
     assert a.entries != b.entries
 
 
+NAN = float("nan")
+# case: (scenario fields, start of the error after the path)
+BAD_SCENARIOS = {
+    "NaN spacing": ({"kind": "grid", "rows": 2, "cols": 2, "spacing": NAN}, "spacing nan"),
+    "NaN reference loss": (
+        {"kind": "grid", "rows": 2, "cols": 2, "spacing": 1.0, "reference_loss": NAN},
+        "reference_loss nan"),
+    "negative reference loss": (
+        {"kind": "grid", "rows": 2, "cols": 2, "spacing": 1.0, "reference_loss": -1.0},
+        "reference_loss -1.0 is a negative loss"),
+    "infinite sigma": (
+        {"kind": "grid", "rows": 2, "cols": 2, "spacing": 1.0, "shadowing_sigma": float("inf")},
+        "shadowing_sigma inf"),
+    "NaN position": (
+        {"kind": "log-distance", "positions": {"0": [0, 0, 0], "1": [NAN, 1, 0]}},
+        "positions[1].x nan"),
+    "overflowing distance": (
+        {"kind": "log-distance", "positions": {"0": [-1e308, 0, 0], "1": [1e308, 0, 0]}},
+        "loss 0 -> 1 inf"),
+    "negative chain loss": (
+        {"kind": "chain", "n": 3, "on_loss": -5, "off_loss": 90}, "on_loss -5 is a negative loss"),
+    "infinite chain loss": (
+        {"kind": "chain", "n": 3, "on_loss": 45, "off_loss": float("inf")}, "off_loss inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
+def test_synth_names_a_non_finite_or_negative_field(tmp_path, capsys, case):
+    fields, detail = BAD_SCENARIOS[case]
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"format": io.SCENARIO_FORMAT, **fields}))
+    out = tmp_path / "out"
+    assert main(["synth", str(scenario), "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: {scenario}: {detail}")
+    assert not out.exists()
+
+
 def test_ingest_round_trip(tmp_path, capsys):
     log = tmp_path / "campaign.log"
     log.write_text(
@@ -129,13 +166,17 @@ def test_ingest_min_count_must_be_a_positive_integer(tmp_path, capsys, value, re
 
 def test_ingest_names_a_log_that_is_not_utf8(tmp_path, capsys):
     log = tmp_path / "campaign.log"
-    log.write_bytes(b"0 1 3 -40 26 0\n0 1 3 \xff40 26 1\n")
     out = tmp_path / "out"
-    assert main(["ingest", str(log), "--out", str(out)]) == EXIT_INPUT
-    assert capsys.readouterr().err.startswith(
-        f"error: {log}: 'utf-8' codec can't decode byte 0xff in position"
-    )
-    assert not out.exists()
+    # 10,000 lines put the bad byte far past the first 8 KiB decode chunk
+    for valid in (1, 10_000):
+        prefix = b"".join(b"0 1 3 -40 26 %d\n" % seq for seq in range(valid))
+        log.write_bytes(prefix + b"0 1 3 \xff40 26 1\n0 1 3 -40 26 0\n")
+        assert main(["ingest", str(log), "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {log}:{valid + 1}: 'utf-8' codec can't decode byte 0xff "
+            "in position 6: invalid start byte\n"
+        )
+        assert not out.exists()
 
 
 def test_analyze_chain(tmp_path):

@@ -185,7 +185,7 @@ def test_objective_matches_highs_on_5x5_grid(beta):
         for v, coefficient in constraint.coefficients.items():
             rows[i, column[v]] = coefficient
     highs = scipy_optimize.milp(
-        -np.array([program.objective[v] for v in program.variables], dtype=float),
+        -np.ones(len(program.variables)),
         constraints=scipy_optimize.LinearConstraint(
             rows, -np.inf, [constraint.rhs for constraint in program.constraints]
         ),

@@ -9,20 +9,18 @@ from topogen.ilp import (
     Constraint,
     brute_force,
     check_feasible,
-    evaluate_objective,
     solve,
 )
 
 
-def program(variables, sense, objective, constraints):
-    return BinaryProgram(variables, sense, objective, constraints)
+def program(variables, sense, constraints):
+    return BinaryProgram(variables, sense, constraints)
 
 
 def test_maximize_with_tie_takes_first_branch():
     p = program(
         ["x1", "x2"],
         "maximize",
-        {"x1": 1, "x2": 1},
         [Constraint({"x1": 1, "x2": 1}, "<=", 1)],
     )
     solution = solve(p)
@@ -32,7 +30,7 @@ def test_maximize_with_tie_takes_first_branch():
 
 
 def test_minimize_simple():
-    p = program(["x1"], "minimize", {"x1": 1}, [Constraint({"x1": 1}, ">=", 1)])
+    p = program(["x1"], "minimize", [Constraint({"x1": 1}, ">=", 1)])
     solution = solve(p)
     assert solution.objective_value == 1
     assert solution.assignment == {"x1": 1}
@@ -42,7 +40,6 @@ def test_infeasible():
     p = program(
         ["x1"],
         "maximize",
-        {"x1": 1},
         [Constraint({"x1": 1}, ">=", 1), Constraint({"x1": 1}, "<=", 0)],
     )
     for result in (solve(p), brute_force(p)):
@@ -55,10 +52,9 @@ def test_brute_force_matches_on_examples():
         program(
             ["x1", "x2"],
             "maximize",
-            {"x1": 1, "x2": 1},
             [Constraint({"x1": 1, "x2": 1}, "<=", 1)],
         ),
-        program(["x1"], "minimize", {"x1": 1}, [Constraint({"x1": 1}, ">=", 1)]),
+        program(["x1"], "minimize", [Constraint({"x1": 1}, ">=", 1)]),
     ]
     for p in examples:
         assert brute_force(p).assignment == solve(p).assignment
@@ -68,7 +64,6 @@ def test_brute_force_enumeration_count():
     p = program(
         list(range(10)),
         "maximize",
-        {v: 1 for v in range(10)},
         [Constraint({v: 1 for v in range(10)}, "<=", 4)],
     )
     assert brute_force(p).explored == 2**10
@@ -78,7 +73,6 @@ def test_brute_force_variable_limit():
     p = program(
         list(range(25)),
         "maximize",
-        {v: 1 for v in range(25)},
         [Constraint({v: 1 for v in range(25)}, "<=", 4)],
     )
     with pytest.raises(ValueError, match="brute-force limit"):
@@ -86,37 +80,36 @@ def test_brute_force_variable_limit():
 
 
 def test_solve_variable_limit():
-    p = program(list(range(300)), "maximize", {v: 1 for v in range(300)}, [])
+    p = program(list(range(300)), "maximize", [])
     with pytest.raises(ValueError, match="decompose"):
         solve(p)
 
 
-def test_unreferenced_variable_assigned_zero():
-    p = program(
-        ["a", "free"],
-        "maximize",
-        {"a": 1},
-        [Constraint({"a": 1}, "<=", 1)],
-    )
-    for result in (solve(p), brute_force(p)):
-        assert result.assignment == {"a": 1, "free": 0}
+def test_unconstrained_variable_takes_its_better_value():
+    constraints = [Constraint({"a": 1}, ">=", 1)]
+    for sense, free in (("maximize", 1), ("minimize", 0)):
+        p = program(["a", "free"], sense, constraints)
+        for result in (solve(p), brute_force(p)):
+            assert result.assignment == {"a": 1, "free": free}
+            assert result.objective_value == 1 + free
 
 
 def test_validation_errors():
     with pytest.raises(ValueError, match="sense"):
-        solve(program(["a"], "max", {"a": 1}, []))
+        solve(program(["a"], "max", []))
     with pytest.raises(ValueError, match="undeclared"):
-        solve(program(["a"], "maximize", {"b": 1}, []))
-    with pytest.raises(ValueError, match="undeclared"):
-        solve(program(["a"], "maximize", {}, [Constraint({"b": 1}, "<=", 1)]))
+        solve(program(["a"], "maximize", [Constraint({"b": 1}, "<=", 1)]))
     with pytest.raises(ValueError, match="non-integer"):
-        solve(program(["a"], "maximize", {"a": 1.5}, []))
+        solve(program(["a"], "maximize", [Constraint({"a": 1.5}, "<=", 1)]))
+    for oracle in (solve, brute_force):
+        with pytest.raises(ValueError, match="unknown comparator '=='"):
+            oracle(program(["a"], "maximize", [Constraint({"a": 1}, "==", 1)]))
 
 
 def test_solve_equals_brute_force_on_random_programs():
     rng = random.Random(42)
     programs = [random_program(rng, rng.randrange(1, 16)) for _ in range(250)]
-    # 0/1 objectives under <= constraints, where the packing bound prunes
+    # maximize programs under <= constraints, where the packing bound prunes
     rng = random.Random(43)
     programs += [random_unit_program(rng, rng.randrange(1, 16)) for _ in range(250)]
     rng = random.Random(44)
@@ -139,7 +132,7 @@ def test_returned_objective_is_attained():
         solution = solve(p)
         if solution.status == "optimal":
             assert check_feasible(p, solution.assignment)
-            assert evaluate_objective(p, solution.assignment) == solution.objective_value
+            assert sum(solution.assignment.values()) == solution.objective_value
 
 
 def test_satisfied_constraint_keeps_optimum():

@@ -7,11 +7,10 @@ from helpers import matrix_from_losses, pearson
 from topogen.measurements import (
     ChannelMismatchError,
     LossColumns,
-    LossSample,
     Rejection,
     build_loss_matrix,
+    check_record,
     distance_loss_correlation,
-    format_sample,
     parse_campaign_log,
     warn_low_counts,
 )
@@ -22,7 +21,7 @@ def test_parse_single_record():
     assert rejections == []
     assert columns == LossColumns(losses={(3, 7): [63.0]}, channels={17})
     assert len(columns) == 1
-    assert LossSample(tx=3, rx=7, tx_power=3.0, rssi=-60.0, channel=17, seq=42).loss == 63.0
+    assert check_record(tx=3, rx=7, tx_power=3.0, rssi=-60.0, channel=17, seq=42) == 63.0
 
 
 def test_parse_empty_stream():
@@ -81,7 +80,7 @@ def test_parse_rejects_non_finite_levels_last(line, reason):
     assert rejections == [Rejection(1, line, reason)]
     tx, rx, tx_power, rssi, channel, seq = line.split()
     with pytest.raises(ValueError, match=reason):
-        LossSample(int(tx), int(rx), float(tx_power), float(rssi), int(channel), int(seq))
+        check_record(int(tx), int(rx), float(tx_power), float(rssi), int(channel), int(seq))
 
 
 def test_parse_never_aborts_on_partial_corruption():
@@ -94,17 +93,21 @@ def test_parse_never_aborts_on_partial_corruption():
 def test_format_parse_round_trip_bit_exact():
     rng = random.Random(7)
     originals = [
-        LossSample(
-            tx=rng.randrange(100),
-            rx=rng.randrange(100, 200),
-            tx_power=rng.uniform(-17, 3),
-            rssi=rng.uniform(-101, -20),
-            channel=rng.randrange(11, 27),
-            seq=rng.randrange(10**6),
+        (
+            rng.randrange(100),
+            rng.randrange(100, 200),
+            rng.uniform(-17, 3),
+            rng.uniform(-101, -20),
+            rng.randrange(11, 27),
+            rng.randrange(10**6),
         )
         for _ in range(50)
     ]
-    text = [format_sample(s) for s in originals]
+    # repr keeps every bit of the float levels
+    text = [
+        f"{tx} {rx} {tx_power!r} {rssi!r} {channel} {seq}"
+        for tx, rx, tx_power, rssi, channel, seq in originals
+    ]
     parsed, rejections = parse_campaign_log(text)
     assert rejections == []
     assert parsed == columns(originals)
@@ -112,15 +115,17 @@ def test_format_parse_round_trip_bit_exact():
 
 
 def sample(tx, rx, loss, channel=17, seq=0):
-    return LossSample(tx=tx, rx=rx, tx_power=3.0, rssi=3.0 - loss, channel=channel, seq=seq)
+    """A (tx, rx, tx_power, rssi, channel, seq) record with the given loss."""
+    return (tx, rx, 3.0, 3.0 - loss, channel, seq)
 
 
-def columns(samples):
-    """The loss columns of samples, in the order given."""
+def columns(records):
+    """The loss columns of records, in the order given."""
     result = LossColumns()
-    for s in samples:
-        result.losses.setdefault((s.tx, s.rx), []).append(s.loss)
-        result.channels.add(s.channel)
+    for record in records:
+        tx, rx, _, _, channel, _ = record
+        result.losses.setdefault((tx, rx), []).append(check_record(*record))
+        result.channels.add(channel)
     return result
 
 

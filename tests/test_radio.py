@@ -4,16 +4,14 @@ from topogen.radio import (
     AT86RF231,
     RadioSetting,
     TransceiverProfile,
-    bound_for_settings,
-    budget,
     settings_for_bound,
 )
 
 
 def test_budget_worked_examples():
-    assert budget(RadioSetting(-17, -63)) == 46
-    assert budget(RadioSetting(3, -101)) == 104
-    assert budget(RadioSetting(-17, -48)) == 31
+    assert RadioSetting(-17, -63).budget == 46
+    assert RadioSetting(3, -101).budget == 104
+    assert RadioSetting(-17, -48).budget == 31
 
 
 def test_default_profile_budget_range():
@@ -52,14 +50,14 @@ def test_settings_below_minimum_is_error():
 
 
 def test_bound_for_settings_inverse():
-    assert bound_for_settings(RadioSetting(-3, -66)) == 63
+    assert RadioSetting(-3, -66).budget == 63
     for beta in (31, 46, 63, 80, 104):
         for option in settings_for_bound(beta, AT86RF231, guard=0):
-            assert bound_for_settings(option.base) == beta
-            assert bound_for_settings(option.guarded) == beta
+            assert option.base.budget == beta
+            assert option.guarded.budget == beta
     for option in settings_for_bound(46, AT86RF231, guard=3):
         if option.guarded is not None:
-            assert bound_for_settings(option.guarded) == 49
+            assert option.guarded.budget == 49
 
 
 def test_guard_never_decreases_budget():
