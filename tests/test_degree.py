@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -194,3 +195,34 @@ def test_objective_matches_highs_on_5x5_grid(beta):
     )
     assert highs.success
     assert ilp.solve(program).objective_value == round(-highs.fun)
+
+
+def grid_sweep(size, seed):
+    """Per-bound degree programs of the c=3 sweep on a benchmark-style grid."""
+    matrix = synth.grid_scenario(
+        size, size, 3.0, path_loss_exponent=3.0, shadowing_sigma=4.0,
+        asymmetry_sigma=1.0, seed=seed,
+    )
+    for beta in GraphFamily(matrix).betas():
+        yield beta, build_degree_program(neighborhood_graph(matrix, beta), 3)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_sweep_assignments_equal_brute_force_on_4x4_grids(seed):
+    for beta, program in grid_sweep(4, seed):
+        exact = ilp.solve(program)
+        oracle = ilp.brute_force(program)
+        assert (exact.status, exact.objective_value, exact.assignment) == (
+            oracle.status, oracle.objective_value, oracle.assignment
+        ), beta
+
+
+def test_sweep_selections_pinned_on_5x5_grid():
+    # sha256 of every bound's selected set, recorded before the solver's
+    # search changed, so a faster search must pick the same optimum
+    lines = []
+    for beta, program in grid_sweep(5, 1):
+        selected = [v for v, value in ilp.solve(program).assignment.items() if value]
+        lines.append(f"{beta:g} {selected}\n")
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == "bd408df4ee916024d8eacab44e4042d117fd5e99b46c12d505514db9bef18683"
