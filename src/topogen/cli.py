@@ -159,6 +159,9 @@ def cmd_degree(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     io.write_manifest(args.out, "degree", _manifest_args(args), [args.matrix])
     if not selections:
+        # A selection left by an earlier run must not outlive this manifest.
+        for name in ("selection.json", "selection.dot"):
+            (args.out / name).unlink(missing_ok=True)
         print(f"no nonempty selection at any beta for c={args.c}")
         return EXIT_OK
     best = degree.largest_component_selection(selections)

@@ -3,32 +3,44 @@
 Covers exactly the two program shapes the topology pipeline needs:
 maximize or minimize the number of selected (value 1) binary variables
 under ``<=`` and ``>=`` constraints with integer coefficients. Solved by
-deterministic branch-and-bound (feasibility pruning plus best-so-far
-count bound), so results are reproducible byte-for-byte without an
-external solver.
+deterministic branch-and-bound with constraint propagation, so results
+are reproducible byte-for-byte without an external solver.
 
-Count bound: when maximizing, every variable not yet fixed can still be
-1; each ``<=`` constraint tightens this into a packing bound. With every
-unfixed negative coefficient taken, the constraint has ``slack`` left;
-each of its ``cnt`` unfixed variables with a positive coefficient uses
-at least ``minpos`` of it, so at most ``fit = slack // minpos`` of them
-can be 1 and the bound drops by ``cnt - fit``. The largest drop over the
-constraints is the one applied. When minimizing, every unfixed variable
-can still be 0, so the bound is the count selected so far.
+Propagation: every constraint is kept as a ``<=`` row (a ``>=`` row is
+negated) with its slack, the right-hand side minus the least activity
+the row can still reach with every free variable at its cheaper value.
+Fixing a variable lowers the slack of the rows whose activity it grows;
+a slack below 0 is a conflict, and a free term whose ``|coef|`` exceeds
+the slack can take only its cheaper value, so it is forced to it (0 for
+a positive coefficient, 1 for a negative one). Forced values propagate
+in turn until nothing changes. On the degree program this is, for
+example, "a node with more than c selected neighbours cannot be
+selected".
 
-Determinism contract: variables are branched in declaration order, the
-1-branch is explored first when maximizing and the 0-branch first when
-minimizing, and the incumbent is replaced only on strict improvement.
-The brute-force oracle enumerates assignments in the same order, so both
-return identical assignments, not just identical counts. Both bounds
-cut only subtrees that cannot strictly beat the incumbent, and no such
-subtree can replace it, so the sequence of incumbents, and with it the
-returned assignment, is that of the unpruned search.
+Count bound: when maximizing, every free variable can still be 1; each
+row tightens this into a packing bound. Each of the row's ``count``
+free variables with a positive coefficient uses at least ``minpos`` of
+its slack, so at most ``slack // minpos`` of them can be 1 and the bound
+drops by the rest. The largest drop over the rows is the one applied.
+When minimizing, every free variable can still be 0, so the bound is the
+count selected so far.
+
+Determinism contract: variables are branched in declaration order (a
+forced variable has one value left and is not branched), the 1-branch is
+explored first when maximizing and the 0-branch first when minimizing,
+and the incumbent is replaced only on strict improvement. The
+brute-force oracle enumerates assignments in the same order, so both
+return identical assignments, not just identical counts. A forced value
+removes only subtrees with no feasible leaf, and the bound cuts only
+subtrees that cannot strictly beat the incumbent, so the sequence of
+incumbents, and with it the returned assignment, is that of the
+unpruned search: the first optimum in branch order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import floordiv, sub
 from typing import Hashable
 
 import numpy as np
@@ -40,6 +52,7 @@ SENSES = ("maximize", "minimize")
 
 DEFAULT_VARIABLE_LIMIT = 256
 BRUTE_FORCE_LIMIT = 20
+FREE = -1  # value of a variable not yet fixed
 
 
 @dataclass(frozen=True)
@@ -107,82 +120,98 @@ def solve(program: BinaryProgram) -> Solution:
             f"{n} variables exceed limit {DEFAULT_VARIABLE_LIMIT}; decompose the program"
         )
     maximize = program.sense == "maximize"
+    index = {v: j for j, v in enumerate(order)}
 
-    cons = []
-    touching: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    # Every row as "<=": its terms (|coef|, variable, the value a too large
+    # |coef| forces), largest first; its slack over the least activity; the
+    # count and least coefficient of its positive terms.
+    terms: list[list[tuple[int, int, int]]] = []
+    slack0: list[int] = []
+    count0: list[int] = []
+    minpos: list[int] = []
+    # Per variable and value, the rows whose activity that value grows:
+    # (row, by how much, the row's largest |coef|, the row's terms).
+    grows: list[tuple[list, list]] = [([], []) for _ in range(n)]
+    positive: list[list[int]] = [[] for _ in range(n)]
     for constraint in program.constraints:
-        coefs = [constraint.coefficients.get(v, 0) for v in order]
-        lo = [0] * (n + 1)
-        hi = [0] * (n + 1)
-        # Packing bound: count and least coefficient of the variables >= d
-        # with a positive coefficient; kept only when maximizing, read only
-        # for "<=".
-        cnt = [0] * (n + 1)
-        minpos = [0] * (n + 1)
-        for d in range(n - 1, -1, -1):
-            c = coefs[d]
-            lo[d] = lo[d + 1] + min(0, c)
-            hi[d] = hi[d + 1] + max(0, c)
-            cnt[d], minpos[d] = cnt[d + 1], minpos[d + 1]
-            if maximize and c > 0:
-                cnt[d] += 1
-                minpos[d] = min(minpos[d], c) if cnt[d + 1] else c
-        ci = len(cons)
-        cons.append((constraint.op, constraint.rhs, lo, hi, cnt, minpos))
-        for d, c in enumerate(coefs):
-            if c != 0:
-                touching[d].append((ci, c))
+        sign = 1 if constraint.op == "<=" else -1
+        row = len(terms)
+        coefs = [(sign * c, index[v]) for v, c in constraint.coefficients.items() if c]
+        row_terms = sorted(((abs(c), j, int(c < 0)) for c, j in coefs), reverse=True)
+        terms.append(row_terms)
+        slack0.append(sign * constraint.rhs - sum(c for c, _ in coefs if c < 0))
+        count0.append(sum(1 for c, _ in coefs if c > 0))
+        minpos.append(min((c for c, _ in coefs if c > 0), default=1))
+        for c, j in coefs:
+            grows[j][c > 0].append((row, abs(c), row_terms[0][0], row_terms))
+            if c > 0:
+                positive[j].append(row)
 
-    best: int | None = None
-    best_assign: list[int] | None = None
-    values = [0] * n
-    sums = [0] * len(cons)
+    def propagate(values, slack, count, queue) -> bool:
+        """Apply the values set for ``queue``; False on a conflict."""
+        for j in queue:  # grows while it is read
+            for row in positive[j]:
+                count[row] -= 1
+            for row, c, top, row_terms in grows[j][values[j]]:
+                left = slack[row] - c
+                if left < 0:
+                    return False
+                slack[row] = left
+                if left < top:
+                    for c, k, forced in row_terms:
+                        if c <= left:
+                            break
+                        if values[k] == FREE:
+                            values[k] = forced
+                            queue.append(k)
+        return True
+
+    best = -1 if maximize else n + 1
+    best_values: list[int] | None = None
     branch_values = (1, 0) if maximize else (0, 1)
     explored = 0
 
-    def recurse(d: int, partial: int):
-        nonlocal best, best_assign, explored
+    def search(values, slack, count):
+        nonlocal best, best_values, explored
         explored += 1
-        # How far the subtree's count bound is past the incumbent; with no
-        # incumbent, past any packing drop (at most n).
-        room = n + 1
-        if best is not None:
-            room = partial + (n - d) - best if maximize else best - partial
-            if room <= 0:
+        ones = values.count(1)
+        if maximize:
+            room = ones + values.count(FREE) - best
+            drop = max(map(sub, count, map(floordiv, slack, minpos)), default=0)
+            if room <= 0 or room <= drop:
                 return
-        for ci, (op, rhs, lo, hi, cnt, minpos) in enumerate(cons):
-            if op == "<=":
-                low = sums[ci] + lo[d]
-                if low > rhs:
-                    return
-                if cnt[d] and cnt[d] - (rhs - low) // minpos[d] >= room:
-                    return
-            elif sums[ci] + hi[d] < rhs:
-                return
-        if d == n:
-            # Feasible, and strictly better than any incumbent (room > 0).
-            best = partial
-            best_assign = values.copy()
+        elif best <= ones:
             return
+        if FREE not in values:
+            # Feasible, and strictly better than any incumbent.
+            best, best_values = ones, values
+            return
+        d = values.index(FREE)
         for value in branch_values:
-            values[d] = value
-            if value:
-                for ci, c in touching[d]:
-                    sums[ci] += c
-            recurse(d + 1, partial + value)
-            if value:
-                for ci, c in touching[d]:
-                    sums[ci] -= c
+            child, child_slack, child_count = values.copy(), slack.copy(), count.copy()
+            child[d] = value
+            if propagate(child, child_slack, child_count, [d]):
+                search(child, child_slack, child_count)
 
-    recurse(0, 0)
+    values = [FREE] * n
+    queue = []
+    for row, row_terms in enumerate(terms):
+        for c, k, forced in row_terms:
+            if c <= slack0[row]:
+                break
+            if values[k] == FREE:
+                values[k] = forced
+                queue.append(k)
+    if min(slack0, default=0) >= 0 and propagate(values, slack0, count0, queue):
+        search(values, slack0, count0)
 
-    if best_assign is None:
+    if best_values is None:
         return Solution(
             status="infeasible", assignment={}, objective_value=None, explored=explored
         )
     return Solution(
         status="optimal",
-        assignment=dict(zip(order, best_assign)),
+        assignment=dict(zip(order, best_values)),
         objective_value=best,
         explored=explored,
     )

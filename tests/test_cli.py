@@ -245,6 +245,19 @@ def test_degree_no_selection(tmp_path, capsys):
     assert "no nonempty selection at any beta" in capsys.readouterr().out
 
 
+def test_degree_no_selection_removes_an_earlier_selection(tmp_path):
+    matrix = write_chain_matrix(tmp_path)
+    out = tmp_path / "o"
+    grid = ["--beta-min", "40", "--beta-max", "60", "--beta-step", "10"]
+    assert main(["degree", str(matrix), "1", "--out", str(out), *grid]) == EXIT_OK
+    assert (out / "selection.json").exists() and (out / "selection.dot").exists()
+    assert main(["degree", str(matrix), "99", "--out", str(out), *grid]) == EXIT_OK
+    assert not (out / "selection.json").exists()
+    assert not (out / "selection.dot").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["arguments"]["c"] == 99
+
+
 def test_tree_chain(tmp_path, capsys):
     matrix = write_chain_matrix(tmp_path)
     out = tmp_path / "out"
