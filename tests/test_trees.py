@@ -251,11 +251,15 @@ def test_reduce_keeps_sole_parent_chain():
 
 
 def reduction_oracle(tree, matrix, kappa):
-    """Brute-force minimum node count over all keep-subsets."""
-    reducible = sorted(set().union(*tree.levels[1:]))
-    graph = neighborhood_graph(matrix, tree.beta)
-    best = None
+    """Brute-force least-size valid reduction of ``tree``.
+
+    Among the least-size keep-sets, returns the tree whose 0/1 keep vector
+    is lexicographically smallest in declaration order (level by level,
+    sorted), which is the one the solver must pick.
+    """
+    reducible = [u for level in tree.levels[1:] for u in sorted(level)]
     for size in range(len(reducible) + 1):
+        found = []
         for keep in itertools.combinations(reducible, size):
             keep_set = set(keep)
             levels = [frozenset({tree.root})] + [
@@ -269,11 +273,11 @@ def reduction_oracle(tree, matrix, kappa):
                 depth=tree.depth,
             )
             if not check_tree(candidate, matrix, kappa):
-                best = candidate.total_nodes
-                break
-        if best is not None:
-            break
-    return best
+                vector = tuple(int(u in keep_set) for u in reducible)
+                found.append((vector, candidate))
+        if found:
+            return min(found, key=lambda item: item[0])[1]
+    return None
 
 
 def test_reduction_matches_brute_force():
@@ -287,7 +291,7 @@ def test_reduction_matches_brute_force():
             continue
         reduced = reduce_tree(tree, matrix, ONE)
         assert check_tree(reduced, matrix, ONE) == []
-        assert reduced.total_nodes == reduction_oracle(tree, matrix, ONE)
+        assert reduced == reduction_oracle(tree, matrix, ONE)
         assert reduced.total_nodes <= tree.total_nodes
         checked += 1
 
