@@ -47,12 +47,12 @@ def build_degree_program(graph: BoundedGraph, c: int) -> ilp.BinaryProgram:
         # c*x(u) - sum x(v) <= 0
         lower = {v: -1 for v in neighbors}
         lower[u] = c
-        constraints.append(ilp.Constraint(lower, "<=", 0))
+        constraints.append(ilp.Constraint(lower, 0))
         # sum x(v) + m*x(u) <= c + m
         upper = {v: 1 for v in neighbors}
         upper[u] = m
-        constraints.append(ilp.Constraint(upper, "<=", c + m))
-    return ilp.BinaryProgram(variables=nodes, sense="maximize", constraints=constraints)
+        constraints.append(ilp.Constraint(upper, c + m))
+    return ilp.BinaryProgram(variables=nodes, constraints=constraints)
 
 
 def verify_regular(selection: DegreeSelection) -> list[int]:

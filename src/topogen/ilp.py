@@ -1,40 +1,35 @@
 """Exact solver for binary integer linear programs.
 
-Covers exactly the two program shapes the topology pipeline needs:
-maximize or minimize the number of selected (value 1) binary variables
-under ``<=`` and ``>=`` constraints with integer coefficients. Solved by
-deterministic branch-and-bound with constraint propagation, so results
-are reproducible byte-for-byte without an external solver.
+Solves the one program shape the topology pipeline needs: maximize the
+number of selected (value 1) binary variables under ``<=`` constraints
+with integer coefficients. Solved by deterministic branch-and-bound with
+constraint propagation, so results are reproducible byte-for-byte
+without an external solver.
 
-Propagation: every constraint is kept as a ``<=`` row (a ``>=`` row is
-negated) with its slack, the right-hand side minus the least activity
-the row can still reach with every free variable at its cheaper value.
-Fixing a variable lowers the slack of the rows whose activity it grows;
-a slack below 0 is a conflict, and a free term whose ``|coef|`` exceeds
-the slack can take only its cheaper value, so it is forced to it (0 for
-a positive coefficient, 1 for a negative one). Forced values propagate
-in turn until nothing changes. On the degree program this is, for
-example, "a node with more than c selected neighbours cannot be
-selected".
+Propagation: every row keeps its slack, the right-hand side minus the
+least activity the row can still reach with every free variable at its
+cheaper value. Fixing a variable lowers the slack of the rows whose
+activity it grows; a slack below 0 is a conflict, and a free term whose
+``|coef|`` exceeds the slack can take only its cheaper value, so it is
+forced to it (0 for a positive coefficient, 1 for a negative one).
+Forced values propagate in turn until nothing changes. On the degree
+program this is, for example, "a node with more than c selected
+neighbours cannot be selected".
 
-Count bound: when maximizing, every free variable can still be 1; each
-row tightens this into a packing bound. Each of the row's ``count``
-free variables with a positive coefficient uses at least ``minpos`` of
-its slack, so at most ``slack // minpos`` of them can be 1 and the bound
-drops by the rest. The largest drop over the rows is the one applied.
-When minimizing, every free variable can still be 0, so the bound is the
-count selected so far.
+Count bound: every free variable can still be 1; each row tightens this
+into a packing bound. Each of the row's ``count`` free variables with a
+positive coefficient uses at least ``minpos`` of its slack, so at most
+``slack // minpos`` of them can be 1 and the bound drops by the rest.
+The largest drop over the rows is the one applied.
 
 Determinism contract: variables are branched in declaration order (a
-forced variable has one value left and is not branched), the 1-branch is
-explored first when maximizing and the 0-branch first when minimizing,
-and the incumbent is replaced only on strict improvement. The
-brute-force oracle enumerates assignments in the same order, so both
-return identical assignments, not just identical counts. A forced value
-removes only subtrees with no feasible leaf, and the bound cuts only
-subtrees that cannot strictly beat the incumbent, so the sequence of
-incumbents, and with it the returned assignment, is that of the
-unpruned search: the first optimum in branch order.
+forced variable has one value left and is not branched), the 1-branch
+first, and the incumbent is replaced only on strict improvement. A
+forced value removes only subtrees with no feasible leaf, and the bound
+cuts only subtrees that cannot strictly beat the incumbent, so the
+sequence of incumbents, and with it the returned assignment, is that of
+the unpruned search: the first optimum in branch order, which is the
+lexicographically greatest optimal 0/1 vector in declaration order.
 """
 
 from __future__ import annotations
@@ -43,44 +38,32 @@ from dataclasses import dataclass, field
 from operator import floordiv, sub
 from typing import Hashable
 
-import numpy as np
-
 VarId = Hashable
 
-OPS = ("<=", ">=")
-SENSES = ("maximize", "minimize")
-
 DEFAULT_VARIABLE_LIMIT = 256
-BRUTE_FORCE_LIMIT = 20
 FREE = -1  # value of a variable not yet fixed
 
 
 @dataclass(frozen=True)
 class Constraint:
-    """Linear constraint: sum of coefficient * variable  op  rhs."""
+    """Linear constraint: sum of coefficient * variable <= rhs."""
 
     coefficients: dict[VarId, int]
-    op: str
     rhs: int
 
 
 @dataclass
 class BinaryProgram:
-    """Maximize or minimize the count of variables set to 1."""
+    """Maximize the count of variables set to 1."""
 
     variables: list[VarId]
-    sense: str
     constraints: list[Constraint] = field(default_factory=list)
 
     def validate(self):
-        if self.sense not in SENSES:
-            raise ValueError(f"unknown sense {self.sense!r}")
         declared = set(self.variables)
         if len(declared) != len(self.variables):
             raise ValueError("duplicate variable ids")
         for i, constraint in enumerate(self.constraints):
-            if constraint.op not in OPS:
-                raise ValueError(f"constraint {i}: unknown comparator {constraint.op!r}")
             if not isinstance(constraint.rhs, int):
                 raise ValueError(f"constraint {i}: non-integer right-hand side")
             for var, coef in constraint.coefficients.items():
@@ -100,16 +83,6 @@ class Solution:
     explored: int | None = None  # B&B nodes entered, or assignments enumerated
 
 
-def check_feasible(program: BinaryProgram, assignment: dict[VarId, int]) -> bool:
-    for constraint in program.constraints:
-        lhs = sum(c * assignment[v] for v, c in constraint.coefficients.items())
-        if constraint.op == "<=" and lhs > constraint.rhs:
-            return False
-        if constraint.op == ">=" and lhs < constraint.rhs:
-            return False
-    return True
-
-
 def solve(program: BinaryProgram) -> Solution:
     """Solve to proven optimality by deterministic branch-and-bound."""
     program.validate()
@@ -119,12 +92,11 @@ def solve(program: BinaryProgram) -> Solution:
         raise ValueError(
             f"{n} variables exceed limit {DEFAULT_VARIABLE_LIMIT}; decompose the program"
         )
-    maximize = program.sense == "maximize"
     index = {v: j for j, v in enumerate(order)}
 
-    # Every row as "<=": its terms (|coef|, variable, the value a too large
-    # |coef| forces), largest first; its slack over the least activity; the
-    # count and least coefficient of its positive terms.
+    # Per row: its terms (|coef|, variable, the value a too large |coef|
+    # forces), largest first; its slack over the least activity; the count
+    # and least coefficient of its positive terms.
     terms: list[list[tuple[int, int, int]]] = []
     slack0: list[int] = []
     count0: list[int] = []
@@ -134,12 +106,11 @@ def solve(program: BinaryProgram) -> Solution:
     grows: list[tuple[list, list]] = [([], []) for _ in range(n)]
     positive: list[list[int]] = [[] for _ in range(n)]
     for constraint in program.constraints:
-        sign = 1 if constraint.op == "<=" else -1
         row = len(terms)
-        coefs = [(sign * c, index[v]) for v, c in constraint.coefficients.items() if c]
+        coefs = [(c, index[v]) for v, c in constraint.coefficients.items() if c]
         row_terms = sorted(((abs(c), j, int(c < 0)) for c, j in coefs), reverse=True)
         terms.append(row_terms)
-        slack0.append(sign * constraint.rhs - sum(c for c, _ in coefs if c < 0))
+        slack0.append(constraint.rhs - sum(c for c, _ in coefs if c < 0))
         count0.append(sum(1 for c, _ in coefs if c > 0))
         minpos.append(min((c for c, _ in coefs if c > 0), default=1))
         for c, j in coefs:
@@ -166,28 +137,24 @@ def solve(program: BinaryProgram) -> Solution:
                             queue.append(k)
         return True
 
-    best = -1 if maximize else n + 1
+    best = -1
     best_values: list[int] | None = None
-    branch_values = (1, 0) if maximize else (0, 1)
     explored = 0
 
     def search(values, slack, count):
         nonlocal best, best_values, explored
         explored += 1
         ones = values.count(1)
-        if maximize:
-            room = ones + values.count(FREE) - best
-            drop = max(map(sub, count, map(floordiv, slack, minpos)), default=0)
-            if room <= 0 or room <= drop:
-                return
-        elif best <= ones:
+        room = ones + values.count(FREE) - best
+        drop = max(map(sub, count, map(floordiv, slack, minpos)), default=0)
+        if room <= 0 or room <= drop:
             return
         if FREE not in values:
             # Feasible, and strictly better than any incumbent.
             best, best_values = ones, values
             return
         d = values.index(FREE)
-        for value in branch_values:
+        for value in (1, 0):
             child, child_slack, child_count = values.copy(), slack.copy(), count.copy()
             child[d] = value
             if propagate(child, child_slack, child_count, [d]):
@@ -214,47 +181,4 @@ def solve(program: BinaryProgram) -> Solution:
         assignment=dict(zip(order, best_values)),
         objective_value=best,
         explored=explored,
-    )
-
-
-def brute_force(program: BinaryProgram) -> Solution:
-    """Exhaustive-search oracle, enumerating in the solver's branch order."""
-    program.validate()
-    order = program.variables
-    n = len(order)
-    if n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"{n} variables exceed brute-force limit {BRUTE_FORCE_LIMIT}")
-    maximize = program.sense == "maximize"
-
-    count = 1 << n
-    codes = np.arange(count, dtype=np.int64)
-    if maximize:
-        # 1-branch first with variable 0 most significant: descending codes.
-        codes = codes[::-1]
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    bits = (codes[:, None] >> shifts[None, :]) & 1
-
-    feasible = np.ones(count, dtype=bool)
-    for constraint in program.constraints:
-        coefs = np.array([constraint.coefficients.get(v, 0) for v in order], dtype=np.int64)
-        lhs = bits @ coefs
-        if constraint.op == "<=":
-            feasible &= lhs <= constraint.rhs
-        else:
-            feasible &= lhs >= constraint.rhs
-
-    if not feasible.any():
-        return Solution(
-            status="infeasible", assignment={}, objective_value=None, explored=count
-        )
-    counts = bits.sum(axis=1)
-    masked = np.where(feasible, counts, -1 if maximize else n + 1)
-    # argmax/argmin return the first index, which is the first assignment
-    # in branch order attaining the optimum.
-    pick = int(np.argmax(masked) if maximize else np.argmin(masked))
-    return Solution(
-        status="optimal",
-        assignment={v: int(bits[pick, k]) for k, v in enumerate(order)},
-        objective_value=int(counts[pick]),
-        explored=count,
     )

@@ -196,18 +196,6 @@ def load_selection(path: Path | str) -> DegreeSelection:
         )
 
 
-def save_profile(profile: TransceiverProfile, path: Path | str):
-    _dump(
-        {
-            "format": PROFILE_FORMAT,
-            "name": profile.name,
-            "tx_levels": list(profile.tx_levels),
-            "sensitivity_levels": list(profile.sensitivity_levels),
-        },
-        path,
-    )
-
-
 def load_profile(path: Path | str) -> TransceiverProfile:
     with _load(path, PROFILE_FORMAT) as document:
         levels = {}

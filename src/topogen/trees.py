@@ -233,28 +233,28 @@ def check_tree(
 def build_reduction_program(
     tree: LayeredTree, graph: BoundedGraph, kappa: KappaSpec
 ) -> ilp.BinaryProgram:
-    """Binary program minimizing the node count of a layered tree.
+    """Binary program dropping the most nodes from a layered tree.
 
-    Variables cover levels 1..depth; the root is a constant 1 in parent
-    sums, not a variable. Per level the selected count must reach the
-    breadth requirement, and a node may stay only if at least one of its
-    potential parents stays.
+    Variables are drop flags d = 1 - keep over levels 1..depth; the root
+    always stays. Level i drops at most ``len(level) - kappa(i)`` nodes,
+    and a node whose non-root parents P are all dropped is dropped too:
+    ``sum(d_v for v in P) - d_u <= len(P) - 1``, with no row when the
+    root is a parent.
     """
     variables = []
     for i in range(1, tree.depth + 1):
         variables.extend(sorted(tree.levels[i]))
     constraints = []
     for i in range(1, tree.depth + 1):
-        constraints.append(
-            ilp.Constraint({u: 1 for u in sorted(tree.levels[i])}, ">=", kappa(i))
-        )
-        for u in sorted(tree.levels[i]):
+        level = sorted(tree.levels[i])
+        constraints.append(ilp.Constraint(dict.fromkeys(level, 1), len(level) - kappa(i)))
+        for u in level:
             parents = graph.adjacency[u] & tree.levels[i - 1]
-            constant = 1 if tree.root in parents else 0
-            coefficients = {v: -1 for v in sorted(parents) if v != tree.root}
-            coefficients[u] = 1
-            constraints.append(ilp.Constraint(coefficients, "<=", constant))
-    return ilp.BinaryProgram(variables=variables, sense="minimize", constraints=constraints)
+            if tree.root not in parents:
+                coefficients = dict.fromkeys(sorted(parents), 1)
+                coefficients[u] = -1
+                constraints.append(ilp.Constraint(coefficients, len(parents) - 1))
+    return ilp.BinaryProgram(variables=variables, constraints=constraints)
 
 
 def reduce_tree(
@@ -270,7 +270,7 @@ def reduce_tree(
     solution = ilp.solve(program)
     if solution.status != "optimal":
         raise ValueError("reduction infeasible: input tree violates its requirements")
-    keep = {u for u, value in solution.assignment.items() if value}
+    keep = {u for u, dropped in solution.assignment.items() if not dropped}
     levels = [frozenset({tree.root})]
     for i in range(1, tree.depth + 1):
         levels.append(frozenset(tree.levels[i] & keep))

@@ -1,10 +1,17 @@
-"""Shared fixture builders for the test suite."""
+"""Shared fixture builders and oracles for the test suite."""
 
+import json
 import random
+from pathlib import Path
 
+import numpy as np
+
+from topogen import io
 from topogen.graphs import BoundedGraph
-from topogen.ilp import BinaryProgram, Constraint
+from topogen.ilp import BinaryProgram, Constraint, Solution
 from topogen.measurements import LossMatrix, MatrixEntry
+
+BRUTE_FORCE_LIMIT = 20
 
 
 def matrix_from_losses(losses, nodes=None, channel=26):
@@ -37,30 +44,39 @@ def random_matrix(rng: random.Random, n, present=0.7, lo=35.0, hi=100.0):
 
 
 def random_program(rng: random.Random, n):
+    """Random program drawn with either sense and either comparator.
+
+    A ``>=`` row is negated into a ``<=`` row, and a minimize program is
+    complemented (x -> 1 - x, rhs -> rhs - sum of coefficients), so the
+    result is the solver's one shape: maximize the ones under ``<=`` rows.
+    """
     variables = list(range(n))
-    constraints = []
+    rows = []
     for _ in range(rng.randint(1, max(1, n))):
         chosen = rng.sample(variables, rng.randint(1, n))
         coefficients = {v: rng.randint(-4, 4) for v in chosen}
-        constraints.append(
-            Constraint(coefficients, rng.choice(["<=", ">="]), rng.randint(-5, 8))
-        )
+        sign = rng.choice([1, -1])  # a "<=" row, or a ">=" row negated
+        rows.append(({v: sign * c for v, c in coefficients.items()}, sign * rng.randint(-5, 8)))
+    if rng.choice([False, True]):  # minimize, complemented
+        rows = [
+            ({v: -c for v, c in coefficients.items()}, rhs - sum(coefficients.values()))
+            for coefficients, rhs in rows
+        ]
     return BinaryProgram(
         variables=variables,
-        sense=rng.choice(["maximize", "minimize"]),
-        constraints=constraints,
+        constraints=[Constraint(coefficients, rhs) for coefficients, rhs in rows],
     )
 
 
 def random_unit_program(rng: random.Random, n):
-    """Maximize the count under mixed-sign ``<=`` constraints."""
+    """Program of mixed-sign rows with mostly positive coefficients."""
     variables = list(range(n))
     constraints = []
     for _ in range(rng.randint(1, n)):
         chosen = rng.sample(variables, rng.randint(1, n))
         coefficients = {v: rng.randint(-2, 4) for v in chosen}
-        constraints.append(Constraint(coefficients, "<=", rng.randint(-2, 8)))
-    return BinaryProgram(variables=variables, sense="maximize", constraints=constraints)
+        constraints.append(Constraint(coefficients, rng.randint(-2, 8)))
+    return BinaryProgram(variables=variables, constraints=constraints)
 
 
 def random_graph(rng: random.Random, n, density):
@@ -93,3 +109,58 @@ def pearson(xs, ys):
     vx = sum((x - mx) ** 2 for x in xs)
     vy = sum((y - my) ** 2 for y in ys)
     return cov / (vx**0.5 * vy**0.5)
+
+
+def check_feasible(program: BinaryProgram, assignment) -> bool:
+    return all(
+        sum(c * assignment[v] for v, c in constraint.coefficients.items()) <= constraint.rhs
+        for constraint in program.constraints
+    )
+
+
+def brute_force(program: BinaryProgram) -> Solution:
+    """Exhaustive-search oracle, enumerating in the solver's branch order."""
+    program.validate()
+    order = program.variables
+    n = len(order)
+    if n > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"{n} variables exceed brute-force limit {BRUTE_FORCE_LIMIT}")
+
+    count = 1 << n
+    # 1-branch first with variable 0 most significant: descending codes.
+    codes = np.arange(count - 1, -1, -1, dtype=np.int64)
+    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+    bits = (codes[:, None] >> shifts[None, :]) & 1
+
+    feasible = np.ones(count, dtype=bool)
+    for constraint in program.constraints:
+        coefs = np.array([constraint.coefficients.get(v, 0) for v in order], dtype=np.int64)
+        feasible &= bits @ coefs <= constraint.rhs
+
+    if not feasible.any():
+        return Solution(
+            status="infeasible", assignment={}, objective_value=None, explored=count
+        )
+    counts = bits.sum(axis=1)
+    # argmax returns the first index, which is the first assignment in
+    # branch order attaining the optimum.
+    pick = int(np.argmax(np.where(feasible, counts, -1)))
+    return Solution(
+        status="optimal",
+        assignment={v: int(bits[pick, k]) for k, v in enumerate(order)},
+        objective_value=int(counts[pick]),
+        explored=count,
+    )
+
+
+def save_profile(profile, path):
+    """Write a transceiver profile in the format ``io.load_profile`` reads."""
+    document = {
+        "format": io.PROFILE_FORMAT,
+        "name": profile.name,
+        "tx_levels": list(profile.tx_levels),
+        "sensitivity_levels": list(profile.sensitivity_levels),
+    }
+    Path(path).write_text(
+        json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )

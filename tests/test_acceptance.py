@@ -12,7 +12,7 @@ import random
 import time
 from pathlib import Path
 
-from helpers import best_regular_subset_size, random_matrix, random_program
+from helpers import best_regular_subset_size, brute_force, random_matrix, random_program
 from topogen import ilp, io
 from topogen.cli import main
 from topogen.degree import select_constant_degree, verify_regular
@@ -80,7 +80,9 @@ def test_ilp_oracle_equivalence():
     rng = random.Random(4096)
     for _ in range(200):
         program = random_program(rng, rng.randrange(1, 16))
-        assert ilp.solve(program).objective_value == ilp.brute_force(program).objective_value
+        exact, oracle = ilp.solve(program), brute_force(program)
+        assert exact.objective_value == oracle.objective_value
+        assert exact.assignment == oracle.assignment
     degree_checked = 0
     while degree_checked < 50:
         matrix = random_matrix(rng, rng.randrange(3, 13), present=0.55)

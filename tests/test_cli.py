@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from helpers import save_profile
 from topogen import degree, graphs, io, trees
 from topogen.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 from topogen.radio import AT86RF231
@@ -476,7 +477,7 @@ def test_malformed_file_is_input_error(tmp_path, capsys, case):
     positions = tmp_path / "positions.json"
     io.save_positions({i: (float(i), 0.0, 0.0) for i in range(3)}, positions)
     profile = tmp_path / "profile.json"
-    io.save_profile(AT86RF231, profile)
+    save_profile(AT86RF231, profile)
     path, argv = {
         "matrix": (matrix, ["degree", str(matrix), "1", "--out", str(tmp_path / "o")]),
         "tree": (tree, ["verify", str(tree), str(matrix), "--kappa", "const:1"]),

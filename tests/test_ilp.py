@@ -2,27 +2,19 @@ import random
 
 import pytest
 
-from helpers import random_graph, random_program, random_unit_program
-from topogen.degree import build_degree_program
-from topogen.ilp import (
-    BinaryProgram,
-    Constraint,
+from helpers import (
     brute_force,
     check_feasible,
-    solve,
+    random_graph,
+    random_program,
+    random_unit_program,
 )
-
-
-def program(variables, sense, constraints):
-    return BinaryProgram(variables, sense, constraints)
+from topogen.degree import build_degree_program
+from topogen.ilp import BinaryProgram, Constraint, solve
 
 
 def test_maximize_with_tie_takes_first_branch():
-    p = program(
-        ["x1", "x2"],
-        "maximize",
-        [Constraint({"x1": 1, "x2": 1}, "<=", 1)],
-    )
+    p = BinaryProgram(["x1", "x2"], [Constraint({"x1": 1, "x2": 1}, 1)])
     solution = solve(p)
     assert solution.status == "optimal"
     assert solution.objective_value == 1
@@ -30,18 +22,17 @@ def test_maximize_with_tie_takes_first_branch():
 
 
 def test_minimize_simple():
-    p = program(["x1"], "minimize", [Constraint({"x1": 1}, ">=", 1)])
+    # minimize x1 subject to x1 >= 1, complemented: y1 = 1 - x1 is
+    # maximized subject to y1 <= 0
+    p = BinaryProgram(["y1"], [Constraint({"y1": 1}, 0)])
     solution = solve(p)
-    assert solution.objective_value == 1
-    assert solution.assignment == {"x1": 1}
+    assert solution.objective_value == 0
+    assert solution.assignment == {"y1": 0}
 
 
 def test_infeasible():
-    p = program(
-        ["x1"],
-        "maximize",
-        [Constraint({"x1": 1}, ">=", 1), Constraint({"x1": 1}, "<=", 0)],
-    )
+    # x1 >= 1 negated, and x1 <= 0
+    p = BinaryProgram(["x1"], [Constraint({"x1": -1}, -1), Constraint({"x1": 1}, 0)])
     for result in (solve(p), brute_force(p)):
         assert result.status == "infeasible"
         assert result.objective_value is None
@@ -49,67 +40,51 @@ def test_infeasible():
 
 def test_brute_force_matches_on_examples():
     examples = [
-        program(
-            ["x1", "x2"],
-            "maximize",
-            [Constraint({"x1": 1, "x2": 1}, "<=", 1)],
-        ),
-        program(["x1"], "minimize", [Constraint({"x1": 1}, ">=", 1)]),
+        BinaryProgram(["x1", "x2"], [Constraint({"x1": 1, "x2": 1}, 1)]),
+        BinaryProgram(["y1"], [Constraint({"y1": 1}, 0)]),
     ]
     for p in examples:
         assert brute_force(p).assignment == solve(p).assignment
 
 
 def test_brute_force_enumeration_count():
-    p = program(
-        list(range(10)),
-        "maximize",
-        [Constraint({v: 1 for v in range(10)}, "<=", 4)],
-    )
+    p = BinaryProgram(list(range(10)), [Constraint({v: 1 for v in range(10)}, 4)])
     assert brute_force(p).explored == 2**10
 
 
 def test_brute_force_variable_limit():
-    p = program(
-        list(range(25)),
-        "maximize",
-        [Constraint({v: 1 for v in range(25)}, "<=", 4)],
-    )
+    p = BinaryProgram(list(range(25)), [Constraint({v: 1 for v in range(25)}, 4)])
     with pytest.raises(ValueError, match="brute-force limit"):
         brute_force(p)
 
 
 def test_solve_variable_limit():
-    p = program(list(range(300)), "maximize", [])
+    p = BinaryProgram(list(range(300)), [])
     with pytest.raises(ValueError, match="decompose"):
         solve(p)
 
 
 def test_unconstrained_variable_takes_its_better_value():
-    constraints = [Constraint({"a": 1}, ">=", 1)]
-    for sense, free in (("maximize", 1), ("minimize", 0)):
-        p = program(["a", "free"], sense, constraints)
+    # a >= 1 negated; and the minimize program complemented, which turns
+    # the row into a <= 0 and leaves the free variable unconstrained
+    for constraint, a in ((Constraint({"a": -1}, -1), 1), (Constraint({"a": 1}, 0), 0)):
+        p = BinaryProgram(["a", "free"], [constraint])
         for result in (solve(p), brute_force(p)):
-            assert result.assignment == {"a": 1, "free": free}
-            assert result.objective_value == 1 + free
+            assert result.assignment == {"a": a, "free": 1}
+            assert result.objective_value == a + 1
 
 
 def test_validation_errors():
-    with pytest.raises(ValueError, match="sense"):
-        solve(program(["a"], "max", []))
     with pytest.raises(ValueError, match="undeclared"):
-        solve(program(["a"], "maximize", [Constraint({"b": 1}, "<=", 1)]))
+        solve(BinaryProgram(["a"], [Constraint({"b": 1}, 1)]))
     with pytest.raises(ValueError, match="non-integer"):
-        solve(program(["a"], "maximize", [Constraint({"a": 1.5}, "<=", 1)]))
-    for oracle in (solve, brute_force):
-        with pytest.raises(ValueError, match="unknown comparator '=='"):
-            oracle(program(["a"], "maximize", [Constraint({"a": 1}, "==", 1)]))
+        solve(BinaryProgram(["a"], [Constraint({"a": 1.5}, 1)]))
 
 
 def test_solve_equals_brute_force_on_random_programs():
     rng = random.Random(42)
     programs = [random_program(rng, rng.randrange(1, 16)) for _ in range(250)]
-    # maximize programs under <= constraints, where the packing bound prunes
+    # rows of mostly positive coefficients, where the packing bound prunes
     rng = random.Random(43)
     programs += [random_unit_program(rng, rng.randrange(1, 16)) for _ in range(250)]
     rng = random.Random(44)
@@ -146,7 +121,7 @@ def test_satisfied_constraint_keeps_optimum():
         # a constraint the optimum already satisfies with slack
         lhs = sum(solution.assignment[v] for v in p.variables)
         p.constraints.append(
-            Constraint({v: 1 for v in p.variables}, "<=", lhs + 1)
+            Constraint({v: 1 for v in p.variables}, lhs + 1)
         )
         assert solve(p).objective_value == solution.objective_value
         checked += 1

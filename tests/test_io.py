@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from helpers import symmetric_matrix
+from helpers import save_profile, symmetric_matrix
 from topogen import io
 from topogen.degree import select_constant_degree
 from topogen.graphs import GraphFamily, neighborhood_graph
@@ -58,7 +58,7 @@ def test_selection_round_trip(tmp_path):
 
 def test_profile_round_trip(tmp_path):
     path = tmp_path / "profile.json"
-    io.save_profile(AT86RF231, path)
+    save_profile(AT86RF231, path)
     assert io.load_profile(path) == AT86RF231
 
 

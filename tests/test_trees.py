@@ -5,9 +5,10 @@ from collections import deque
 import pytest
 
 from helpers import matrix_from_losses, random_matrix, symmetric_matrix
+from topogen import ilp
 from topogen.graphs import GraphFamily, neighborhood_graph
 from topogen.measurements import LossMatrix, MatrixEntry
-from topogen.synth import chain_scenario
+from topogen.synth import chain_scenario, grid_scenario
 from topogen.trees import (
     KappaSpec,
     LayeredTree,
@@ -294,6 +295,25 @@ def test_reduction_matches_brute_force():
         assert reduced == reduction_oracle(tree, matrix, ONE)
         assert reduced.total_nodes <= tree.total_nodes
         checked += 1
+
+
+@pytest.mark.parametrize(
+    "root, beta, depth, cap",
+    # the drop program's packing bound explored 121 and 7,770 nodes; the
+    # keep program it replaced explored 79,421 and 288,545
+    [(51, 103, 1, 250), (21, 70, 2, 16000)],
+)
+def test_packing_bound_keeps_the_reduction_small(root, beta, depth, cap):
+    # a count, not a timing
+    matrix = grid_scenario(
+        8, 8, 3.0, path_loss_exponent=3.0, shadowing_sigma=4.0,
+        asymmetry_sigma=1.0, seed=3,
+    )
+    kappa = KappaSpec.parse("table:1=3,2=2")
+    tree = monitored_bfs(matrix, root, beta, 15, kappa)
+    assert tree.depth == depth
+    program = build_reduction_program(tree, neighborhood_graph(matrix, beta), kappa)
+    assert ilp.solve(program).explored <= cap
 
 
 def test_reduction_program_root_is_constant():
