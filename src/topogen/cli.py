@@ -185,15 +185,8 @@ def cmd_tree(args) -> int:
         family = graphs.GraphFamily(
             matrix=matrix, beta_min=args.beta, beta_max=args.beta, step=1.0
         )
-    if args.root is not None:
-        candidates = [
-            trees.monitored_bfs(matrix, args.root, beta, args.margin, kappa)
-            for beta in family.betas()
-        ]
-        candidates.sort(key=trees.rank_key)
-    else:
-        candidates = trees.sweep_trees(matrix, kappa, args.margin, family)
-    best = candidates[0]
+    roots = None if args.root is None else [args.root]
+    best = trees.sweep_trees(matrix, kappa, args.margin, family, roots)[0]
     if args.reduce:
         best = trees.reduce_tree(best, matrix, kappa)
     violations = trees.check_tree(best, matrix, kappa)

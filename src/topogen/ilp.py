@@ -24,12 +24,14 @@ The largest drop over the rows is the one applied.
 
 Determinism contract: variables are branched in declaration order (a
 forced variable has one value left and is not branched), the 1-branch
-first, and the incumbent is replaced only on strict improvement. A
-forced value removes only subtrees with no feasible leaf, and the bound
-cuts only subtrees that cannot strictly beat the incumbent, so the
-sequence of incumbents, and with it the returned assignment, is that of
-the unpruned search: the first optimum in branch order, which is the
-lexicographically greatest optimal 0/1 vector in declaration order.
+first, depth first over an explicit stack, so no recursion limit caps
+the program size. The incumbent is replaced only on strict improvement.
+A forced value removes only subtrees with no feasible leaf, and the
+bound cuts only subtrees that cannot strictly beat the incumbent, so
+the sequence of incumbents, and with it the returned assignment, is
+that of the unpruned search: the first optimum in branch order, which
+is the lexicographically greatest optimal 0/1 vector in declaration
+order.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from typing import Hashable
 
 VarId = Hashable
 
-DEFAULT_VARIABLE_LIMIT = 256
 FREE = -1  # value of a variable not yet fixed
 
 
@@ -83,15 +84,21 @@ class Solution:
     explored: int | None = None  # B&B nodes entered, or assignments enumerated
 
 
+def force(row_terms, left: int, values: list[int], queue: list[int]):
+    """Force each free term whose ``|coef|`` exceeds ``left`` and queue it."""
+    for c, k, forced in row_terms:
+        if c <= left:
+            break
+        if values[k] == FREE:
+            values[k] = forced
+            queue.append(k)
+
+
 def solve(program: BinaryProgram) -> Solution:
     """Solve to proven optimality by deterministic branch-and-bound."""
     program.validate()
     order = program.variables
     n = len(order)
-    if n > DEFAULT_VARIABLE_LIMIT:
-        raise ValueError(
-            f"{n} variables exceed limit {DEFAULT_VARIABLE_LIMIT}; decompose the program"
-        )
     index = {v: j for j, v in enumerate(order)}
 
     # Per row: its terms (|coef|, variable, the value a too large |coef|
@@ -129,48 +136,38 @@ def solve(program: BinaryProgram) -> Solution:
                     return False
                 slack[row] = left
                 if left < top:
-                    for c, k, forced in row_terms:
-                        if c <= left:
-                            break
-                        if values[k] == FREE:
-                            values[k] = forced
-                            queue.append(k)
+                    force(row_terms, left, values, queue)
         return True
 
     best = -1
     best_values: list[int] | None = None
     explored = 0
-
-    def search(values, slack, count):
-        nonlocal best, best_values, explored
+    values, queue = [FREE] * n, []
+    for row_terms, left in zip(terms, slack0):
+        force(row_terms, left, values, queue)
+    stack = []
+    if min(slack0, default=0) >= 0 and propagate(values, slack0, count0, queue):
+        stack.append((values, slack0, count0))
+    # The 1-child is pushed last, so its subtree is searched in full before
+    # the 0-child is popped, entered and bound-checked against the incumbent.
+    while stack:
+        values, slack, count = stack.pop()
         explored += 1
         ones = values.count(1)
         room = ones + values.count(FREE) - best
         drop = max(map(sub, count, map(floordiv, slack, minpos)), default=0)
         if room <= 0 or room <= drop:
-            return
+            continue
         if FREE not in values:
             # Feasible, and strictly better than any incumbent.
             best, best_values = ones, values
-            return
+            continue
         d = values.index(FREE)
-        for value in (1, 0):
+        for value in (0, 1):
             child, child_slack, child_count = values.copy(), slack.copy(), count.copy()
             child[d] = value
             if propagate(child, child_slack, child_count, [d]):
-                search(child, child_slack, child_count)
-
-    values = [FREE] * n
-    queue = []
-    for row, row_terms in enumerate(terms):
-        for c, k, forced in row_terms:
-            if c <= slack0[row]:
-                break
-            if values[k] == FREE:
-                values[k] = forced
-                queue.append(k)
-    if min(slack0, default=0) >= 0 and propagate(values, slack0, count0, queue):
-        search(values, slack0, count0)
+                stack.append((child, child_slack, child_count))
 
     if best_values is None:
         return Solution(

@@ -162,11 +162,16 @@ def load_tree(path: Path | str) -> LayeredTree:
             beta=_finite(document["beta"], "beta"),
             margin=_finite(document["margin"], "margin"),
             levels=tuple(
-                frozenset(_node_id(n, f"levels[{i}]") for n in level)
-                for i, level in enumerate(document["levels"])
+                _level(level, f"levels[{i}]") for i, level in enumerate(document["levels"])
             ),
             depth=document["depth"],
         )
+
+
+def _level(level, where: str) -> frozenset[int]:
+    if not isinstance(level, list):
+        raise ValueError(f"{where}: expected a list of node ids, found {level!r}")
+    return frozenset(_node_id(n, where) for n in level)
 
 
 def save_selection(selection: DegreeSelection, path: Path | str):
@@ -251,14 +256,9 @@ def load_scenario_matrix(path: Path | str, seed: int | None = None) -> LossMatri
         raise ValueError(f"unknown scenario kind {kind!r}")
 
 
-def graph_to_dot(graph: BoundedGraph, positions: NodePositions | None = None) -> str:
+def graph_to_dot(graph: BoundedGraph) -> str:
     lines = ["graph topology {"]
-    for node in graph.nodes:
-        if positions and node in positions:
-            x, y = positions[node][0], positions[node][1]
-            lines.append(f'  {node} [pos="{x},{y}!"];')
-        else:
-            lines.append(f"  {node};")
+    lines.extend(f"  {node};" for node in graph.nodes)
     for a, b in sorted(graph.edges):
         lines.append(f"  {a} -- {b};")
     lines.append("}")

@@ -87,6 +87,8 @@ class LayeredTree:
     depth: int
 
     def __post_init__(self):
+        if not self.levels:
+            raise ValueError("levels: a tree needs at least its root level")
         if self.depth != len(self.levels) - 1:
             raise ValueError("depth must equal number of levels minus one")
         if math.isnan(self.beta + self.margin):
@@ -171,14 +173,17 @@ def sweep_trees(
     kappa: KappaSpec,
     margin: float,
     family: GraphFamily,
+    roots: list[int] | None = None,
 ) -> list[LayeredTree]:
     """One tree per (bound, root) pair, best first by ``rank_key``.
 
-    Bound by bound, so the matrix's per-bound mask vectors serve every root.
+    The roots default to every node. Bound by bound, so the matrix's
+    per-bound mask vectors serve every root.
     """
+    roots = sorted(matrix.nodes) if roots is None else roots
     trees = []
     for beta in family.betas():
-        for v0 in sorted(matrix.nodes):
+        for v0 in roots:
             trees.append(monitored_bfs(matrix, v0, beta, margin, kappa))
     return sorted(trees, key=rank_key)
 

@@ -302,6 +302,18 @@ def test_tree_reduce_flag(tmp_path):
     assert reduced.total_nodes < full.total_nodes
 
 
+def test_tree_reduces_a_star_of_300_leaves(tmp_path, capsys):
+    from helpers import symmetric_matrix
+
+    matrix = tmp_path / "star.json"
+    io.save_matrix(symmetric_matrix({(0, leaf): 45.0 for leaf in range(1, 301)}), matrix)
+    out = tmp_path / "out"
+    argv = ["tree", str(matrix), "--kappa", "const:3", "--reduce", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert "root 0, beta 45, margin 15, depth 1, 4 nodes" in capsys.readouterr().out
+    assert io.load_tree(out / "tree.json").levels == (frozenset({0}), frozenset({298, 299, 300}))
+
+
 def test_settings_output(tmp_path, capsys):
     assert main(["settings", "46"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -445,6 +457,8 @@ MALFORMED = {
     "string node id": ("matrix", lambda d: {**d, "nodes": [*d["nodes"], "a"]}, "nodes[3]"),
     "boolean node id": ("matrix", lambda d: {**d, "nodes": [*d["nodes"], True]}, "nodes[3]"),
     "list tree root": ("tree", lambda d: {**d, "root": [d["root"]]}, "root: node id [0]"),
+    "tree without any level": ("tree", lambda d: {**d, "levels": [], "depth": -1}, "levels"),
+    "scalar tree level": ("tree", lambda d: {**d, "levels": [[0], 5]}, "levels[1]"),
     "string level member": (
         "tree", lambda d: {**d, "levels": [*d["levels"][:-1], ["a"]]}, "levels[2]: node id 'a'"),
     "boolean tree bound": ("tree", lambda d: {**d, "beta": True}, "beta True"),

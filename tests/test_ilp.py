@@ -58,10 +58,19 @@ def test_brute_force_variable_limit():
         brute_force(p)
 
 
-def test_solve_variable_limit():
-    p = BinaryProgram(list(range(300)), [])
-    with pytest.raises(ValueError, match="decompose"):
-        solve(p)
+def test_solve_has_no_variable_limit():
+    p = BinaryProgram(list(range(300)), [Constraint(dict.fromkeys(range(300), 1), 4)])
+    solution = solve(p)
+    assert solution.objective_value == 4
+    # the first optimum in branch order
+    assert solution.assignment == {v: int(v < 4) for v in range(300)}
+
+
+def test_search_depth_is_not_capped_by_recursion():
+    # every variable is branched on the way to the first leaf, 1,200 deep,
+    # past CPython's default recursion limit of 1,000
+    solution = solve(BinaryProgram(list(range(1200)), []))
+    assert solution.objective_value == 1200
 
 
 def test_unconstrained_variable_takes_its_better_value():
