@@ -19,7 +19,7 @@ from .degree import DegreeSelection
 from .graphs import BoundedGraph
 from .measurements import LossMatrix, MatrixEntry, NodePositions
 from .radio import TransceiverProfile
-from .synth import SynthScenario, chain_scenario, generate, grid_scenario
+from .synth import chain_scenario, finite, generate, grid_scenario
 from .trees import LayeredTree, parents_of
 
 MATRIX_FORMAT = "loss-matrix/1"
@@ -56,12 +56,6 @@ def _load(path: Path | str, expected_format: str):
 def _node_id(value, where: str) -> int:
     if type(value) is not int:  # bool is an int subclass, but not a node id
         raise ValueError(f"{where}: node id {value!r} is not an integer")
-    return value
-
-
-def _finite(value, where: str) -> float:
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"{where} {value!r} is not a finite number")
     return value
 
 
@@ -135,7 +129,7 @@ def load_positions(path: Path | str) -> NodePositions:
     with _load(path, POSITIONS_FORMAT) as document:
         return {
             _node_id(item["node"], f"positions[{i}].node"): tuple(
-                _finite(item[axis], f"positions[{i}].{axis}") for axis in "xyz"
+                finite(item[axis], f"positions[{i}].{axis}") for axis in "xyz"
             )
             for i, item in enumerate(document["positions"])
         }
@@ -159,8 +153,8 @@ def load_tree(path: Path | str) -> LayeredTree:
     with _load(path, TREE_FORMAT) as document:
         return LayeredTree(
             root=_node_id(document["root"], "root"),
-            beta=_finite(document["beta"], "beta"),
-            margin=_finite(document["margin"], "margin"),
+            beta=finite(document["beta"], "beta"),
+            margin=finite(document["margin"], "margin"),
             levels=tuple(
                 _level(level, f"levels[{i}]") for i, level in enumerate(document["levels"])
             ),
@@ -208,7 +202,7 @@ def load_profile(path: Path | str) -> TransceiverProfile:
             values = document[name]
             if not isinstance(values, list):
                 raise ValueError(f"{name}: expected a list of numbers")
-            levels[name] = tuple(_finite(v, f"{name}[{i}]") for i, v in enumerate(values))
+            levels[name] = tuple(finite(v, f"{name}[{i}]") for i, v in enumerate(values))
         return TransceiverProfile(name=document["name"], **levels)
 
 
@@ -216,44 +210,39 @@ def load_scenario_matrix(path: Path | str, seed: int | None = None) -> LossMatri
     """Read a scenario file and generate its loss matrix.
 
     Kinds: ``log-distance`` (explicit positions), ``grid`` and ``chain``.
-    A non-None ``seed`` overrides the scenario's own seed.
+    Every other field is passed by name to the kind's generator, so an
+    unknown field is an error. A non-None ``seed`` overrides the
+    scenario's own seed.
     """
     with _load(path, SCENARIO_FORMAT) as document:
+        del document["format"]
+        kind = document.pop("kind", None)
         if seed is not None:
             document["seed"] = seed
-        kind = document.get("kind")
         if kind == "chain":
-            return chain_scenario(
-                n=document["n"],
-                on_loss=document["on_loss"],
-                off_loss=document["off_loss"],
-                channel=document.get("channel", 26),
-            )
-        params = {
-            key: document[key]
-            for key in (
-                "reference_loss",
-                "path_loss_exponent",
-                "shadowing_sigma",
-                "asymmetry_sigma",
-                "seed",
-                "channel",
-            )
-            if key in document
-        }
+            return chain_scenario(**document)
         if kind == "grid":
-            return grid_scenario(
-                rows=document["rows"],
-                cols=document["cols"],
-                spacing=document["spacing"],
-                **params,
-            )
+            return grid_scenario(**document)
         if kind == "log-distance":
-            positions = {
-                int(node): tuple(p) for node, p in document["positions"].items()
-            }
-            return generate(SynthScenario.from_positions(positions, **params))
+            document["positions"] = _position_ids(document["positions"])
+            return generate(**document)
         raise ValueError(f"unknown scenario kind {kind!r}")
+
+
+def _position_ids(positions) -> NodePositions:
+    """A scenario's ``positions`` object, keyed by integer node id."""
+    if not isinstance(positions, dict):
+        raise ValueError(f"positions: expected an object, found {type(positions).__name__}")
+    by_id: NodePositions = {}
+    for key, position in positions.items():
+        try:
+            node = int(key)
+        except ValueError:
+            raise ValueError(f"positions: node id {key!r} is not an integer") from None
+        if node in by_id:
+            raise ValueError(f"positions: node id {key!r} repeats node {node}")
+        by_id[node] = position
+    return by_id
 
 
 def graph_to_dot(graph: BoundedGraph) -> str:

@@ -113,10 +113,6 @@ class LossMatrix:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def loss(self, tx: int, rx: int) -> float | None:
-        entry = self.entries.get((tx, rx))
-        return entry.mean_loss if entry is not None else None
-
     @cached_property
     def edge_births(self) -> dict[int, tuple[list[float], list[int]]]:
         """Per node, its neighbours in the order their edges are born.

@@ -10,7 +10,6 @@ in the matrix metadata.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,43 +20,11 @@ GENERATOR_ID = "numpy-pcg64-per-pair"
 SYNTH_COUNT = 250  # nominal campaign size recorded for generated entries
 
 
-def _check_finite(name: str, value: float):
-    if not math.isfinite(value):
-        raise ValueError(f"{name} {value!r} is not a finite number")
-
-
-@dataclass(frozen=True)
-class SynthScenario:
-    positions: tuple[tuple[int, tuple[float, float, float]], ...]
-    reference_loss: float = 40.0
-    path_loss_exponent: float = 2.0
-    shadowing_sigma: float = 0.0
-    asymmetry_sigma: float = 0.0
-    seed: int = 0
-    channel: int = 26
-
-    def __post_init__(self):
-        for name in ("reference_loss", "path_loss_exponent", "shadowing_sigma",
-                     "asymmetry_sigma"):
-            _check_finite(name, getattr(self, name))
-        if self.reference_loss < 0:
-            raise ValueError(f"reference_loss {self.reference_loss!r} is a negative loss")
-        if self.path_loss_exponent <= 0:
-            raise ValueError("path loss exponent must be positive")
-        if self.shadowing_sigma < 0 or self.asymmetry_sigma < 0:
-            raise ValueError("sigmas must be >= 0")
-        if len(self.positions) < 2:
-            raise ValueError("need at least 2 positioned nodes")
-        for node, position in self.positions:
-            if node < 0:
-                raise ValueError("node ids must be non-negative")
-            for axis, value in zip("xyz", position):
-                _check_finite(f"positions[{node}].{axis}", value)
-
-    @classmethod
-    def from_positions(cls, positions: NodePositions, **params) -> "SynthScenario":
-        items = tuple(sorted((n, tuple(p)) for n, p in positions.items()))
-        return cls(positions=items, **params)
+def finite(value, where: str) -> float:
+    """``value`` if it is a finite int or float; any other type, bool included, is refused."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{where} {value!r} is not a finite number")
+    return value
 
 
 def _normal(seed_key: list[int], sigma: float) -> float:
@@ -67,7 +34,15 @@ def _normal(seed_key: list[int], sigma: float) -> float:
     return float(rng.normal(0.0, sigma))
 
 
-def generate(scenario: SynthScenario) -> LossMatrix:
+def generate(
+    positions: NodePositions,
+    reference_loss: float = 40.0,
+    path_loss_exponent: float = 2.0,
+    shadowing_sigma: float = 0.0,
+    asymmetry_sigma: float = 0.0,
+    seed: int = 0,
+    channel: int = 26,
+) -> LossMatrix:
     """Directed loss matrix under the log-distance model.
 
     loss(a->b) = reference + 10 * exponent * log10(d(a,b))
@@ -77,7 +52,23 @@ def generate(scenario: SynthScenario) -> LossMatrix:
     direction; both are keyed by (seed, pair), so parallel or reordered
     generation yields identical matrices.
     """
-    positions = dict(scenario.positions)
+    finite(reference_loss, "reference_loss")
+    finite(path_loss_exponent, "path_loss_exponent")
+    finite(shadowing_sigma, "shadowing_sigma")
+    finite(asymmetry_sigma, "asymmetry_sigma")
+    if reference_loss < 0:
+        raise ValueError(f"reference_loss {reference_loss!r} is a negative loss")
+    if path_loss_exponent <= 0:
+        raise ValueError("path loss exponent must be positive")
+    if shadowing_sigma < 0 or asymmetry_sigma < 0:
+        raise ValueError("sigmas must be >= 0")
+    if len(positions) < 2:
+        raise ValueError("need at least 2 positioned nodes")
+    for node, position in sorted(positions.items()):
+        if node < 0:
+            raise ValueError("node ids must be non-negative")
+        for axis, value in zip("xyz", position):
+            finite(value, f"positions[{node}].{axis}")
     nodes = sorted(positions)
     entries: dict[tuple[int, int], MatrixEntry] = {}
     for i, a in enumerate(nodes):
@@ -85,15 +76,10 @@ def generate(scenario: SynthScenario) -> LossMatrix:
             d = math.dist(positions[a], positions[b])
             if d == 0:
                 raise ValueError(f"nodes {a} and {b} have coincident positions")
-            deterministic = (
-                scenario.reference_loss
-                + 10.0 * scenario.path_loss_exponent * math.log10(d)
-            )
-            shadow = _normal([scenario.seed, 0, a, b], scenario.shadowing_sigma)
+            deterministic = reference_loss + 10.0 * path_loss_exponent * math.log10(d)
+            shadow = _normal([seed, 0, a, b], shadowing_sigma)
             for tx, rx, tag in ((a, b, 1), (b, a, 2)):
-                asym = _normal(
-                    [scenario.seed, tag, a, b], scenario.asymmetry_sigma
-                )
+                asym = _normal([seed, tag, a, b], asymmetry_sigma)
                 loss = deterministic + shadow + asym
                 if not math.isfinite(loss):
                     raise ValueError(f"loss {tx} -> {rx} {loss!r} is not a finite number")
@@ -103,15 +89,15 @@ def generate(scenario: SynthScenario) -> LossMatrix:
                 )
     return LossMatrix(
         nodes=nodes,
-        channel=scenario.channel,
+        channel=channel,
         entries=entries,
         meta={
             "generator": GENERATOR_ID,
-            "seed": scenario.seed,
-            "reference_loss": scenario.reference_loss,
-            "path_loss_exponent": scenario.path_loss_exponent,
-            "shadowing_sigma": scenario.shadowing_sigma,
-            "asymmetry_sigma": scenario.asymmetry_sigma,
+            "seed": seed,
+            "reference_loss": reference_loss,
+            "path_loss_exponent": path_loss_exponent,
+            "shadowing_sigma": shadowing_sigma,
+            "asymmetry_sigma": asymmetry_sigma,
         },
     )
 
@@ -126,8 +112,8 @@ def chain_scenario(
     """
     if n < 2:
         raise ValueError("chain needs at least 2 nodes")
-    _check_finite("on_loss", on_loss)
-    _check_finite("off_loss", off_loss)
+    finite(on_loss, "on_loss")
+    finite(off_loss, "off_loss")
     if on_loss < 0:
         raise ValueError(f"on_loss {on_loss!r} is a negative loss")
     if on_loss >= off_loss:
@@ -159,10 +145,7 @@ def grid_scenario(rows: int, cols: int, spacing: float, **params) -> LossMatrix:
     """Regular grid layout fed through the log-distance generator."""
     if rows * cols < 2:
         raise ValueError("grid needs at least 2 nodes")
-    _check_finite("spacing", spacing)
+    finite(spacing, "spacing")
     if spacing <= 0:
         raise ValueError("spacing must be positive")
-    scenario = SynthScenario.from_positions(
-        grid_positions(rows, cols, spacing), **params
-    )
-    return generate(scenario)
+    return generate(grid_positions(rows, cols, spacing), **params)

@@ -18,7 +18,7 @@ from topogen.cli import main
 from topogen.degree import select_constant_degree, verify_regular
 from topogen.graphs import GraphFamily, neighborhood_graph
 from topogen.radio import AT86RF231, RadioSetting
-from topogen.synth import SynthScenario, chain_scenario, generate
+from topogen.synth import chain_scenario, generate
 from topogen.trees import KappaSpec, monitored_bfs, reduce_tree
 
 ONE = KappaSpec(kind="const", value=1)
@@ -48,13 +48,12 @@ def random_synthetic_matrix(rng):
         positions[len(positions)] = (
             rng.uniform(0, 40), rng.uniform(0, 40), 0.0
         )
-    scenario = SynthScenario.from_positions(
+    return generate(
         positions,
         shadowing_sigma=rng.uniform(0, 10),
         asymmetry_sigma=rng.uniform(0, 4),
         seed=rng.randrange(10**6),
     )
-    return generate(scenario)
 
 
 def test_graph_family_monotonicity():

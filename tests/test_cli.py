@@ -76,6 +76,27 @@ BAD_SCENARIOS = {
         {"kind": "chain", "n": 3, "on_loss": -5, "off_loss": 90}, "on_loss -5 is a negative loss"),
     "infinite chain loss": (
         {"kind": "chain", "n": 3, "on_loss": 45, "off_loss": float("inf")}, "off_loss inf"),
+    "misspelt field": (
+        {"kind": "grid", "rows": 2, "cols": 2, "spacing": 1.0, "shadowing_sgima": 4.0},
+        "generate() got an unexpected keyword argument 'shadowing_sgima'"),
+    "positions as a list": (
+        {"kind": "log-distance", "positions": [[0, 0, 0], [1, 0, 0]]},
+        "positions: expected an object, found list"),
+    "repeated position id": (
+        {"kind": "log-distance", "positions": {"0": [0, 0, 0], "00": [1, 0, 0]}},
+        "positions: node id '00' repeats node 0"),
+    "seed on a chain": (
+        {"kind": "chain", "n": 3, "on_loss": 45, "off_loss": 90, "seed": 1},
+        "chain_scenario() got an unexpected keyword argument 'seed'"),
+    "sigma as a string": (
+        {"kind": "grid", "rows": 2, "cols": 2, "spacing": 1.0, "shadowing_sigma": "4"},
+        "shadowing_sigma '4' is not a finite number"),
+    "sigma as a bool": (
+        {"kind": "grid", "rows": 2, "cols": 2, "spacing": 1.0, "shadowing_sigma": True},
+        "shadowing_sigma True is not a finite number"),
+    "missing rows": (
+        {"kind": "grid", "cols": 2, "spacing": 1.0},
+        "grid_scenario() missing 1 required positional argument: 'rows'"),
 }
 
 
@@ -104,7 +125,7 @@ def test_ingest_round_trip(tmp_path, capsys):
     assert "2 samples accepted, 1 lines rejected" in captured
     assert "low count" in captured
     matrix = io.load_matrix(out / "matrix.json")
-    assert matrix.loss(3, 7) == 63.0
+    assert matrix.entries[(3, 7)].mean_loss == 63.0
     assert (out / "manifest.json").exists()
 
 
@@ -126,7 +147,7 @@ def test_ingest_rejects_non_finite_levels(tmp_path, capsys):
     assert "2 samples accepted, 1 lines rejected" in captured
     assert f"rejected {log}:2: non-finite rssi -inf" in captured
     matrix = io.load_matrix(out / "matrix.json")
-    assert matrix.loss(2, 1) == 64.0 and matrix.entries[(2, 1)].count == 1
+    assert matrix.entries[(2, 1)].mean_loss == 64.0 and matrix.entries[(2, 1)].count == 1
 
 
 def test_ingest_rejects_an_aggregate_that_overflows(tmp_path, capsys):

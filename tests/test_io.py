@@ -97,7 +97,7 @@ def test_scenario_kinds(tmp_path):
         )
     )
     matrix = io.load_scenario_matrix(explicit)
-    assert matrix.loss(0, 1) == pytest.approx(60.0)
+    assert matrix.entries[(0, 1)].mean_loss == pytest.approx(60.0)
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"format": io.SCENARIO_FORMAT, "kind": "mystery"}))

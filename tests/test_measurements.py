@@ -140,7 +140,7 @@ def test_build_matrix_two_point_statistics():
 def test_build_matrix_keeps_directions_separate():
     matrix = build_loss_matrix(columns([sample(1, 2, 60)]))
     assert set(matrix.entries) == {(1, 2)}
-    assert matrix.loss(2, 1) is None
+    assert (2, 1) not in matrix.entries
 
 
 def test_build_matrix_250_identical_samples():

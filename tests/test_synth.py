@@ -6,30 +6,22 @@ import pytest
 
 from topogen.graphs import neighborhood_graph
 from topogen.measurements import distance_loss_correlation
-from topogen.synth import (
-    SynthScenario,
-    chain_scenario,
-    generate,
-    grid_positions,
-    grid_scenario,
-)
+from topogen.synth import chain_scenario, generate, grid_positions, grid_scenario
 
 
-def two_node_scenario(distance, **params):
-    return SynthScenario.from_positions(
-        {0: (0.0, 0.0, 0.0), 1: (distance, 0.0, 0.0)}, **params
-    )
+def two_nodes(distance):
+    return {0: (0.0, 0.0, 0.0), 1: (distance, 0.0, 0.0)}
 
 
 def test_reference_loss_at_one_meter():
-    matrix = generate(two_node_scenario(1.0))
-    assert matrix.loss(0, 1) == 40.0
-    assert matrix.loss(1, 0) == 40.0
+    matrix = generate(two_nodes(1.0))
+    assert matrix.entries[(0, 1)].mean_loss == 40.0
+    assert matrix.entries[(1, 0)].mean_loss == 40.0
 
 
 def test_closed_form_at_ten_meters():
-    matrix = generate(two_node_scenario(10.0))
-    assert matrix.loss(0, 1) == pytest.approx(60.0)
+    matrix = generate(two_nodes(10.0))
+    assert matrix.entries[(0, 1)].mean_loss == pytest.approx(60.0)
 
 
 def test_spacing_doubling_closed_form():
@@ -41,39 +33,30 @@ def test_spacing_doubling_closed_form():
 
 
 def test_coincident_positions_error():
-    scenario = SynthScenario.from_positions(
-        {0: (1.0, 2.0, 0.0), 1: (1.0, 2.0, 0.0)}
-    )
     with pytest.raises(ValueError, match="coincident"):
-        generate(scenario)
+        generate({0: (1.0, 2.0, 0.0), 1: (1.0, 2.0, 0.0)})
 
 
 def test_determinism_in_seed():
-    scenario = SynthScenario.from_positions(
-        {i: (float(i), float(i % 3), 0.0) for i in range(8)},
+    positions = {i: (float(i), float(i % 3), 0.0) for i in range(8)}
+    params = dict(shadowing_sigma=6.0, asymmetry_sigma=2.0, seed=99)
+    assert generate(positions, **params) == generate(positions, **params)
+    different = generate(
+        dict((i, (float(i), float(i % 3), 0.0)) for i in range(8)),
         shadowing_sigma=6.0,
         asymmetry_sigma=2.0,
-        seed=99,
+        seed=100,
     )
-    assert generate(scenario) == generate(scenario)
-    different = generate(
-        SynthScenario.from_positions(
-            dict((i, (float(i), float(i % 3), 0.0)) for i in range(8)),
-            shadowing_sigma=6.0,
-            asymmetry_sigma=2.0,
-            seed=100,
-        )
-    )
-    assert different != generate(scenario)
+    assert different != generate(positions, **params)
 
 
 def test_symmetric_without_noise_and_increasing_in_distance():
     positions = {i: (float(2**i), 0.0, 0.0) for i in range(5)}
-    matrix = generate(SynthScenario.from_positions(positions))
+    matrix = generate(positions)
     losses = []
     for i in range(4):
-        assert matrix.loss(i, i + 1) == matrix.loss(i + 1, i)
-        losses.append(matrix.loss(0, i + 1))
+        assert matrix.entries[(i, i + 1)].mean_loss == matrix.entries[(i + 1, i)].mean_loss
+        losses.append(matrix.entries[(0, i + 1)].mean_loss)
     assert losses == sorted(losses)
 
 
@@ -81,14 +64,12 @@ def test_asymmetry_sigma_scale():
     sigma = 3.0
     rng = random.Random(1)
     positions = {i: (rng.uniform(0, 100), rng.uniform(0, 100), 0.0) for i in range(50)}
-    matrix = generate(
-        SynthScenario.from_positions(positions, asymmetry_sigma=sigma, seed=5)
-    )
+    matrix = generate(positions, asymmetry_sigma=sigma, seed=5)
     deltas = []
     nodes = sorted(positions)
     for i, a in enumerate(nodes):
         for b in nodes[i + 1:]:
-            deltas.append(matrix.loss(a, b) - matrix.loss(b, a))
+            deltas.append(matrix.entries[(a, b)].mean_loss - matrix.entries[(b, a)].mean_loss)
     assert len(deltas) >= 1000
     observed = float(np.std(deltas))
     expected = math.sqrt(2) * sigma
@@ -100,19 +81,17 @@ def test_heavy_shadowing_weakens_distance_correlation():
     positions = {
         i: (rng.uniform(0, 60), rng.uniform(0, 60), 0.0) for i in range(100)
     }
-    matrix = generate(
-        SynthScenario.from_positions(positions, shadowing_sigma=8.0, seed=3)
-    )
+    matrix = generate(positions, shadowing_sigma=8.0, seed=3)
     assert distance_loss_correlation(matrix, positions) < 0.7
 
 
 def test_scenario_validation():
     with pytest.raises(ValueError, match="exponent"):
-        two_node_scenario(1.0, path_loss_exponent=0)
+        generate(two_nodes(1.0), path_loss_exponent=0)
     with pytest.raises(ValueError, match="sigmas"):
-        two_node_scenario(1.0, shadowing_sigma=-1)
+        generate(two_nodes(1.0), shadowing_sigma=-1)
     with pytest.raises(ValueError, match="at least 2"):
-        SynthScenario.from_positions({0: (0.0, 0.0, 0.0)})
+        generate({0: (0.0, 0.0, 0.0)})
 
 
 def test_chain_fixture():
