@@ -43,8 +43,8 @@ def _positive_int(text: str) -> int:
 
 
 def _add_grid_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--beta-min", type=_finite_float, default=graphs.DEFAULT_BETA_MIN)
-    parser.add_argument("--beta-max", type=_finite_float, default=graphs.DEFAULT_BETA_MAX)
+    parser.add_argument("--beta-min", type=_finite_float, default=radio.AT86RF231.min_budget)
+    parser.add_argument("--beta-max", type=_finite_float, default=radio.AT86RF231.max_budget)
     parser.add_argument("--beta-step", type=_finite_float, default=1.0)
 
 

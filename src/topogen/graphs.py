@@ -15,9 +15,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .measurements import LossMatrix
+from .radio import AT86RF231
 
-DEFAULT_BETA_MIN = 31.0
-DEFAULT_BETA_MAX = 104.0
 MAX_GRID_STEPS = 100_000  # far past any transceiver's budget resolution
 
 
@@ -64,14 +63,14 @@ def neighborhood_graph(matrix: LossMatrix, beta: float) -> BoundedGraph:
 class GraphFamily:
     """A grid of bounds over one loss matrix.
 
-    Default range covers the budgets realizable with the AT86RF231
-    (31 dB to 104 dB); the 1 dB default step matches the scale of the
-    transceiver's register resolution.
+    Default range covers the budgets realizable with the AT86RF231; the
+    1 dB default step matches the scale of the transceiver's register
+    resolution.
     """
 
     matrix: LossMatrix
-    beta_min: float = DEFAULT_BETA_MIN
-    beta_max: float = DEFAULT_BETA_MAX
+    beta_min: float = AT86RF231.min_budget
+    beta_max: float = AT86RF231.max_budget
     step: float = 1.0
 
     def __post_init__(self):

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .degree import DegreeSelection
 from .graphs import BoundedGraph
-from .measurements import LossMatrix, MatrixEntry, NodePositions
+from .measurements import LossMatrix, MatrixEntry, NodePositions, check_channel
 from .radio import TransceiverProfile
 from .synth import chain_scenario, finite, generate, grid_scenario
 from .trees import LayeredTree, parents_of
@@ -82,6 +82,7 @@ def save_matrix(matrix: LossMatrix, path: Path | str):
 
 def load_matrix(path: Path | str) -> LossMatrix:
     with _load(path, MATRIX_FORMAT) as document:
+        channel = document["channel"]  # None after an ingest that accepted no sample
         nodes = [_node_id(n, f"nodes[{i}]") for i, n in enumerate(document["nodes"])]
         known = set(nodes)
         if len(known) != len(nodes):
@@ -106,7 +107,7 @@ def load_matrix(path: Path | str) -> LossMatrix:
             )
         return LossMatrix(
             nodes=nodes,
-            channel=document["channel"],
+            channel=channel if channel is None else check_channel(channel),
             entries=entries,
             meta=document.get("meta", {}),
         )

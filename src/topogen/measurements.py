@@ -31,6 +31,13 @@ Position = tuple[float, float, float]
 NodePositions = dict[int, Position]
 
 
+def check_channel(channel) -> int:
+    """``channel`` if it is an IEEE 802.15.4 channel number; a bool is not one."""
+    if type(channel) is not int or channel not in VALID_CHANNELS:
+        raise ValueError(f"channel {channel!r} is not an integer in 11-26")
+    return channel
+
+
 class ChannelMismatchError(ValueError):
     """Samples from different IEEE 802.15.4 channels were mixed."""
 

@@ -2,9 +2,11 @@
 
 The link budget of a setting is transmit power minus receiver
 sensitivity; a link with loss at most that budget is receivable. A guard
-raises the realized budget slightly (preferring improved sensitivity) to
-move operation out of the transition region between perfect and no
-reception.
+raises the realized budget slightly to move operation out of the
+transition region between perfect and no reception: the guarded variant
+is the least-power setting of budget beta + guard whose transmit power
+and sensitivity are no worse than the base's, which keeps interference
+with co-located experiments low.
 """
 
 from __future__ import annotations
@@ -65,29 +67,25 @@ class GuardedSetting:
 
     base: RadioSetting
     guarded: RadioSetting | None
-    saturated: bool
+
+    @property
+    def saturated(self) -> bool:
+        return self.guarded is None
 
 
 def _guard_variant(
     base: RadioSetting, guard: float, profile: TransceiverProfile
 ) -> RadioSetting | None:
-    if guard == 0:
-        return base
+    """Least-power setting of budget + guard, tx and sensitivity no worse than base's.
+
+    The tx levels ascend, so the first match has the least power.
+    """
     target = base.budget + guard
     sens_set = set(profile.sensitivity_levels)
-    tx_set = set(profile.tx_levels)
-    # Prefer improving sensitivity: keeps transmit power, and so
-    # interference with co-located experiments, low.
-    if base.tx_power - target in sens_set:
-        return RadioSetting(base.tx_power, base.tx_power - target)
-    if base.sensitivity + target in tx_set:
-        return RadioSetting(base.sensitivity + target, base.sensitivity)
-    candidates = [
-        RadioSetting(tx, tx - target)
-        for tx in profile.tx_levels
-        if tx >= base.tx_power and tx - target in sens_set and tx - target <= base.sensitivity
-    ]
-    return min(candidates, key=lambda s: s.tx_power) if candidates else None
+    for tx in profile.tx_levels:
+        if tx >= base.tx_power and tx - target in sens_set and tx - target <= base.sensitivity:
+            return RadioSetting(tx, tx - target)
+    return None
 
 
 def settings_for_bound(
@@ -115,10 +113,7 @@ def settings_for_bound(
         if sens not in sens_set:
             continue
         base = RadioSetting(tx, sens)
-        guarded = _guard_variant(base, guard, profile)
-        results.append(
-            GuardedSetting(base=base, guarded=guarded, saturated=guarded is None)
-        )
+        results.append(GuardedSetting(base, _guard_variant(base, guard, profile)))
     if not results:
         raise ValueError(
             f"bound {beta} not exactly realizable with profile {profile.name}"

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .measurements import LossMatrix, MatrixEntry, NodePositions
+from .measurements import LossMatrix, MatrixEntry, NodePositions, check_channel
 
 GENERATOR_ID = "numpy-pcg64-per-pair"
 
@@ -24,6 +24,13 @@ def finite(value, where: str) -> float:
     """``value`` if it is a finite int or float; any other type, bool included, is refused."""
     if type(value) not in (int, float) or not math.isfinite(value):
         raise ValueError(f"{where} {value!r} is not a finite number")
+    return value
+
+
+def _integer(value, where: str) -> int:
+    """``value`` if it is an int >= 0; any other type, bool included, is refused."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{where} {value!r} is not a non-negative integer")
     return value
 
 
@@ -56,6 +63,8 @@ def generate(
     finite(path_loss_exponent, "path_loss_exponent")
     finite(shadowing_sigma, "shadowing_sigma")
     finite(asymmetry_sigma, "asymmetry_sigma")
+    _integer(seed, "seed")
+    check_channel(channel)
     if reference_loss < 0:
         raise ValueError(f"reference_loss {reference_loss!r} is a negative loss")
     if path_loss_exponent <= 0:
@@ -67,6 +76,8 @@ def generate(
     for node, position in sorted(positions.items()):
         if node < 0:
             raise ValueError("node ids must be non-negative")
+        if type(position) not in (list, tuple) or len(position) != 3:
+            raise ValueError(f"positions[{node}] {position!r} is not [x, y, z]")
         for axis, value in zip("xyz", position):
             finite(value, f"positions[{node}].{axis}")
     nodes = sorted(positions)
@@ -110,10 +121,11 @@ def chain_scenario(
     With a bound between the two losses the neighborhood graph is
     exactly the path graph, which makes hand-simulated oracles easy.
     """
-    if n < 2:
+    if _integer(n, "n") < 2:
         raise ValueError("chain needs at least 2 nodes")
     finite(on_loss, "on_loss")
     finite(off_loss, "off_loss")
+    check_channel(channel)
     if on_loss < 0:
         raise ValueError(f"on_loss {on_loss!r} is a negative loss")
     if on_loss >= off_loss:
@@ -143,7 +155,7 @@ def grid_positions(rows: int, cols: int, spacing: float) -> NodePositions:
 
 def grid_scenario(rows: int, cols: int, spacing: float, **params) -> LossMatrix:
     """Regular grid layout fed through the log-distance generator."""
-    if rows * cols < 2:
+    if _integer(rows, "rows") * _integer(cols, "cols") < 2:
         raise ValueError("grid needs at least 2 nodes")
     finite(spacing, "spacing")
     if spacing <= 0:

@@ -97,6 +97,43 @@ BAD_SCENARIOS = {
     "missing rows": (
         {"kind": "grid", "cols": 2, "spacing": 1.0},
         "grid_scenario() missing 1 required positional argument: 'rows'"),
+    "channel as a string": (
+        {"kind": "grid", "rows": 2, "cols": 2, "spacing": 1.0, "channel": "x"},
+        "channel 'x' is not an integer in 11-26"),
+    "channel out of range": (
+        {"kind": "grid", "rows": 2, "cols": 2, "spacing": 1.0, "channel": 99},
+        "channel 99 is not an integer in 11-26"),
+    "channel as a bool": (
+        {"kind": "grid", "rows": 2, "cols": 2, "spacing": 1.0, "channel": True},
+        "channel True is not an integer in 11-26"),
+    "chain channel out of range": (
+        {"kind": "chain", "n": 3, "on_loss": 45, "off_loss": 90, "channel": 10},
+        "channel 10 is not an integer in 11-26"),
+    "negative seed": (
+        {"kind": "grid", "rows": 2, "cols": 2, "spacing": 1.0, "shadowing_sigma": 4.0,
+         "seed": -1},
+        "seed -1 is not a non-negative integer"),
+    "rows as a string": (
+        {"kind": "grid", "rows": "2", "cols": 2, "spacing": 1.0},
+        "rows '2' is not a non-negative integer"),
+    "cols as a string": (
+        {"kind": "grid", "rows": 2, "cols": "2", "spacing": 1.0},
+        "cols '2' is not a non-negative integer"),
+    "chain length as a string": (
+        {"kind": "chain", "n": "3", "on_loss": 45, "off_loss": 90},
+        "n '3' is not a non-negative integer"),
+    "position as a number": (
+        {"kind": "log-distance", "positions": {"0": [0, 0, 0], "1": 5}},
+        "positions[1] 5 is not [x, y, z]"),
+    "two-dimensional positions": (
+        {"kind": "log-distance", "positions": {"0": [0, 0], "1": [1, 0]}},
+        "positions[0] [0, 0] is not [x, y, z]"),
+    "mixed-length positions": (
+        {"kind": "log-distance", "positions": {"0": [0, 0, 0], "1": [1, 0]}},
+        "positions[1] [1, 0] is not [x, y, z]"),
+    "four-dimensional position": (
+        {"kind": "log-distance", "positions": {"0": [0, 0, 0, 0], "1": [1, 0, 0]}},
+        "positions[0] [0, 0, 0, 0] is not [x, y, z]"),
 }
 
 
@@ -499,6 +536,8 @@ MALFORMED = {
         "sensitivity_levels[1] nan"),
     "boolean tx level": ("profile", lambda d: {**d, "tx_levels": [True]}, "tx_levels[0] True"),
     "scalar tx levels": ("profile", lambda d: {**d, "tx_levels": 3.0}, "tx_levels: expected a list"),
+    "string channel": ("matrix", lambda d: {**d, "channel": "x"}, "channel 'x'"),
+    "channel below 11": ("matrix", lambda d: {**d, "channel": 5}, "channel 5"),
 }
 
 

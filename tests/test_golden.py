@@ -34,6 +34,8 @@ COMMANDS = {
     "degree": ["degree", "grid.json", "3", "--out", "degree"],
     "verify": ["verify", "tree-reduce/tree.json", "grid.json"],
     "settings": ["settings", "46"],
+    # guard 3 at the least transmit power: base -17/-99 guarded as -16/-101
+    "settings-82": ["settings", "82"],
     # 6x6: enough bound ties and near-equal losses to pin the tree sweep
     "tree6-reduce": ["tree", "grid6.json", "--kappa", "linear", "--margin", "15",
                      "--reduce", "--out", "tree6-reduce"],
@@ -75,6 +77,8 @@ GOLDEN = {
     "stdout:verify": "50a8cbd5b947070cb751abae1cda97f51c62bbe28797f9f32b1d855ae10b2a80",
     "exit:settings": 0,
     "stdout:settings": "93f68481cf4521968ed53e84432ced5426076bcb6ff174b4c11e6fbf9301c067",
+    "exit:settings-82": 0,
+    "stdout:settings-82": "f87507db9af729a7f09a7b0c437c581ae6902eaac982bffd3385fb1fac1910e7",
     "exit:tree6-reduce": 0,
     "stdout:tree6-reduce": "2c85ce30797d28731ecf2835016d21adbc330635287d4de6ae2688f2301b9b98",
     "exit:sweep-report6": 0,

@@ -91,3 +91,41 @@ def test_profile_validation():
 def test_negative_guard_rejected():
     with pytest.raises(ValueError):
         settings_for_bound(46, AT86RF231, guard=-1)
+
+
+def least_power_guard(base, guard, profile):
+    """Brute force: the least-tx level pair of budget base + guard, no worse than base."""
+    candidates = [
+        RadioSetting(tx, sens)
+        for tx in profile.tx_levels
+        for sens in profile.sensitivity_levels
+        if tx - sens == base.budget + guard
+        and tx >= base.tx_power
+        and sens <= base.sensitivity
+    ]
+    return min(candidates, key=lambda s: s.tx_power, default=None)
+
+
+def test_guard_is_the_least_power_setting_no_worse_than_base():
+    for guard in (0, 1, 2, 3, 5):
+        for beta in range(31, 105):
+            for option in settings_for_bound(float(beta), AT86RF231, guard=guard):
+                assert option.guarded == least_power_guard(option.base, guard, AT86RF231)
+                assert option.saturated == (option.guarded is None)
+
+
+# the datasheet's TX_PWR register levels, with the 1 dB sensitivity grid
+DECIMAL_TX = TransceiverProfile(
+    "AT86RF231-decimal-tx",
+    (-17.0, -12.0, -9.0, -7.0, -5.0, -4.0, -3.0, -2.0, -1.0,
+     0.0, 0.7, 1.3, 1.8, 2.3, 2.8, 3.0),
+    AT86RF231.sensitivity_levels,
+)
+
+
+@pytest.mark.parametrize("profile", [AT86RF231, DECIMAL_TX], ids=lambda p: p.name)
+def test_guard_zero_returns_the_base(profile):
+    betas = {tx - sens for tx in profile.tx_levels for sens in profile.sensitivity_levels}
+    for beta in sorted(betas):
+        for option in settings_for_bound(beta, profile, guard=0):
+            assert option.guarded == option.base
