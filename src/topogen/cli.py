@@ -3,12 +3,18 @@
 All interchange is file-based and every command is deterministic for
 identical inputs, so full runs can be diffed and reproduced. Exit codes:
 0 success, 2 input or usage error, 3 verification failure.
+
+A command checks its inputs and computes everything before ``_write``
+puts its outputs and ``manifest.json`` into ``--out``; it returns its exit
+code and stdout lines, which only ``main`` prints. So a bad input leaves
+``--out`` as it was.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -96,7 +102,30 @@ def _name_undecodable_line(path):
                 raise ValueError(f"{path}:{number}: {exc}") from None
 
 
-def cmd_ingest(args) -> int:
+def _write(args, outputs: dict, inputs: list) -> str:
+    """Write a command's outputs into ``--out``, then its manifest.
+
+    An output is text, an ``(io.save_*, obj)`` pair, or None for a file
+    that must not outlive this manifest. Returns the ``wrote`` line.
+    """
+    args.out.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, output in outputs.items():
+        path = args.out / name
+        if output is None:
+            path.unlink(missing_ok=True)
+            continue
+        if isinstance(output, str):
+            path.write_text(output, encoding="utf-8")
+        else:
+            save, obj = output
+            save(obj, path)
+        written.append(str(path))
+    io.write_manifest(args.out, args.command, _manifest_args(args), inputs)
+    return "wrote " + " and ".join(written)
+
+
+def cmd_ingest(args) -> tuple[int, list[str]]:
     samples = measurements.LossColumns()
     rejections = []
     for path in args.logs:
@@ -109,75 +138,58 @@ def cmd_ingest(args) -> int:
         samples.extend(file_samples)
         rejections.extend((path, r) for r in file_rejections)
     matrix = measurements.build_loss_matrix(samples, aggregator=args.aggregator)
-    args.out.mkdir(parents=True, exist_ok=True)
-    io.save_matrix(matrix, args.out / "matrix.json")
-    io.write_manifest(args.out, "ingest", _manifest_args(args), args.logs)
-    print(f"{len(samples)} samples accepted, {len(rejections)} lines rejected")
+    lines = [f"{len(samples)} samples accepted, {len(rejections)} lines rejected"]
     for path, rejection in rejections:
-        print(f"  rejected {path}:{rejection.line_number}: {rejection.reason}")
+        lines.append(f"  rejected {path}:{rejection.line_number}: {rejection.reason}")
     if not samples:
-        print("warning: empty matrix (no valid samples)")
-    low = measurements.warn_low_counts(matrix, args.min_count)
-    for tx, rx, count in low:
-        print(f"  low count {tx}->{rx}: {count} < {args.min_count}")
-    print(f"wrote {args.out / 'matrix.json'}")
-    return EXIT_OK
+        lines.append("warning: empty matrix (no valid samples)")
+    for tx, rx, count in measurements.warn_low_counts(matrix, args.min_count):
+        lines.append(f"  low count {tx}->{rx}: {count} < {args.min_count}")
+    lines.append(_write(args, {"matrix.json": (io.save_matrix, matrix)}, args.logs))
+    return EXIT_OK, lines
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[int, list[str]]:
     matrix = io.load_matrix(args.matrix)
     family = _family(matrix, args)
-    args.out.mkdir(parents=True, exist_ok=True)
-    distribution = graphs.degree_distribution(family)
-    (args.out / "degrees.csv").write_text(
-        io.degree_distribution_csv(distribution), encoding="utf-8"
-    )
+    degrees_csv = io.degree_distribution_csv(graphs.degree_distribution(family))
     report = graphs.monotonicity_report(family)
-    report_lines = [
+    monotonicity = "\n".join(
         f"{b1:g} -> {b2:g}: +{delta} edges" for b1, b2, delta in report
-    ]
-    (args.out / "monotonicity.txt").write_text(
-        "\n".join(report_lines) + "\n", encoding="utf-8"
-    )
-    inputs = [args.matrix]
+    ) + "\n"
+    inputs, lines = [args.matrix], []
     if args.correlation:
         if args.positions is None:
             raise ValueError("--correlation requires --positions")
         positions = io.load_positions(args.positions)
         coefficient = measurements.distance_loss_correlation(matrix, positions)
-        print(f"distance-loss correlation: {coefficient:.4f}")
+        lines.append(f"distance-loss correlation: {coefficient:.4f}")
         inputs.append(args.positions)
-    io.write_manifest(args.out, "analyze", _manifest_args(args), inputs)
-    print(f"wrote {args.out / 'degrees.csv'} and {args.out / 'monotonicity.txt'}")
-    return EXIT_OK
+    outputs = {"degrees.csv": degrees_csv, "monotonicity.txt": monotonicity}
+    lines.append(_write(args, outputs, inputs))
+    return EXIT_OK, lines
 
 
-def cmd_degree(args) -> int:
+def cmd_degree(args) -> tuple[int, list[str]]:
     matrix = io.load_matrix(args.matrix)
-    family = _family(matrix, args)
-    selections = degree.select_constant_degree(matrix, args.c, family)
-    args.out.mkdir(parents=True, exist_ok=True)
-    io.write_manifest(args.out, "degree", _manifest_args(args), [args.matrix])
+    selections = degree.select_constant_degree(matrix, args.c, _family(matrix, args))
     if not selections:
         # A selection left by an earlier run must not outlive this manifest.
-        for name in ("selection.json", "selection.dot"):
-            (args.out / name).unlink(missing_ok=True)
-        print(f"no nonempty selection at any beta for c={args.c}")
-        return EXIT_OK
+        _write(args, {"selection.json": None, "selection.dot": None}, [args.matrix])
+        return EXIT_OK, [f"no nonempty selection at any beta for c={args.c}"]
     best = degree.largest_component_selection(selections)
-    io.save_selection(best, args.out / "selection.json")
-    (args.out / "selection.dot").write_text(
-        io.selection_to_dot(best), encoding="utf-8"
-    )
-    print(
+    outputs = {
+        "selection.json": (io.save_selection, best),
+        "selection.dot": io.selection_to_dot(best),
+    }
+    return EXIT_OK, [
         f"selected {len(best.selected)} nodes at beta {best.beta:g} "
-        f"(c={best.c}, connected {best.c}-regular)"
-    )
-    print(f"wrote {args.out / 'selection.json'} and {args.out / 'selection.dot'}")
-    return EXIT_OK
+        f"(c={best.c}, connected {best.c}-regular)",
+        _write(args, outputs, [args.matrix]),
+    ]
 
 
-def cmd_tree(args) -> int:
+def cmd_tree(args) -> tuple[int, list[str]]:
     matrix = _tree_matrix(args.matrix)
     kappa = trees.KappaSpec.parse(args.kappa)
     family = _family(matrix, args)
@@ -192,24 +204,18 @@ def cmd_tree(args) -> int:
     violations = trees.check_tree(best, matrix, kappa)
     if violations:
         raise RuntimeError(f"constructed tree failed requirement check: {violations}")
-    args.out.mkdir(parents=True, exist_ok=True)
-    io.save_tree(best, args.out / "tree.json")
-    (args.out / "tree.dot").write_text(
-        io.tree_to_dot(best, matrix), encoding="utf-8"
-    )
-    io.write_manifest(args.out, "tree", _manifest_args(args), [args.matrix])
-    print(
+    outputs = {"tree.json": (io.save_tree, best), "tree.dot": io.tree_to_dot(best, matrix)}
+    return EXIT_OK, [
         f"best tree: root {best.root}, beta {best.beta:g}, margin {best.margin:g}, "
-        f"depth {best.depth}, {best.total_nodes} nodes"
-    )
-    print(f"wrote {args.out / 'tree.json'} and {args.out / 'tree.dot'}")
-    return EXIT_OK
+        f"depth {best.depth}, {best.total_nodes} nodes",
+        _write(args, outputs, [args.matrix]),
+    ]
 
 
-def cmd_settings(args) -> int:
+def cmd_settings(args) -> tuple[int, list[str]]:
     profile = io.load_profile(args.profile) if args.profile else radio.AT86RF231
-    options = radio.settings_for_bound(args.beta, profile, args.guard)
-    for option in options:
+    lines = []
+    for option in radio.settings_for_bound(args.beta, profile, args.guard):
         base = option.base
         line = f"{base.tx_power:g}/{base.sensitivity:g} ({base.budget:g} dB)"
         if option.guarded is not None and args.guard > 0:
@@ -217,11 +223,11 @@ def cmd_settings(args) -> int:
             line += f"  guarded: {g.tx_power:g}/{g.sensitivity:g} ({g.budget:g} dB)"
         elif option.saturated:
             line += "  guard saturated: no headroom in profile"
-        print(line)
-    return EXIT_OK
+        lines.append(line)
+    return EXIT_OK, lines
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, list[str]]:
     tree = io.load_tree(args.topology)
     fresh = io.load_matrix(args.matrix)
     kappa = trees.KappaSpec.parse(args.kappa)
@@ -230,52 +236,38 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         raise ValueError(f"{args.matrix}: {exc}") from None
     if not violations:
-        print("PASS: all requirements hold against the fresh matrix")
-        return EXIT_OK
-    print("FAIL:")
-    for requirement, detail in violations:
-        print(f"  requirement {requirement}: {detail}")
-    return EXIT_VERIFY
+        return EXIT_OK, ["PASS: all requirements hold against the fresh matrix"]
+    return EXIT_VERIFY, ["FAIL:"] + [
+        f"  requirement {requirement}: {detail}" for requirement, detail in violations
+    ]
 
 
-def cmd_sweep_report(args) -> int:
+def cmd_sweep_report(args) -> tuple[int, list[str]]:
     kappa = trees.KappaSpec.parse(args.kappa)
-    rows = []
+    lines = [f"{'testbed':<20} {'max_depth':>9} {'beta_min':>9} {'beta_max':>9}"]
+    csv_lines = ["testbed,max_depth,beta_min,beta_max,note"]
     for path in args.matrices:
         matrix = _tree_matrix(path)
-        family = _family(matrix, args)
-        swept = trees.sweep_trees(matrix, kappa, args.margin, family)
-        max_depth = swept[0].depth
-        betas = sorted({t.beta for t in swept if t.depth == max_depth})
-        note = "no multi-hop" if max_depth < 2 else ""
-        rows.append((Path(path).stem, max_depth, betas[0], betas[-1], note))
-    header = f"{'testbed':<20} {'max_depth':>9} {'beta_min':>9} {'beta_max':>9}"
-    print(header)
-    csv_lines = ["testbed,max_depth,beta_min,beta_max,note"]
-    for name, depth_value, beta_lo, beta_hi, note in rows:
+        swept = trees.sweep_trees(matrix, kappa, args.margin, _family(matrix, args))
+        depth = swept[0].depth
+        betas = sorted({t.beta for t in swept if t.depth == depth})
+        note = "no multi-hop" if depth < 2 else ""
         suffix = f"  ({note})" if note else ""
-        print(f"{name:<20} {depth_value:>9} {beta_lo:>9g} {beta_hi:>9g}{suffix}")
-        csv_lines.append(f"{name},{depth_value},{beta_lo:g},{beta_hi:g},{note}")
-    args.out.mkdir(parents=True, exist_ok=True)
-    (args.out / "sweep_report.csv").write_text(
-        "\n".join(csv_lines) + "\n", encoding="utf-8"
-    )
-    io.write_manifest(args.out, "sweep-report", _manifest_args(args), args.matrices)
-    print(f"wrote {args.out / 'sweep_report.csv'}")
-    return EXIT_OK
+        name = Path(path).stem
+        lines.append(f"{name:<20} {depth:>9} {betas[0]:>9g} {betas[-1]:>9g}{suffix}")
+        csv_lines.append(f"{name},{depth},{betas[0]:g},{betas[-1]:g},{note}")
+    csv = "\n".join(csv_lines) + "\n"
+    lines.append(_write(args, {"sweep_report.csv": csv}, args.matrices))
+    return EXIT_OK, lines
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> tuple[int, list[str]]:
     matrix = io.load_scenario_matrix(args.scenario, seed=args.seed)
-    args.out.mkdir(parents=True, exist_ok=True)
-    io.save_matrix(matrix, args.out / "matrix.json")
-    io.write_manifest(args.out, "synth", _manifest_args(args), [args.scenario])
-    print(
+    return EXIT_OK, [
         f"generated matrix: {len(matrix.nodes)} nodes, "
-        f"{len(matrix.entries)} directed entries"
-    )
-    print(f"wrote {args.out / 'matrix.json'}")
-    return EXIT_OK
+        f"{len(matrix.entries)} directed entries",
+        _write(args, {"matrix.json": (io.save_matrix, matrix)}, [args.scenario]),
+    ]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,13 +343,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, lines = args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()  # a reader that closed the pipe fails here, not at exit
+    except BrokenPipeError:
+        # Outputs are already written; keep the command's code and drop the rest.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 def entrypoint():

@@ -102,9 +102,12 @@ def load_matrix(path: Path | str) -> LossMatrix:
                 raise ValueError(f"entries[{i}]: duplicate entry {pair}")
             if not (math.isfinite(loss) and loss >= 0):
                 raise ValueError(f"entries[{i}]: mean_loss {loss} is not a loss >= 0")
-            entries[pair] = MatrixEntry(
-                mean_loss=loss, stddev=item["stddev"], count=item["count"]
-            )
+            stddev, count = item["stddev"], item["count"]
+            if finite(stddev, f"entries[{i}].stddev") < 0:
+                raise ValueError(f"entries[{i}].stddev {stddev!r} is negative")
+            if type(count) is not int or count < 1:
+                raise ValueError(f"entries[{i}].count {count!r} is not an integer >= 1")
+            entries[pair] = MatrixEntry(mean_loss=loss, stddev=stddev, count=count)
         return LossMatrix(
             nodes=nodes,
             channel=channel if channel is None else check_channel(channel),
@@ -152,6 +155,9 @@ def save_tree(tree: LayeredTree, path: Path | str):
 
 def load_tree(path: Path | str) -> LayeredTree:
     with _load(path, TREE_FORMAT) as document:
+        depth = document["depth"]
+        if type(depth) is not int:  # 3.0 equals a level count but is no range bound
+            raise ValueError(f"depth {depth!r} is not an integer")
         return LayeredTree(
             root=_node_id(document["root"], "root"),
             beta=finite(document["beta"], "beta"),
@@ -159,7 +165,7 @@ def load_tree(path: Path | str) -> LayeredTree:
             levels=tuple(
                 _level(level, f"levels[{i}]") for i, level in enumerate(document["levels"])
             ),
-            depth=document["depth"],
+            depth=depth,
         )
 
 

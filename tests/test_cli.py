@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -277,6 +281,59 @@ def test_analyze_correlation_with_positions(tmp_path, capsys):
     assert "distance-loss correlation:" in capsys.readouterr().out
 
 
+# case: analyze flags that fail after the matrix loads; "P" stands for positions lacking node 5
+ANALYZE_FAILURES = {
+    "positions lacking a node": ["--beta-min", "40", "--beta-max", "50", "--correlation",
+                                 "--positions", "P"],
+    "one-bound grid": ["--beta-min", "50", "--beta-max", "50"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ANALYZE_FAILURES))
+def test_failing_analyze_leaves_out_as_it_was(tmp_path, capsys, case):
+    matrix = write_chain_matrix(tmp_path)
+    positions = tmp_path / "positions.json"
+    io.save_positions({i: (float(i), 0.0, 0.0) for i in range(5)}, positions)
+    flags = [str(positions) if flag == "P" else flag for flag in ANALYZE_FAILURES[case]]
+    out = tmp_path / "out"
+    assert main(["analyze", str(matrix), "--out", str(out)]) == EXIT_OK
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(before) == ["degrees.csv", "manifest.json", "monotonicity.txt"]
+    capsys.readouterr()
+    assert main(["analyze", str(matrix), "--out", str(out), *flags]) == EXIT_INPUT
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    fresh = tmp_path / "fresh"
+    assert main(["analyze", str(matrix), "--out", str(fresh), *flags]) == EXIT_INPUT
+    assert not fresh.exists()
+    assert capsys.readouterr().out == ""
+
+
+def run_into_closed_stdout(argv):
+    """Exit code and stderr of the CLI run with stdout on a pipe nobody reads."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "topogen.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    return done.returncode, done.stderr.decode()
+
+
+def test_a_closed_stdout_keeps_the_exit_code(tmp_path):
+    assert run_into_closed_stdout(["settings", "82"]) == (EXIT_OK, "")
+    matrix = write_chain_matrix(tmp_path)
+    tree = tmp_path / "tree.json"
+    one = KappaSpec.parse("const:1")
+    io.save_tree(monitored_bfs(chain_scenario(6, 45, 90), 0, 50, 15, one), tree)
+    argv = ["verify", str(tree), str(matrix), "--kappa", "const:2"]
+    assert run_into_closed_stdout(argv) == (EXIT_VERIFY, "")
+
+
 def test_degree_four_cycle(tmp_path, capsys):
     from helpers import symmetric_matrix
 
@@ -536,6 +593,18 @@ MALFORMED = {
         "sensitivity_levels[1] nan"),
     "boolean tx level": ("profile", lambda d: {**d, "tx_levels": [True]}, "tx_levels[0] True"),
     "scalar tx levels": ("profile", lambda d: {**d, "tx_levels": 3.0}, "tx_levels: expected a list"),
+    "float tree depth": ("tree", lambda d: {**d, "depth": float(d["depth"])}, "depth 2.0"),
+    "string tree depth": ("tree", lambda d: {**d, "depth": "2"}, "depth '2'"),
+    "string entry count": ("matrix", _first_entry(count="x"), "entries[0].count 'x'"),
+    "negative entry count": ("matrix", _first_entry(count=-3), "entries[0].count -3"),
+    "zero entry count": ("matrix", _first_entry(count=0), "entries[0].count 0"),
+    "float entry count": ("matrix", _first_entry(count=250.0), "entries[0].count 250.0"),
+    "boolean entry count": ("matrix", _first_entry(count=True), "entries[0].count True"),
+    "NaN stddev": ("matrix", _first_entry(stddev=float("nan")), "entries[0].stddev nan"),
+    "infinite stddev": ("matrix", _first_entry(stddev=float("inf")), "entries[0].stddev inf"),
+    "negative stddev": ("matrix", _first_entry(stddev=-1.0), "entries[0].stddev -1.0"),
+    "boolean stddev": ("matrix", _first_entry(stddev=False), "entries[0].stddev False"),
+    "string stddev": ("matrix", _first_entry(stddev="0"), "entries[0].stddev '0'"),
     "string channel": ("matrix", lambda d: {**d, "channel": "x"}, "channel 'x'"),
     "channel below 11": ("matrix", lambda d: {**d, "channel": 5}, "channel 5"),
 }
