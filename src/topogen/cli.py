@@ -192,11 +192,10 @@ def cmd_degree(args) -> tuple[int, list[str]]:
 def cmd_tree(args) -> tuple[int, list[str]]:
     matrix = _tree_matrix(args.matrix)
     kappa = trees.KappaSpec.parse(args.kappa)
-    family = _family(matrix, args)
-    if args.beta is not None:
-        family = graphs.GraphFamily(
-            matrix=matrix, beta_min=args.beta, beta_max=args.beta, step=1.0
-        )
+    if args.beta is None:
+        family = _family(matrix, args)
+    else:
+        family = graphs.GraphFamily(matrix, beta_min=args.beta, beta_max=args.beta, step=1.0)
     roots = None if args.root is None else [args.root]
     best = trees.sweep_trees(matrix, kappa, args.margin, family, roots)[0]
     if args.reduce:

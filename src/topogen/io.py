@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -93,16 +92,15 @@ def load_matrix(path: Path | str) -> LossMatrix:
                 _node_id(item["tx"], f"entries[{i}].tx"),
                 _node_id(item["rx"], f"entries[{i}].rx"),
             )
-            loss = item["mean_loss"]
             if not known.issuperset(pair):
                 raise ValueError(f"entries[{i}]: node of {pair} not in nodes")
             if pair[0] == pair[1]:
                 raise ValueError(f"entries[{i}].rx: node {pair[1]} equals tx, a self pair")
             if pair in entries:
                 raise ValueError(f"entries[{i}]: duplicate entry {pair}")
-            if not (math.isfinite(loss) and loss >= 0):
-                raise ValueError(f"entries[{i}]: mean_loss {loss} is not a loss >= 0")
-            stddev, count = item["stddev"], item["count"]
+            loss, stddev, count = item["mean_loss"], item["stddev"], item["count"]
+            if finite(loss, f"entries[{i}].mean_loss") < 0:
+                raise ValueError(f"entries[{i}].mean_loss {loss!r} is negative")
             if finite(stddev, f"entries[{i}].stddev") < 0:
                 raise ValueError(f"entries[{i}].stddev {stddev!r} is negative")
             if type(count) is not int or count < 1:
@@ -170,9 +168,13 @@ def load_tree(path: Path | str) -> LayeredTree:
 
 
 def _level(level, where: str) -> frozenset[int]:
-    if not isinstance(level, list):
-        raise ValueError(f"{where}: expected a list of node ids, found {level!r}")
-    return frozenset(_node_id(n, where) for n in level)
+    return frozenset(_node_id(n, where) for n in _list(level, where))
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{where}: expected a list, found {value!r}")
+    return value
 
 
 def save_selection(selection: DegreeSelection, path: Path | str):
@@ -192,23 +194,37 @@ def save_selection(selection: DegreeSelection, path: Path | str):
 
 def load_selection(path: Path | str) -> DegreeSelection:
     with _load(path, SELECTION_FORMAT) as document:
+        c, objective = document["c"], document["objective"]
+        if type(c) is not int or c < 1:
+            raise ValueError(f"c {c!r} is not an integer >= 1")
+        selected = _level(document["selected"], "selected")
+        if type(objective) is not int or objective != len(selected):
+            raise ValueError(
+                f"objective {objective!r} is not the {len(selected)} selected nodes"
+            )
+        components = _list(document["components"], "components")
+        edges = _list(document["edges"], "edges")
         return DegreeSelection(
-            beta=document["beta"],
-            c=document["c"],
-            selected=frozenset(document["selected"]),
-            components=tuple(frozenset(c) for c in document["components"]),
-            edges=frozenset(tuple(e) for e in document["edges"]),
-            objective=document["objective"],
+            beta=finite(document["beta"], "beta"),
+            c=c,
+            selected=selected,
+            components=tuple(_level(p, f"components[{i}]") for i, p in enumerate(components)),
+            edges=frozenset(_edge(e, f"edges[{i}]") for i, e in enumerate(edges)),
+            objective=objective,
         )
+
+
+def _edge(edge, where: str) -> tuple[int, int]:
+    if not (isinstance(edge, list) and len(edge) == 2):
+        raise ValueError(f"{where}: expected a pair of node ids, found {edge!r}")
+    return _node_id(edge[0], where), _node_id(edge[1], where)
 
 
 def load_profile(path: Path | str) -> TransceiverProfile:
     with _load(path, PROFILE_FORMAT) as document:
         levels = {}
         for name in ("tx_levels", "sensitivity_levels"):
-            values = document[name]
-            if not isinstance(values, list):
-                raise ValueError(f"{name}: expected a list of numbers")
+            values = _list(document[name], name)
             levels[name] = tuple(finite(v, f"{name}[{i}]") for i, v in enumerate(values))
         return TransceiverProfile(name=document["name"], **levels)
 

@@ -9,15 +9,15 @@ input of every downstream step.
 from __future__ import annotations
 
 import math
+import statistics
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter, mul, or_
-from typing import Callable, Iterable
-
-import numpy as np
+from typing import Iterable
 
 VALID_CHANNELS = range(11, 27)
 # Bounds whose neighbour-mask vectors a matrix keeps: a tree sweep asks,
@@ -92,7 +92,6 @@ class Rejection:
     """A log line that could not be turned into a valid sample."""
 
     line_number: int
-    line: str
     reason: str
 
 
@@ -236,7 +235,7 @@ def parse_campaign_log(lines: Iterable[str]) -> tuple[LossColumns, list[Rejectio
             channel, seq = int(channel), int(seq)
             loss = check_record(tx, rx, tx_power, rssi, channel, seq)
         except ValueError as exc:
-            rejections.append(Rejection(number, raw.rstrip("\n"), str(exc)))
+            rejections.append(Rejection(number, str(exc)))
             continue
         column = losses.get((tx, rx))
         if column is None:
@@ -249,12 +248,12 @@ def parse_campaign_log(lines: Iterable[str]) -> tuple[LossColumns, list[Rejectio
     return columns, rejections
 
 
-def make_aggregator(spec: str) -> Callable[[list[float]], float]:
-    """Build a loss aggregator from its name: mean, median or pNN."""
+def parse_aggregator(spec: str) -> float | None:
+    """The percentile an aggregator names: None for mean, 50 for median, NN for pNN."""
     if spec == "mean":
-        return lambda losses: float(np.mean(losses))
+        return None
     if spec == "median":
-        return lambda losses: float(np.median(losses))
+        return 50.0
     if spec.startswith("p"):
         try:
             p = float(spec[1:])
@@ -262,27 +261,40 @@ def make_aggregator(spec: str) -> Callable[[list[float]], float]:
             raise ValueError(f"unknown aggregator {spec!r}") from None
         if not 0 <= p <= 100:
             raise ValueError(f"percentile {p} outside [0, 100]")
-        return lambda losses: float(np.percentile(losses, p))
+        return p
     raise ValueError(f"unknown aggregator {spec!r}")
 
 
-def sample_stddev(losses: list[float]) -> float:
-    """Sample standard deviation of two or more finite floats, rounded once.
+def aggregate(counts: Counter[float], percentile: float | None) -> tuple[float, float]:
+    """Location and sample stddev of a column of finite losses, each rounded once.
 
-    The sums are exact integers over the samples' common power-of-two
-    denominator, taken once per distinct value and weighted by its count,
-    so a column of few distinct losses costs few terms. The square root of
-    the exact variance is correctly rounded by round-to-odd, as
-    ``statistics.stdev`` does from Python 3.11 on; so the bits are the
-    same on every supported Python.
+    ``counts`` maps each distinct loss to how often it occurs. The losses
+    are integers over their largest power-of-two denominator ``scale``, so
+    every sum is exact. The location is the mean ``total / (count * scale)``
+    if ``percentile`` is None, else numpy's default (linear) percentile
+    with an exact rank ``(count - 1) * percentile / 100``. Both are exact
+    fractions rounded once by an int-by-int division, and lie between the
+    extreme losses, so they never overflow. The square root of the exact
+    variance is rounded once by round-to-odd, as ``statistics.stdev`` does
+    from Python 3.11 on. So the bits are the same on every Python.
     """
-    counts = Counter(losses)
     weights = counts.values()
     ratios = list(map(float.as_integer_ratio, counts))
     scale = max(map(itemgetter(1), ratios))
     values = [n * (scale // d) for n, d in ratios]
-    count = len(losses)
+    count = sum(weights)
     total = sum(map(mul, values, weights))
+    if percentile is None:
+        location = total / (count * scale)
+    else:
+        order = sorted(zip(values, weights))
+        ends = list(accumulate(w for _, w in order))  # losses up to each value
+        rank = (count - 1) * Fraction(percentile) / 100
+        low = math.floor(rank)
+        a, b = (order[bisect_right(ends, k)][0] for k in (low, min(low + 1, count - 1)))
+        location = float((a + (rank - low) * (b - a)) / scale)
+    if count == 1:
+        return location, 0.0
     num = count * sum(map(mul, map(mul, values, values), weights)) - total * total
     den = count * (count - 1) * scale * scale
     # sqrt(num / den) to 55 or more bits, the last one odd if inexact, so
@@ -294,39 +306,25 @@ def sample_stddev(losses: list[float]) -> float:
         num <<= -2 * shift
     root = math.isqrt(num // den)
     root |= root * root * den != num
-    return float(root << shift) if shift >= 0 else root / (1 << -shift)
+    return location, float(root << shift) if shift >= 0 else root / (1 << -shift)
 
 
 def build_loss_matrix(columns: LossColumns, aggregator: str = "mean") -> LossMatrix:
     """Aggregate per-pair loss columns into a directed loss matrix.
 
     All samples must share one channel; mixing channels is a hard error
-    because losses are not comparable across frequencies. Finite losses
-    near the float maximum can aggregate to infinity, which no matrix
-    holds: that is a ValueError naming the pair.
+    because losses are not comparable across frequencies.
     """
-    agg = make_aggregator(aggregator)
+    percentile = parse_aggregator(aggregator)
     channels = sorted(columns.channels)
     if len(channels) > 1:
-        raise ChannelMismatchError(
-            f"samples mix channels {channels[0]} and {channels[1]}"
-        )
+        raise ChannelMismatchError(f"samples mix channels {channels[0]} and {channels[1]}")
     entries = {}
     nodes: set[int] = set()
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        for pair, losses in columns.losses.items():
-            # sort so aggregation is exactly permutation-invariant in float math
-            losses = sorted(losses)
-            loss = agg(losses)
-            if not math.isfinite(loss):
-                tx, rx = pair
-                raise ValueError(
-                    f"pair {tx} -> {rx}: {aggregator} of {len(losses)} losses "
-                    f"is {loss}, not finite"
-                )
-            stddev = sample_stddev(losses) if len(losses) >= 2 else 0.0
-            entries[pair] = MatrixEntry(mean_loss=loss, stddev=stddev, count=len(losses))
-            nodes.update(pair)
+    for pair, losses in columns.losses.items():
+        loss, stddev = aggregate(Counter(losses), percentile)
+        entries[pair] = MatrixEntry(mean_loss=loss, stddev=stddev, count=len(losses))
+        nodes.update(pair)
     channel = channels[0] if channels else None
     return LossMatrix(nodes=sorted(nodes), channel=channel, entries=entries)
 
@@ -361,8 +359,6 @@ def distance_loss_correlation(matrix: LossMatrix, positions: NodePositions) -> f
     for (tx, rx), entry in sorted(matrix.entries.items()):
         distances.append(math.dist(positions[tx], positions[rx]))
         losses.append(entry.mean_loss)
-    d = np.asarray(distances)
-    l = np.asarray(losses)
-    if np.ptp(d) == 0 or np.ptp(l) == 0:
+    if min(distances) == max(distances) or min(losses) == max(losses):
         raise ValueError("degenerate: zero variance in distance or loss")
-    return float(np.corrcoef(d, l)[0, 1])
+    return statistics.correlation(distances, losses)

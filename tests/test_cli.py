@@ -191,15 +191,24 @@ def test_ingest_rejects_non_finite_levels(tmp_path, capsys):
     assert matrix.entries[(2, 1)].mean_loss == 64.0 and matrix.entries[(2, 1)].count == 1
 
 
-def test_ingest_rejects_an_aggregate_that_overflows(tmp_path, capsys):
-    # each loss is finite, but numpy's mean of the two overflows
+def test_ingest_keeps_a_mean_near_the_float_maximum(tmp_path, capsys):
+    # a float sum of the two losses overflows; the exact mean is the loss itself
     log = tmp_path / "campaign.log"
     log.write_text("1 2 1e308 -60 26 0\n1 2 1e308 -60 26 1\n2 1 3.0 -60.0 26 0\n")
     out = tmp_path / "out"
-    assert main(["ingest", str(log), "--out", str(out), "--min-count", "1"]) == EXIT_INPUT
-    captured = capsys.readouterr()
-    assert captured.err == "error: pair 1 -> 2: mean of 2 losses is inf, not finite\n"
-    assert not out.exists()
+    assert main(["ingest", str(log), "--out", str(out), "--min-count", "1"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    entry = io.load_matrix(out / "matrix.json").entries[(1, 2)]
+    assert (entry.mean_loss, entry.stddev, entry.count) == (1e308, 0.0, 2)
+
+
+def test_ingest_rounds_the_mean_once(tmp_path):
+    # numpy's float sum gives 0.20000000000000004; the exact mean rounds to 0.2
+    log = tmp_path / "campaign.log"
+    log.write_text("1 2 0 -0.1 26 0\n1 2 0 -0.2 26 1\n1 2 0 -0.3 26 2\n2 1 0 -0.1 26 0\n")
+    out = tmp_path / "out"
+    assert main(["ingest", str(log), "--out", str(out), "--min-count", "1"]) == EXIT_OK
+    assert '"mean_loss": 0.2,' in (out / "matrix.json").read_text()
 
 
 def test_ingest_empty_log_warns(tmp_path, capsys):
@@ -385,6 +394,16 @@ def test_tree_chain(tmp_path, capsys):
     assert "depth 5" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("grid", [["--beta-step", "0"], ["--beta-min", "200"]])
+def test_tree_beta_ignores_the_grid_flags(tmp_path, grid):
+    matrix = write_chain_matrix(tmp_path)
+    base = ["tree", str(matrix), "--kappa", "const:1", "--beta", "50"]
+    assert main([*base, "--out", str(tmp_path / "one")]) == EXIT_OK
+    assert main([*base, *grid, "--out", str(tmp_path / "grid")]) == EXIT_OK
+    for name in ("tree.json", "tree.dot"):
+        assert (tmp_path / "grid" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
 def test_tree_root_flag_gives_shallower_tree(tmp_path):
     matrix = write_chain_matrix(tmp_path)
     out_sweep = tmp_path / "sweep"
@@ -561,9 +580,12 @@ MALFORMED = {
     "tree without levels": ("tree", _without("levels"), "'levels'"),
     "NaN tree margin": ("tree", lambda d: {**d, "margin": float("nan")}, "margin nan"),
     "infinite tree bound": ("tree", lambda d: {**d, "beta": float("inf")}, "beta inf"),
-    "NaN loss": ("matrix", _first_entry(mean_loss=float("nan")), "entries[0]: mean_loss"),
-    "infinite loss": ("matrix", _first_entry(mean_loss=float("inf")), "entries[0]: mean_loss"),
-    "negative loss": ("matrix", _first_entry(mean_loss=-1.0), "entries[0]: mean_loss"),
+    "NaN loss": ("matrix", _first_entry(mean_loss=float("nan")), "entries[0].mean_loss nan"),
+    "infinite loss": (
+        "matrix", _first_entry(mean_loss=float("inf")), "entries[0].mean_loss inf"),
+    "negative loss": ("matrix", _first_entry(mean_loss=-1.0), "entries[0].mean_loss -1.0"),
+    "boolean loss": ("matrix", _first_entry(mean_loss=True), "entries[0].mean_loss True"),
+    "string loss": ("matrix", _first_entry(mean_loss="x"), "entries[0].mean_loss 'x'"),
     "duplicate node id": (
         "matrix", lambda d: {**d, "nodes": d["nodes"] + d["nodes"][:1]}, "duplicate node ids"),
     "duplicate entry": (

@@ -63,7 +63,7 @@ GOLDEN = {
     "file:campaign-a.log": "4b734d7f58a0acbf945647cca8ffc32ea44c29925b4d4f0ceb9c0ada2084232e",
     "file:campaign-b.log": "2c418ad32fc8744cd43293c21940d87ab984d15b067a60a99a0eb4a62269f807",
     "file:ingest/manifest.json": "cc7fe55e1b4101e821eb8a1248c7306fa6eccff1b8d8309ae75626f5a627fccf",
-    "file:ingest/matrix.json": "bf19143415e5311d9754faa9d953cbfcbf1a4a8d6b250406e87e9b71b6a40fcf",
+    "file:ingest/matrix.json": "fea53fdf090f5ff5f35669b6257c7e44c207ddd0668d7e9960f0732d4f28e5f8",
     "file:ingest-median/manifest.json": "645fc063ef3cf2f8c432f3a81e271056449bee7ecabe58df318a5cb536fafb7c",
     "file:ingest-median/matrix.json": "561a31de3bccb60875870b1b73434dda6230c61820774807485f22220d6fe12d",
     "stdout:pipeline": "0489438fb58a77c1d2ffbf1656fdd7f61f7353cdc3aaf6ba76151788379776fd",

@@ -56,6 +56,36 @@ def test_selection_round_trip(tmp_path):
     assert io.load_selection(path) == selection
 
 
+# field changes to a saved 4-cycle selection, and the text its error must contain
+BAD_SELECTIONS = {
+    "null bound": ({"beta": None}, "beta None is not a finite number"),
+    "string degree": ({"c": "3"}, "c '3' is not an integer >= 1"),
+    "zero degree": ({"c": 0}, "c 0 is not an integer >= 1"),
+    "string selected": ({"selected": "abc"}, "selected: expected a list, found 'abc'"),
+    "boolean selected node": ({"selected": [0, 1, 2, True]}, "selected: node id True"),
+    "scalar components": ({"components": 5}, "components: expected a list, found 5"),
+    "string component node": ({"components": [[0, 1, 2, "3"]]}, "components[0]: node id '3'"),
+    "scalar edges": ({"edges": "ab"}, "edges: expected a list, found 'ab'"),
+    "edge of three nodes": ({"edges": [[0, 1, 2]]}, "edges[0]: expected a pair of node ids"),
+    "float edge node": ({"edges": [[0, 1.0]]}, "edges[0]: node id 1.0"),
+    "float objective": ({"objective": 4.0}, "objective 4.0 is not the 4 selected nodes"),
+    "wrong objective": ({"objective": 3}, "objective 3 is not the 4 selected nodes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SELECTIONS))
+def test_malformed_selection_names_the_field(tmp_path, case):
+    matrix = symmetric_matrix({(0, 1): 45.0, (1, 2): 45.0, (2, 3): 45.0, (0, 3): 45.0})
+    [selection] = select_constant_degree(matrix, 2, GraphFamily(matrix, 50, 50, 1))
+    path = tmp_path / "selection.json"
+    io.save_selection(selection, path)
+    change, detail = BAD_SELECTIONS[case]
+    path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+    with pytest.raises(ValueError) as error:
+        io.load_selection(path)
+    assert str(error.value).startswith(f"{path}: ") and detail in str(error.value)
+
+
 def test_profile_round_trip(tmp_path):
     path = tmp_path / "profile.json"
     save_profile(AT86RF231, path)

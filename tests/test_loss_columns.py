@@ -1,11 +1,12 @@
 """Streamed loss columns against the per-sample ingest path they replaced.
 
 ``parse_campaign_log`` appends each accepted loss to its pair's column and
-``build_loss_matrix`` aggregates the columns. The oracles below are the
-earlier implementations, kept here in behaviour: a parse that builds one
-``OldSample`` per line and a build that groups the samples. The only rule
-added since, finiteness of both levels and the loss, is the oracle's last
-check too. Hypothesis draws multi-file logs with integer, decimal,
+``build_loss_matrix`` aggregates the columns. The parse oracle is the
+earlier implementation, kept here in behaviour: one ``OldSample`` per line.
+The only rule added since, finiteness of both levels and the loss, is the
+oracle's last check too. The build oracle groups the samples per pair and
+takes the mean, median or pNN as an exact ``Fraction``, which the matrix
+must hold rounded once. Hypothesis draws multi-file logs with integer, decimal,
 exponent-form and repr floats, comments, blank lines, every kind of
 rejected line and mixed channels. A second strategy repeats a few heads
 (a line's text before its last space) with drawn separators and last
@@ -14,16 +15,20 @@ tokens, so that most lines take the parse's head cache.
 Stddev is checked against exact correct rounding on every Python, and
 against ``statistics.stdev`` from 3.11 on, where it rounds once, and
 on columns that repeat a few values many times against the per-sample
-sums it replaced.
+sums it replaced. Mean, median and pNN are checked against the exact
+formula on drawn columns, and the median against ``np.median`` bit for
+bit.
 """
 
 import math
 import statistics
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
 
+import numpy as np
 import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
@@ -34,10 +39,10 @@ from topogen.measurements import (
     ChannelMismatchError,
     LossColumns,
     Rejection,
+    aggregate,
     build_loss_matrix,
-    make_aggregator,
+    parse_aggregator,
     parse_campaign_log,
-    sample_stddev,
 )
 
 
@@ -78,7 +83,7 @@ def old_parse(lines):
             continue
         fields = line.split()
         if len(fields) != 6:
-            rejections.append(Rejection(number, raw.rstrip("\n"), "expected 6 fields"))
+            rejections.append(Rejection(number, "expected 6 fields"))
             continue
         try:
             sample = OldSample(
@@ -90,15 +95,34 @@ def old_parse(lines):
                 seq=int(fields[5]),
             )
         except ValueError as exc:
-            rejections.append(Rejection(number, raw.rstrip("\n"), str(exc)))
+            rejections.append(Rejection(number, str(exc)))
             continue
         samples.append(sample)
     return samples, rejections
 
 
+def exact_location(losses, aggregator):
+    """Oracle: the mean, median or pNN of ``losses`` as an exact Fraction.
+
+    pNN interpolates linearly between the order statistics around rank
+    (count - 1) * NN / 100, numpy's default percentile; median is p50.
+    """
+    ordered = sorted(map(Fraction, losses))
+    if aggregator == "mean":
+        return sum(ordered) / len(ordered)
+    p = 50 if aggregator == "median" else float(aggregator[1:])
+    rank = (len(ordered) - 1) * Fraction(p) / 100
+    low = math.floor(rank)
+    high = min(low + 1, len(ordered) - 1)
+    return ordered[low] + (rank - low) * (ordered[high] - ordered[low])
+
+
+def stddev_of(losses):
+    return aggregate(Counter(losses), None)[1]
+
+
 def old_build(samples, aggregator):
-    """Oracle: group the samples per pair, then aggregate as before."""
-    agg = make_aggregator(aggregator)
+    """Oracle: group the samples per pair, then aggregate exactly and round once."""
     channels = sorted({s.channel for s in samples})
     if len(channels) > 1:
         raise ChannelMismatchError(f"samples mix channels {channels[0]} and {channels[1]}")
@@ -106,7 +130,7 @@ def old_build(samples, aggregator):
     for s in samples:
         groups.setdefault((s.tx, s.rx), []).append(s.loss)
     return {
-        pair: (agg(sorted(losses)), len(losses), sorted(losses))
+        pair: (float(exact_location(losses, aggregator)), len(losses), sorted(losses))
         for pair, losses in groups.items()
     }, {n for pair in groups for n in pair}
 
@@ -164,7 +188,7 @@ def log_files():
     return st.lists(st.sampled_from([26, 26, 17]).flatmap(log_file), min_size=1, max_size=3)
 
 
-AGGREGATORS = st.sampled_from(["mean", "median", "p90"])
+AGGREGATORS = st.sampled_from(["mean", "median", "p0", "p33.3", "p90", "p100"])
 
 
 def ingest_both(files, aggregator):
@@ -183,14 +207,11 @@ def ingest_both(files, aggregator):
         old = str(exc)
     try:
         new = build_loss_matrix(columns, aggregator)
-    except ValueError as exc:  # a channel mix, or an aggregate that overflows
+    except ChannelMismatchError as exc:
         new = str(exc)
     return results, old, new
 
 
-# two losses near the float maximum overflow numpy's mean in the oracle;
-# build_loss_matrix rejects such a pair instead of storing infinity
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(log_files(), AGGREGATORS)
 def test_columns_match_per_sample_oracle(files, aggregator):
@@ -201,15 +222,6 @@ def test_columns_match_per_sample_oracle(files, aggregator):
         assert new == old
         return
     groups, nodes = old
-    overflows = [
-        (pair, loss, count)
-        for pair, (loss, count, _) in groups.items()
-        if not math.isfinite(loss)
-    ]
-    if overflows:
-        (tx, rx), loss, count = overflows[0]
-        assert new == f"pair {tx} -> {rx}: {aggregator} of {count} losses is {loss}, not finite"
-        return
     assert new.nodes == sorted(nodes)
     assert new.entries.keys() == groups.keys()
     for pair, entry in new.entries.items():
@@ -235,11 +247,9 @@ REASONS = [
     "non-finite rssi",
     "non-finite loss",
     "samples mix channels",
-    "losses is inf, not finite",
 ]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("reason", REASONS)
 def test_drawn_logs_reach_every_rejection_and_the_channel_mix(reason):
     def reaches(files):
@@ -271,7 +281,7 @@ def test_drawn_logs_reach_every_rejection_and_the_channel_mix(reason):
     )
 )
 def test_stddev_is_correctly_rounded(losses):
-    stddev = sample_stddev(losses)
+    stddev = stddev_of(losses)
     assert_correctly_rounded(stddev, losses)
     if sys.version_info >= (3, 11):
         assert stddev.hex() == statistics.stdev(losses).hex()
@@ -388,7 +398,33 @@ REPEATED_VALUES = [
 )
 def test_stddev_over_repeated_values_matches_per_sample_sums(losses):
     column = sorted(losses)
-    stddev = sample_stddev(column)
+    stddev = stddev_of(column)
     assert stddev.hex() == old_stddev(column).hex()
-    assert sample_stddev(losses).hex() == stddev.hex()
+    assert stddev_of(losses).hex() == stddev.hex()
     assert_correctly_rounded(stddev, column)
+
+
+PERCENTILES = [0, 33.3, 50, 95, 100]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(min_value=0, max_value=200),
+            st.floats(min_value=1e300, max_value=1.7e308),
+            st.integers(min_value=0, max_value=120).map(float),
+        ),
+        min_size=1,
+        max_size=4,
+    ).flatmap(lambda pool: st.lists(st.sampled_from(pool) | st.floats(0, 200),
+                                    min_size=1, max_size=60))
+)
+def test_locations_are_the_exact_formula_rounded_once(losses):
+    counts = Counter(losses)
+    for aggregator in ["mean", "median", *(f"p{p}" for p in PERCENTILES)]:
+        location, stddev = aggregate(counts, parse_aggregator(aggregator))
+        assert location.hex() == float(exact_location(losses, aggregator)).hex()
+        assert stddev.hex() == stddev_of(losses).hex()
+    if max(losses) < 1e300:  # numpy's midpoint a + b overflows near the float maximum
+        assert aggregate(counts, 50.0)[0].hex() == float(np.median(losses)).hex()

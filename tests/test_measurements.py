@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,7 +81,7 @@ def test_parse_rejects_self_reception_and_bad_channel():
 def test_parse_rejects_non_finite_levels_last(line, reason):
     samples, rejections = parse_campaign_log([line, "2 1 3 -60 26 1"])
     assert samples.losses == {(2, 1): [63.0]}
-    assert rejections == [Rejection(1, line, reason)]
+    assert rejections == [Rejection(1, reason)]
     tx, rx, tx_power, rssi, channel, seq = line.split()
     with pytest.raises(ValueError, match=reason):
         check_record(int(tx), int(rx), float(tx_power), float(rssi), int(channel), int(seq))
@@ -262,3 +266,13 @@ def test_correlation_errors():
         distance_loss_correlation(constant, positions)
     with pytest.raises(ValueError, match="missing positions"):
         distance_loss_correlation(constant, {1: (0.0, 0.0, 0.0)})
+
+
+def test_measurements_imports_no_numpy():
+    code = "import sys, topogen.measurements; print('numpy' in sys.modules)"
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"
