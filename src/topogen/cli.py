@@ -152,8 +152,9 @@ def cmd_ingest(args) -> tuple[int, list[str]]:
 def cmd_analyze(args) -> tuple[int, list[str]]:
     matrix = io.load_matrix(args.matrix)
     family = _family(matrix, args)
-    degrees_csv = io.degree_distribution_csv(graphs.degree_distribution(family))
-    report = graphs.monotonicity_report(family)
+    distribution = graphs.degree_distribution(family)
+    degrees_csv = io.degree_distribution_csv(distribution)
+    report = graphs.monotonicity_report(distribution)
     monotonicity = "\n".join(
         f"{b1:g} -> {b2:g}: +{delta} edges" for b1, b2, delta in report
     ) + "\n"

@@ -27,7 +27,10 @@ class DegreeSelection:
     selected: frozenset[int]
     components: tuple[frozenset[int], ...]
     edges: frozenset[tuple[int, int]]  # induced subgraph edges
-    objective: int
+
+    @property
+    def objective(self) -> int:
+        return len(self.selected)
 
     @property
     def graph(self) -> BoundedGraph:
@@ -40,7 +43,7 @@ def build_degree_program(graph: BoundedGraph, c: int) -> ilp.BinaryProgram:
     if c < 1:
         raise ValueError("target degree c must be >= 1")
     nodes = sorted(graph.nodes)
-    m = max((graph.degree(u) for u in nodes), default=0)
+    m = max((len(graph.adjacency[u]) for u in nodes), default=0)
     constraints = []
     for u in nodes:
         neighbors = sorted(graph.adjacency[u])
@@ -75,7 +78,6 @@ def _make_selection(graph: BoundedGraph, c: int, selected: frozenset[int]) -> De
         selected=selected,
         components=(),
         edges=frozenset((a, b) for a, b in graph.edges if a in selected and b in selected),
-        objective=len(selected),
     )
     components = connected_components(selection.graph)
     selection = replace(selection, components=tuple(frozenset(comp) for comp in components))

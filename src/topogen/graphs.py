@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .measurements import LossMatrix
 from .radio import AT86RF231
@@ -25,21 +26,16 @@ class BoundedGraph:
     beta: float
     nodes: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
-    adjacency: dict[int, set[int]] = field(
-        default=None, compare=False, repr=False
-    )
 
-    def __post_init__(self):
-        adj: dict[int, set[int]] = {n: set() for n in self.nodes}
+    @cached_property
+    def adjacency(self) -> dict[int, set[int]]:
+        adjacency: dict[int, set[int]] = {n: set() for n in self.nodes}
         for a, b in self.edges:
             if a == b:
                 raise ValueError(f"self-loop on node {a}")
-            adj[a].add(b)
-            adj[b].add(a)
-        object.__setattr__(self, "adjacency", adj)
-
-    def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+        return adjacency
 
 
 def neighborhood_graph(matrix: LossMatrix, beta: float) -> BoundedGraph:
@@ -95,14 +91,12 @@ class GraphFamily:
         return neighborhood_graph(self.matrix, beta)
 
 
-def _degrees(matrix: LossMatrix, beta: float) -> list[int]:
-    return [len(matrix.neighbors_within(u, beta)) for u in matrix.nodes]
-
-
 def degree_distribution(family: GraphFamily) -> dict[float, tuple[int, ...]]:
     """Per-bound multiset of node degrees (sorted ascending)."""
+    matrix = family.matrix
     return {
-        beta: tuple(sorted(_degrees(family.matrix, beta))) for beta in family.betas()
+        beta: tuple(sorted(len(matrix.neighbors_within(u, beta)) for u in matrix.nodes))
+        for beta in family.betas()
     }
 
 
@@ -126,15 +120,17 @@ def connected_components(graph: BoundedGraph) -> list[set[int]]:
     return sorted(components, key=lambda c: (-len(c), min(c)))
 
 
-def monotonicity_report(family: GraphFamily) -> list[tuple[float, float, int]]:
-    """Edge-count deltas between consecutive bounds on the grid.
+def monotonicity_report(
+    distribution: dict[float, tuple[int, ...]],
+) -> list[tuple[float, float, int]]:
+    """Edge-count deltas between consecutive bounds of a degree distribution.
 
     Deltas are never negative: raising the bound can only add edges.
     """
-    betas = family.betas()
+    betas = sorted(distribution)
     if len(betas) < 2:
         raise ValueError("family grid needs at least 2 points")
-    counts = [sum(_degrees(family.matrix, beta)) // 2 for beta in betas]
+    counts = [sum(distribution[beta]) // 2 for beta in betas]
     return [
         (betas[i], betas[i + 1], counts[i + 1] - counts[i])
         for i in range(len(betas) - 1)

@@ -80,8 +80,12 @@ class BinaryProgram:
 class Solution:
     status: str  # "optimal" | "infeasible"
     assignment: dict[VarId, int]
-    objective_value: int | None
     explored: int | None = None  # B&B nodes entered, or assignments enumerated
+
+    @property
+    def objective_value(self) -> int | None:
+        """Count of variables set to 1, or None when infeasible."""
+        return None if self.status == "infeasible" else sum(self.assignment.values())
 
 
 def force(row_terms, left: int, values: list[int], queue: list[int]):
@@ -170,12 +174,7 @@ def solve(program: BinaryProgram) -> Solution:
                 stack.append((child, child_slack, child_count))
 
     if best_values is None:
-        return Solution(
-            status="infeasible", assignment={}, objective_value=None, explored=explored
-        )
+        return Solution(status="infeasible", assignment={}, explored=explored)
     return Solution(
-        status="optimal",
-        assignment=dict(zip(order, best_values)),
-        objective_value=best,
-        explored=explored,
+        status="optimal", assignment=dict(zip(order, best_values)), explored=explored
     )

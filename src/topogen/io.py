@@ -82,12 +82,15 @@ def save_matrix(matrix: LossMatrix, path: Path | str):
 def load_matrix(path: Path | str) -> LossMatrix:
     with _load(path, MATRIX_FORMAT) as document:
         channel = document["channel"]  # None after an ingest that accepted no sample
-        nodes = [_node_id(n, f"nodes[{i}]") for i, n in enumerate(document["nodes"])]
+        nodes = [
+            _node_id(n, f"nodes[{i}]") for i, n in enumerate(_list(document["nodes"], "nodes"))
+        ]
         known = set(nodes)
         if len(known) != len(nodes):
             raise ValueError("nodes: duplicate node ids")
         entries = {}
-        for i, item in enumerate(document["entries"]):
+        for i, item in enumerate(_list(document["entries"], "entries")):
+            item = _object(item, f"entries[{i}]")
             pair = (
                 _node_id(item["tx"], f"entries[{i}].tx"),
                 _node_id(item["rx"], f"entries[{i}].rx"),
@@ -110,7 +113,7 @@ def load_matrix(path: Path | str) -> LossMatrix:
             nodes=nodes,
             channel=channel if channel is None else check_channel(channel),
             entries=entries,
-            meta=document.get("meta", {}),
+            meta=_object(document.get("meta", {}), "meta"),
         )
 
 
@@ -129,12 +132,16 @@ def save_positions(positions: NodePositions, path: Path | str):
 
 def load_positions(path: Path | str) -> NodePositions:
     with _load(path, POSITIONS_FORMAT) as document:
-        return {
-            _node_id(item["node"], f"positions[{i}].node"): tuple(
-                finite(item[axis], f"positions[{i}].{axis}") for axis in "xyz"
-            )
-            for i, item in enumerate(document["positions"])
-        }
+        positions: NodePositions = {}
+        first: dict[int, str] = {}  # node id -> the item that placed it
+        for i, item in enumerate(_list(document["positions"], "positions")):
+            where = f"positions[{i}]"
+            node = _node_id(_object(item, where)["node"], f"{where}.node")
+            if node in first:
+                raise ValueError(f"{where}.node: node {node} repeats {first[node]}")
+            first[node] = where
+            positions[node] = tuple(finite(item[axis], f"{where}.{axis}") for axis in "xyz")
+        return positions
 
 
 def save_tree(tree: LayeredTree, path: Path | str):
@@ -153,18 +160,19 @@ def save_tree(tree: LayeredTree, path: Path | str):
 
 def load_tree(path: Path | str) -> LayeredTree:
     with _load(path, TREE_FORMAT) as document:
-        depth = document["depth"]
-        if type(depth) is not int:  # 3.0 equals a level count but is no range bound
-            raise ValueError(f"depth {depth!r} is not an integer")
-        return LayeredTree(
+        tree = LayeredTree(
             root=_node_id(document["root"], "root"),
             beta=finite(document["beta"], "beta"),
             margin=finite(document["margin"], "margin"),
             levels=tuple(
-                _level(level, f"levels[{i}]") for i, level in enumerate(document["levels"])
+                _level(level, f"levels[{i}]")
+                for i, level in enumerate(_list(document["levels"], "levels"))
             ),
-            depth=depth,
         )
+        depth = document["depth"]
+        if type(depth) is not int or depth != tree.depth:
+            raise ValueError(f"depth {depth!r} is not the {tree.depth} levels below the root")
+        return tree
 
 
 def _level(level, where: str) -> frozenset[int]:
@@ -174,6 +182,12 @@ def _level(level, where: str) -> frozenset[int]:
 def _list(value, where: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{where}: expected a list, found {value!r}")
+    return value
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{where}: expected an object, found {type(value).__name__}")
     return value
 
 
@@ -210,7 +224,6 @@ def load_selection(path: Path | str) -> DegreeSelection:
             selected=selected,
             components=tuple(_level(p, f"components[{i}]") for i, p in enumerate(components)),
             edges=frozenset(_edge(e, f"edges[{i}]") for i, e in enumerate(edges)),
-            objective=objective,
         )
 
 
@@ -254,10 +267,8 @@ def load_scenario_matrix(path: Path | str, seed: int | None = None) -> LossMatri
 
 def _position_ids(positions) -> NodePositions:
     """A scenario's ``positions`` object, keyed by integer node id."""
-    if not isinstance(positions, dict):
-        raise ValueError(f"positions: expected an object, found {type(positions).__name__}")
     by_id: NodePositions = {}
-    for key, position in positions.items():
+    for key, position in _object(positions, "positions").items():
         try:
             node = int(key)
         except ValueError:

@@ -21,20 +21,17 @@ from .measurements import LossMatrix
 
 @dataclass(frozen=True)
 class KappaSpec:
-    """Required breadth per depth: constant, depth+1, or an explicit table.
+    """Required breadth per depth: an explicit table, then ``rest``.
 
-    Table entries cover specific depths; unlisted depths default to 1 so
-    deeper levels remain allowed.
+    Depths the table does not list need ``rest`` nodes, or depth + 1 when
+    ``rest`` is None.
     """
 
-    kind: str  # "const" | "linear" | "table"
-    value: int = 1
     table: tuple[tuple[int, int], ...] = ()
+    rest: int | None = 1
 
     def __post_init__(self):
-        if self.kind not in ("const", "linear", "table"):
-            raise ValueError(f"unknown kappa kind {self.kind!r}")
-        if self.kind == "const" and self.value < 1:
+        if self.rest is not None and self.rest < 1:
             raise ValueError("constant breadth must be >= 1")
         depths: set[int] = set()
         for depth, breadth in self.table:
@@ -48,23 +45,23 @@ class KappaSpec:
             depths.add(depth)
 
     def __call__(self, depth: int) -> int:
-        if self.kind == "const":
-            return self.value
-        if self.kind == "linear":
-            return depth + 1
-        return dict(self.table).get(depth, 1)
+        for listed, breadth in self.table:
+            if listed == depth:
+                return breadth
+        return depth + 1 if self.rest is None else self.rest
 
     @classmethod
     def parse(cls, text: str) -> "KappaSpec":
         """Parse ``const:K``, ``linear`` or ``table:1=2,2=3``.
 
-        Every error names the spec: ``kappa spec 'const:x': ...``.
+        A table's unlisted depths need 1 node, so deeper levels remain
+        allowed. Every error names the spec: ``kappa spec 'const:x': ...``.
         """
         try:
             if text == "linear":
-                return cls(kind="linear")
+                return cls(rest=None)
             if text.startswith("const:"):
-                return cls(kind="const", value=int(text.split(":", 1)[1]))
+                return cls(rest=int(text.split(":", 1)[1]))
             if text.startswith("table:"):
                 pairs = []
                 for item in text.split(":", 1)[1].split(","):
@@ -72,7 +69,7 @@ class KappaSpec:
                         raise ValueError(f"kappa table item {item!r}: expected depth=breadth")
                     depth, breadth = item.split("=")
                     pairs.append((int(depth), int(breadth)))
-                return cls(kind="table", table=tuple(sorted(pairs)))
+                return cls(table=tuple(sorted(pairs)))
         except ValueError as exc:
             raise ValueError(f"kappa spec {text!r}: {exc}") from None
         raise ValueError(f"kappa spec {text!r}: expected const:K, linear or table:D=B,...")
@@ -84,15 +81,16 @@ class LayeredTree:
     beta: float
     margin: float
     levels: tuple[frozenset[int], ...]
-    depth: int
 
     def __post_init__(self):
         if not self.levels:
             raise ValueError("levels: a tree needs at least its root level")
-        if self.depth != len(self.levels) - 1:
-            raise ValueError("depth must equal number of levels minus one")
         if math.isnan(self.beta + self.margin):
             raise ValueError(f"bound {self.beta} plus margin {self.margin} is NaN")
+
+    @property
+    def depth(self) -> int:
+        return len(self.levels) - 1
 
     @property
     def nodes(self) -> set[int]:
@@ -144,13 +142,7 @@ def monitored_bfs(
         placed |= nxt
         frontier = _positions(nxt)
         levels.append(frozenset(map(order.__getitem__, frontier)))
-    return LayeredTree(
-        root=v0,
-        beta=beta,
-        margin=margin,
-        levels=tuple(levels),
-        depth=len(levels) - 1,
-    )
+    return LayeredTree(root=v0, beta=beta, margin=margin, levels=tuple(levels))
 
 
 def _positions(mask: int) -> list[int]:
@@ -280,11 +272,7 @@ def reduce_tree(
     for i in range(1, tree.depth + 1):
         levels.append(frozenset(tree.levels[i] & keep))
     reduced = LayeredTree(
-        root=tree.root,
-        beta=tree.beta,
-        margin=tree.margin,
-        levels=tuple(levels),
-        depth=tree.depth,
+        root=tree.root, beta=tree.beta, margin=tree.margin, levels=tuple(levels)
     )
     violations = check_tree(reduced, matrix, kappa)
     if violations:

@@ -138,9 +138,7 @@ def brute_force(program: BinaryProgram) -> Solution:
         feasible &= bits @ coefs <= constraint.rhs
 
     if not feasible.any():
-        return Solution(
-            status="infeasible", assignment={}, objective_value=None, explored=count
-        )
+        return Solution(status="infeasible", assignment={}, explored=count)
     counts = bits.sum(axis=1)
     # argmax returns the first index, which is the first assignment in
     # branch order attaining the optimum.
@@ -148,7 +146,6 @@ def brute_force(program: BinaryProgram) -> Solution:
     return Solution(
         status="optimal",
         assignment={v: int(bits[pick, k]) for k, v in enumerate(order)},
-        objective_value=int(counts[pick]),
         explored=count,
     )
 

@@ -21,8 +21,8 @@ from topogen.radio import AT86RF231, RadioSetting
 from topogen.synth import chain_scenario, generate
 from topogen.trees import KappaSpec, monitored_bfs, reduce_tree
 
-ONE = KappaSpec(kind="const", value=1)
-LINEAR = KappaSpec(kind="linear")
+ONE = KappaSpec.parse("const:1")
+LINEAR = KappaSpec.parse("linear")
 
 
 def report(name):

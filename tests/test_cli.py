@@ -629,6 +629,25 @@ MALFORMED = {
     "string stddev": ("matrix", _first_entry(stddev="0"), "entries[0].stddev '0'"),
     "string channel": ("matrix", lambda d: {**d, "channel": "x"}, "channel 'x'"),
     "channel below 11": ("matrix", lambda d: {**d, "channel": 5}, "channel 5"),
+    "repeated position node": (
+        "positions", lambda d: {**d, "positions": [*d["positions"], d["positions"][0]]},
+        "positions[3].node: node 0 repeats positions[0]"),
+    "object entries": ("matrix", lambda d: {**d, "entries": {}}, "entries: expected a list"),
+    "scalar entries": ("matrix", lambda d: {**d, "entries": 5}, "entries: expected a list"),
+    "scalar nodes": ("matrix", lambda d: {**d, "nodes": 5}, "nodes: expected a list"),
+    "scalar meta": ("matrix", lambda d: {**d, "meta": 5}, "meta: expected an object"),
+    "scalar entry": (
+        "matrix", lambda d: {**d, "entries": [5, *d["entries"][1:]]},
+        "entries[0]: expected an object"),
+    "scalar tree levels": ("tree", lambda d: {**d, "levels": 5}, "levels: expected a list"),
+    "object positions": (
+        "positions", lambda d: {**d, "positions": {"a": 1}}, "positions: expected a list"),
+    "scalar position": (
+        "positions", lambda d: {**d, "positions": [*d["positions"][:-1], 5]},
+        "positions[2]: expected an object"),
+    "tree depth off its levels": (
+        "tree", lambda d: {**d, "depth": d["depth"] + 1},
+        "depth 3 is not the 2 levels below the root"),
 }
 
 

@@ -19,8 +19,8 @@ from topogen.trees import (
     sweep_trees,
 )
 
-LINEAR = KappaSpec(kind="linear")
-ONE = KappaSpec(kind="const", value=1)
+LINEAR = KappaSpec.parse("linear")
+ONE = KappaSpec.parse("const:1")
 
 
 def test_kappa_parsing():
@@ -271,7 +271,6 @@ def reduction_oracle(tree, matrix, kappa):
                 beta=tree.beta,
                 margin=tree.margin,
                 levels=tuple(levels),
-                depth=tree.depth,
             )
             if not check_tree(candidate, matrix, kappa):
                 vector = tuple(int(u in keep_set) for u in reducible)
