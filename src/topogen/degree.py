@@ -13,7 +13,8 @@ for deselected nodes and forces S(u) = c for selected ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 from . import ilp
 from .graphs import BoundedGraph, GraphFamily, connected_components, neighborhood_graph
@@ -25,7 +26,6 @@ class DegreeSelection:
     beta: float
     c: int
     selected: frozenset[int]
-    components: tuple[frozenset[int], ...]
     edges: frozenset[tuple[int, int]]  # induced subgraph edges
 
     @property
@@ -36,6 +36,11 @@ class DegreeSelection:
     def graph(self) -> BoundedGraph:
         """The subgraph induced by the selected nodes."""
         return BoundedGraph(beta=self.beta, nodes=tuple(sorted(self.selected)), edges=self.edges)
+
+    @cached_property
+    def components(self) -> tuple[frozenset[int], ...]:
+        """Connected node sets of the induced subgraph, largest first."""
+        return tuple(map(frozenset, connected_components(self.graph)))
 
 
 def build_degree_program(graph: BoundedGraph, c: int) -> ilp.BinaryProgram:
@@ -76,11 +81,8 @@ def _make_selection(graph: BoundedGraph, c: int, selected: frozenset[int]) -> De
         beta=graph.beta,
         c=c,
         selected=selected,
-        components=(),
         edges=frozenset((a, b) for a, b in graph.edges if a in selected and b in selected),
     )
-    components = connected_components(selection.graph)
-    selection = replace(selection, components=tuple(frozenset(comp) for comp in components))
     bad = verify_regular(selection)
     if bad:
         raise RuntimeError(f"selection at beta {graph.beta} not {c}-regular: nodes {bad}")

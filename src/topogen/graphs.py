@@ -31,8 +31,6 @@ class BoundedGraph:
     def adjacency(self) -> dict[int, set[int]]:
         adjacency: dict[int, set[int]] = {n: set() for n in self.nodes}
         for a, b in self.edges:
-            if a == b:
-                raise ValueError(f"self-loop on node {a}")
             adjacency[a].add(b)
             adjacency[b].add(a)
         return adjacency
@@ -82,6 +80,10 @@ class GraphFamily:
                 f"step {self.step!r} gives more than {MAX_GRID_STEPS} steps "
                 f"from {self.beta_min!r} to {self.beta_max!r}"
             )
+        betas = self.betas()  # ascending, so equal floats are neighbours
+        for low, high in zip(betas, betas[1:]):
+            if low == high:
+                raise ValueError(f"step {self.step!r} gives bound {low!r} more than once")
 
     def betas(self) -> list[float]:
         count = int(math.floor((self.beta_max - self.beta_min) / self.step + 1e-9))

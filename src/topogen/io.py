@@ -216,21 +216,27 @@ def load_selection(path: Path | str) -> DegreeSelection:
             raise ValueError(
                 f"objective {objective!r} is not the {len(selected)} selected nodes"
             )
-        components = _list(document["components"], "components")
         edges = _list(document["edges"], "edges")
-        return DegreeSelection(
+        selection = DegreeSelection(
             beta=finite(document["beta"], "beta"),
             c=c,
             selected=selected,
-            components=tuple(_level(p, f"components[{i}]") for i, p in enumerate(components)),
-            edges=frozenset(_edge(e, f"edges[{i}]") for i, e in enumerate(edges)),
+            edges=frozenset(_edge(e, f"edges[{i}]", selected) for i, e in enumerate(edges)),
         )
+        components = _list(document["components"], "components")
+        stored = tuple(_level(p, f"components[{i}]") for i, p in enumerate(components))
+        if stored != selection.components:
+            raise ValueError(f"components {components!r} are not those of the edges")
+        return selection
 
 
-def _edge(edge, where: str) -> tuple[int, int]:
+def _edge(edge, where: str, selected: frozenset[int]) -> tuple[int, int]:
     if not (isinstance(edge, list) and len(edge) == 2):
         raise ValueError(f"{where}: expected a pair of node ids, found {edge!r}")
-    return _node_id(edge[0], where), _node_id(edge[1], where)
+    a, b = _node_id(edge[0], where), _node_id(edge[1], where)
+    if not (a < b and a in selected and b in selected):
+        raise ValueError(f"{where}: {edge!r} is not an ascending pair of selected nodes")
+    return a, b
 
 
 def load_profile(path: Path | str) -> TransceiverProfile:

@@ -157,26 +157,21 @@ class LossMatrix:
         return neighbors[: bisect_right(births, beta)]
 
     @cached_property
-    def bit_nodes(self) -> list[int]:
-        """The nodes in sorted order: bit i of a neighbour mask is ``bit_nodes[i]``."""
-        return sorted(self.nodes)
-
-    @cached_property
     def edge_masks(self) -> dict[int, list[int]]:
         """Per node, the prefix masks of its ``edge_births`` row.
 
-        Mask k holds the bits of the row's first k neighbours, so mask 0 is
-        empty and ``neighbors_within(node, beta)`` has the bits of mask
-        ``bisect_right(births, beta)``.
+        Bit i stands for ``nodes[i]``. Mask k holds the bits of the row's
+        first k neighbours, so mask 0 is empty and ``neighbors_within(node,
+        beta)`` has the bits of mask ``bisect_right(births, beta)``.
         """
-        bit = {node: 1 << i for i, node in enumerate(self.bit_nodes)}
+        bit = {node: 1 << i for i, node in enumerate(self.nodes)}
         return {
             node: list(accumulate((bit[v] for v in neighbors), or_, initial=0))
             for node, (_, neighbors) in self.edge_births.items()
         }
 
     def masks_within(self, beta: float) -> list[int]:
-        """Per position in ``bit_nodes``, the mask of its neighbours at ``beta``.
+        """Per position in ``nodes``, the mask of its neighbours at ``beta``.
 
         The vectors of the last ``MASK_BOUNDS`` bounds asked for stay in
         ``bound_masks``, so a sweep that asks for the same bounds for every
@@ -188,7 +183,7 @@ class LossMatrix:
                 del self.bound_masks[next(iter(self.bound_masks))]
             rows, prefixes = self.edge_births, self.edge_masks
             masks = [
-                prefixes[node][bisect_right(rows[node][0], beta)] for node in self.bit_nodes
+                prefixes[node][bisect_right(rows[node][0], beta)] for node in self.nodes
             ]
             self.bound_masks[beta] = masks
         return masks

@@ -122,10 +122,9 @@ def monitored_bfs(
         raise ValueError("margin must be >= 0")
     near = matrix.masks_within(beta)
     far = matrix.masks_within(beta + margin)
-    order = matrix.bit_nodes
 
     levels = [frozenset({v0})]
-    frontier = [order.index(v0)]
+    frontier = [matrix.nodes.index(v0)]
     placed = 1 << frontier[0]
     # Nodes with a strong link into a level strictly above the frontier.
     # Links are symmetric, so these are the levels' own strong neighbours.
@@ -141,7 +140,7 @@ def monitored_bfs(
             break  # the partial level is dropped without being decoded
         placed |= nxt
         frontier = _positions(nxt)
-        levels.append(frozenset(map(order.__getitem__, frontier)))
+        levels.append(frozenset(map(matrix.nodes.__getitem__, frontier)))
     return LayeredTree(root=v0, beta=beta, margin=margin, levels=tuple(levels))
 
 

@@ -727,3 +727,8 @@ def test_runaway_beta_step_is_input_error(tmp_path, capsys):
     assert code == EXIT_INPUT
     assert time.monotonic() - start < 1.0
     assert "error: step 1e-09 gives more than" in capsys.readouterr().err
+    # 32,769 grid points, but only 3 distinct floats
+    grid = ["--beta-min", "1e20", "--beta-max", "1.0000000000000003e20", "--beta-step", "1"]
+    code = main(["degree", str(matrix), "1", *grid, "--out", str(tmp_path / "o")])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == "error: step 1.0 gives bound 1e+20 more than once\n"

@@ -8,7 +8,7 @@ tree requirement checker and DOT link listing over rebuilt graphs.
 Hypothesis draws matrices with one-way entries, NaN losses and losses
 exactly on the bound grid and on bound + margin, where ``<=`` decides.
 Node ids are drawn unsorted, sparse, negative and large, because the
-monitored BFS keys its bit masks by position in sorted node order.
+monitored BFS keys its bit masks by position in the matrix's node list.
 """
 
 import dataclasses
@@ -310,8 +310,9 @@ def grid_matrix(rows, cols, seed):
 
 def test_monitored_bfs_matches_graph_oracle_past_64_nodes():
     # 72 nodes: masks span several machine words, and bit positions
-    # differ from both the ids and their order in ``nodes``
+    # follow the unsorted order of ``nodes``, which reversing must not change
     matrix = grid_matrix(9, 8, seed=5)
+    reversed_matrix = LossMatrix(nodes=matrix.nodes[::-1], channel=26, entries=matrix.entries)
     family = GraphFamily(matrix, beta_min=40.0, beta_max=70.0, step=2.5)
     kappa = KappaSpec.parse("const:1")
     largest = 0
@@ -319,6 +320,7 @@ def test_monitored_bfs_matches_graph_oracle_past_64_nodes():
         for v0 in matrix.nodes:
             expected = graph_bfs(matrix, v0, beta, 5.0, kappa)
             assert monitored_bfs(matrix, v0, beta, 5.0, kappa) == expected
+            assert monitored_bfs(reversed_matrix, v0, beta, 5.0, kappa) == expected
             largest = max(largest, expected.total_nodes)
     assert largest > 64
 

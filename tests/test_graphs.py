@@ -209,6 +209,8 @@ def test_family_validation():
         ({"step": 1e-9}, "step 1e-09"),
         ({"step": 5e-324}, "step 5e-324"),  # the span overflows to inf
         ({"beta_min": 0.0, "beta_max": 100_001.0}, "step 1.0"),
+        # 32,769 points, but only 3 distinct floats
+        ({"beta_min": 1e20, "beta_max": 1.0000000000000003e20}, "step 1.0 gives bound 1e"),
     ],
 )
 def test_family_rejects_non_finite_and_runaway_grids(fields, named):

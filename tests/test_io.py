@@ -70,6 +70,22 @@ BAD_SELECTIONS = {
     "float edge node": ({"edges": [[0, 1.0]]}, "edges[0]: node id 1.0"),
     "float objective": ({"objective": 4.0}, "objective 4.0 is not the 4 selected nodes"),
     "wrong objective": ({"objective": 3}, "objective 3 is not the 4 selected nodes"),
+    "edge leaving the selection": (
+        {"edges": [[0, 1], [0, 3], [1, 2], [2, 3], [3, 9]]},
+        "edges[4]: [3, 9] is not an ascending pair of selected nodes",
+    ),
+    "reversed duplicate edge": (
+        {"edges": [[0, 1], [1, 0], [0, 3], [1, 2], [2, 3]]},
+        "edges[1]: [1, 0] is not an ascending pair of selected nodes",
+    ),
+    "self-loop edge": (
+        {"edges": [[0, 0], [0, 1], [0, 3], [1, 2], [2, 3]]},
+        "edges[0]: [0, 0] is not an ascending pair of selected nodes",
+    ),
+    "components not the edges' components": (
+        {"components": [[7]]},
+        "components [[7]] are not those of the edges",
+    ),
 }
 
 
