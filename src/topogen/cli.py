@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("degree", help="select a constant-degree topology")
     p.add_argument("matrix", type=Path)
-    p.add_argument("c", type=int, help="target node degree")
+    p.add_argument("c", type=_positive_int, help="target node degree")
     _add_grid_flags(p)
     _add_out_flag(p)
     p.set_defaults(func=cmd_degree)

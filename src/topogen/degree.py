@@ -89,26 +89,38 @@ def _make_selection(graph: BoundedGraph, c: int, selected: frozenset[int]) -> De
     return selection
 
 
+def select_at(matrix: LossMatrix, beta: float, c: int, floor: int) -> DegreeSelection | None:
+    """The maximum c-regular selection at ``beta`` if it has ``floor`` nodes or more.
+
+    None when the optimum is below ``floor`` or is empty. The result is
+    re-verified c-regular by an independent recount.
+    """
+    graph = neighborhood_graph(matrix, beta)
+    solution = ilp.solve(build_degree_program(graph, c), floor=floor)
+    selected = frozenset(u for u, value in solution.assignment.items() if value)
+    return _make_selection(graph, c, selected) if selected else None
+
+
 def select_constant_degree(
     matrix: LossMatrix, c: int, family: GraphFamily
 ) -> list[DegreeSelection]:
-    """Solve the constant-degree program for every bound on the grid.
+    """Sweep the grid upward and keep the selections that set a record.
 
-    Returns one selection per bound with a nonzero optimum, in bound
-    order. Every result is re-verified c-regular by an independent
-    recount.
+    A record is a largest component bigger than every earlier bound's.
+    Each bound is solved only for a selection larger than the record so
+    far: a smaller optimum holds no larger component, and an equal one
+    would lose the tie to the smaller bound. Returns the record-setting
+    selections in bound order, so ``largest_component_selection`` of the
+    list is that of every bound's selection.
     """
-    selections = []
+    records = []
+    record = 0
     for beta in family.betas():
-        graph = neighborhood_graph(matrix, beta)
-        solution = ilp.solve(build_degree_program(graph, c))
-        selected = frozenset(
-            u for u, value in solution.assignment.items() if value
-        )
-        if not selected:
-            continue
-        selections.append(_make_selection(graph, c, selected))
-    return selections
+        selection = select_at(matrix, beta, c, record + 1)
+        if selection is not None and len(selection.components[0]) > record:
+            records.append(selection)
+            record = len(selection.components[0])
+    return records
 
 
 def largest_component_selection(

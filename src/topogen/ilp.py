@@ -31,7 +31,12 @@ bound cuts only subtrees that cannot strictly beat the incumbent, so
 the sequence of incumbents, and with it the returned assignment, is
 that of the unpruned search: the first optimum in branch order, which
 is the lexicographically greatest optimal 0/1 vector in declaration
-order.
+order. A floor starts the incumbent at ``floor - 1`` instead of -1, so
+the bound also cuts every subtree that cannot reach ``floor`` ones. The
+unpruned search's incumbents strictly increase, and the floor only skips
+those below it: a floor of at most the optimum returns the same
+assignment as no floor, and a floor above the optimum returns
+``infeasible``. The default floor of 0 is no floor.
 """
 
 from __future__ import annotations
@@ -98,8 +103,13 @@ def force(row_terms, left: int, values: list[int], queue: list[int]):
             queue.append(k)
 
 
-def solve(program: BinaryProgram) -> Solution:
-    """Solve to proven optimality by deterministic branch-and-bound."""
+def solve(program: BinaryProgram, floor: int = 0) -> Solution:
+    """Solve to proven optimality by deterministic branch-and-bound.
+
+    Only assignments with at least ``floor`` ones count: when the optimum
+    is below ``floor`` the result is ``infeasible``, and otherwise it is
+    the assignment that ``floor=0`` returns.
+    """
     program.validate()
     order = program.variables
     n = len(order)
@@ -143,7 +153,7 @@ def solve(program: BinaryProgram) -> Solution:
                     force(row_terms, left, values, queue)
         return True
 
-    best = -1
+    best = floor - 1
     best_values: list[int] | None = None
     explored = 0
     values, queue = [FREE] * n, []

@@ -236,6 +236,23 @@ def test_ingest_min_count_must_be_a_positive_integer(tmp_path, capsys, value, re
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "value, reason",
+    [("0", "must be >= 1, not '0'"), ("-3", "must be >= 1, not '-3'"),
+     ("two", "not an integer: 'two'")],
+)
+def test_degree_c_must_be_a_positive_integer(tmp_path, capsys, value, reason):
+    # the matrix does not exist: c is refused before it would be read
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["degree", str(tmp_path / "missing.json"), value, "--out", str(out)])
+    assert exit_info.value.code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert f"argument c: {reason}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_ingest_names_a_log_that_is_not_utf8(tmp_path, capsys):
     log = tmp_path / "campaign.log"
     out = tmp_path / "out"

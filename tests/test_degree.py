@@ -10,6 +10,7 @@ from topogen import ilp, synth
 from topogen.degree import (
     build_degree_program,
     largest_component_selection,
+    select_at,
     select_constant_degree,
     verify_regular,
 )
@@ -68,12 +69,10 @@ def test_random_selections_regular_and_optimal():
         matrix = random_matrix(rng, rng.randrange(4, 11), present=0.6)
         c = rng.randrange(1, 4)
         family = GraphFamily(matrix, beta_min=55, beta_max=85, step=15)
-        selections = select_constant_degree(matrix, c, family)
-        by_beta = {s.beta: s for s in selections}
         for beta in family.betas():
             graph = neighborhood_graph(matrix, beta)
             expected = best_regular_subset_size(graph, c)
-            selection = by_beta.get(beta)
+            selection = select_at(matrix, beta, c, floor=1)
             if expected == 0:
                 assert selection is None
                 continue
@@ -137,6 +136,56 @@ def test_component_tie_prefers_smaller_beta():
     assert len(selections) == 2
     best = largest_component_selection(selections)
     assert best.beta == 47
+
+
+def every_bound_winner(matrix, c, family):
+    """Winner over each bound's own selection, no record kept."""
+    selections = [select_at(matrix, beta, c, floor=1) for beta in family.betas()]
+    return largest_component_selection([s for s in selections if s is not None])
+
+
+def cycles_matrix(cycles):
+    """Disjoint induced cycles, each (nodes, loss of its edges)."""
+    edges = {}
+    for nodes, loss in cycles:
+        for a, b in zip(nodes, nodes[1:] + nodes[:1]):
+            edges[min(a, b), max(a, b)] = loss
+    return symmetric_matrix(edges)
+
+
+def test_record_sweep_skips_bounds_that_cannot_win():
+    # a 5-cycle at 50; two 4-cycles at 60, so the optimum is 13 but the
+    # largest component stays 5; another 5-cycle of smaller ids at 70
+    matrix = cycles_matrix([
+        ([10, 11, 12, 13, 14], 48.0),
+        ([20, 21, 22, 23], 58.0),
+        ([24, 25, 26, 27], 58.0),
+        ([0, 1, 2, 3, 4], 68.0),
+    ])
+    family = GraphFamily(matrix, beta_min=45, beta_max=75, step=5)
+    at60 = select_at(matrix, 60, 2, floor=1)
+    assert at60.objective == 13 and len(at60.components[0]) == 5
+    at70 = select_at(matrix, 70, 2, floor=1)
+    assert at70.components[0] == frozenset(range(5))
+    records = select_constant_degree(matrix, 2, family)
+    assert [s.beta for s in records] == [50]
+    best = largest_component_selection(records)
+    assert best == every_bound_winner(matrix, 2, family)
+    assert (best.beta, best.selected) == (50, frozenset(range(10, 15)))
+
+
+@pytest.mark.parametrize("size, seed", [(4, seed) for seed in range(1, 6)] + [(5, 1)])
+def test_record_sweep_picks_the_every_bound_winner_on_grids(size, seed):
+    matrix = synth.grid_scenario(
+        size, size, 3.0, path_loss_exponent=3.0, shadowing_sigma=4.0,
+        asymmetry_sigma=1.0, seed=seed,
+    )
+    family = GraphFamily(matrix)
+    records = select_constant_degree(matrix, 3, family)
+    sizes = [len(s.components[0]) for s in records]
+    assert sizes == sorted(set(sizes))
+    assert [s.beta for s in records] == sorted(s.beta for s in records)
+    assert largest_component_selection(records) == every_bound_winner(matrix, 3, family)
 
 
 def test_largest_component_requires_input():

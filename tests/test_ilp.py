@@ -107,6 +107,16 @@ def test_solve_equals_brute_force_on_random_programs():
         assert exact.objective_value == oracle.objective_value
         # fixed branching: assignments identical, not merely both optimal
         assert exact.assignment == oracle.assignment
+        # a floor of at most the optimum keeps the assignment; one above it
+        # finds none, and a floor no assignment reaches cuts the root
+        best = -1 if oracle.status == "infeasible" else oracle.objective_value
+        n = len(p.variables)
+        for floor in {0, 1, max(best, 0), best + 1, n + 1}:
+            floored = solve(p, floor=floor)
+            kept = floor <= best
+            assert floored.status == ("optimal" if kept else "infeasible")
+            assert floored.assignment == (oracle.assignment if kept else {})
+            assert floor <= n or floored.explored <= 1
 
 
 def test_returned_objective_is_attained():
