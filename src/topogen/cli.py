@@ -126,16 +126,19 @@ def _write(args, outputs: dict, inputs: list) -> str:
 
 
 def cmd_ingest(args) -> tuple[int, list[str]]:
+    try:
+        measurements.parse_aggregator(args.aggregator)
+    except ValueError as exc:
+        raise ValueError(f"--aggregator: {exc}") from None
     samples = measurements.LossColumns()
     rejections = []
     for path in args.logs:
         try:
             with open(path, encoding="utf-8") as stream:
-                file_samples, file_rejections = measurements.parse_campaign_log(stream)
+                _, file_rejections = measurements.parse_campaign_log(stream, samples)
         except UnicodeDecodeError as exc:
             _name_undecodable_line(path)
             raise ValueError(f"{path}: {exc}") from None
-        samples.extend(file_samples)
         rejections.extend((path, r) for r in file_rejections)
     matrix = measurements.build_loss_matrix(samples, aggregator=args.aggregator)
     lines = [f"{len(samples)} samples accepted, {len(rejections)} lines rejected"]
@@ -191,8 +194,8 @@ def cmd_degree(args) -> tuple[int, list[str]]:
 
 
 def cmd_tree(args) -> tuple[int, list[str]]:
-    matrix = _tree_matrix(args.matrix)
     kappa = trees.KappaSpec.parse(args.kappa)
+    matrix = _tree_matrix(args.matrix)
     if args.beta is None:
         family = _family(matrix, args)
     else:
@@ -228,9 +231,9 @@ def cmd_settings(args) -> tuple[int, list[str]]:
 
 
 def cmd_verify(args) -> tuple[int, list[str]]:
+    kappa = trees.KappaSpec.parse(args.kappa)
     tree = io.load_tree(args.topology)
     fresh = io.load_matrix(args.matrix)
-    kappa = trees.KappaSpec.parse(args.kappa)
     try:
         violations = trees.check_tree(tree, fresh, kappa)
     except ValueError as exc:

@@ -70,8 +70,9 @@ def check_record(
 class LossColumns:
     """Accepted losses per directed (tx, rx) pair, in log order.
 
-    ``len()`` is the number of samples; ``channels`` holds every channel
-    seen, so a mix is caught when the matrix is built.
+    Every log of an ``ingest`` run parses into one store, so each sample
+    is held once. ``len()`` is the number of samples; ``channels`` holds
+    every channel seen, so a mix is caught when the matrix is built.
     """
 
     losses: dict[tuple[int, int], list[float]] = field(default_factory=dict)
@@ -79,12 +80,6 @@ class LossColumns:
 
     def __len__(self) -> int:
         return sum(map(len, self.losses.values()))
-
-    def extend(self, other: LossColumns):
-        """Append the samples of ``other`` after those already held."""
-        for pair, losses in other.losses.items():
-            self.losses.setdefault(pair, []).extend(losses)
-        self.channels |= other.channels
 
 
 @dataclass(frozen=True)
@@ -189,12 +184,16 @@ class LossMatrix:
         return masks
 
 
-def parse_campaign_log(lines: Iterable[str]) -> tuple[LossColumns, list[Rejection]]:
-    """Parse campaign log lines into per-pair loss columns.
+def parse_campaign_log(
+    lines: Iterable[str], columns: LossColumns
+) -> tuple[LossColumns, list[Rejection]]:
+    """Append the accepted samples of campaign log lines to ``columns``.
 
+    Every log of a run parses into one store, so each sample is held once.
     Record format: ``tx rx tx_power_dBm rssi_dBm channel seq``,
     whitespace-separated; ``#`` starts a comment. Malformed lines are
-    collected as rejections and never abort the parse.
+    collected as rejections, numbered from the log's first line, and never
+    abort the parse.
 
     A log repeats few heads, the text before a line's last space. Once a
     line is accepted and its head holds exactly five fields, later lines
@@ -203,9 +202,7 @@ def parse_campaign_log(lines: Iterable[str]) -> tuple[LossColumns, list[Rejectio
     the seq, and a head with a ``#`` has at most five fields before it,
     so no line with such a head is ever accepted.
     """
-    columns = LossColumns()
-    losses = columns.losses
-    channels = columns.channels
+    losses, channels = columns.losses, columns.channels
     rejections: list[Rejection] = []
     heads: dict[str, tuple[list[float], float]] = {}
     for number, raw in enumerate(lines, start=1):

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .measurements import LossMatrix, MatrixEntry, NodePositions, check_channel
 
 GENERATOR_ID = "numpy-pcg64-per-pair"
@@ -37,6 +35,7 @@ def _integer(value, where: str) -> int:
 def _normal(seed_key: list[int], sigma: float) -> float:
     if sigma == 0:
         return 0.0
+    import numpy as np  # loaded by the first draw, so no other command pays for it
     rng = np.random.default_rng(seed_key)
     return float(rng.normal(0.0, sigma))
 

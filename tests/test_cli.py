@@ -253,6 +253,28 @@ def test_degree_c_must_be_a_positive_integer(tmp_path, capsys, value, reason):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "spec, reason",
+    [("p101", "percentile 101.0 outside [0, 100]"), ("mode", "unknown aggregator 'mode'")],
+)
+def test_ingest_checks_the_aggregator_before_any_log(tmp_path, capsys, spec, reason):
+    # the log does not exist: the spec is refused before it would be opened
+    out = tmp_path / "out"
+    argv = ["ingest", str(tmp_path / "missing.log"), "--aggregator", spec, "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: --aggregator: {reason}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, files", [("tree", 1), ("verify", 2)])
+def test_kappa_is_checked_before_any_file(tmp_path, capsys, command, files):
+    # neither the tree nor the matrix exists: the spec is refused before either is read
+    missing = str(tmp_path / "missing.json")
+    assert main([command, *[missing] * files, "--kappa", "cubic"]) == EXIT_INPUT
+    detail = "expected const:K, linear or table:D=B,..."
+    assert capsys.readouterr() == ("", f"error: kappa spec 'cubic': {detail}\n")
+
+
 def test_ingest_names_a_log_that_is_not_utf8(tmp_path, capsys):
     log = tmp_path / "campaign.log"
     out = tmp_path / "out"
@@ -463,6 +485,26 @@ def test_tree_reduces_a_star_of_300_leaves(tmp_path, capsys):
     assert main(argv) == EXIT_OK
     assert "root 0, beta 45, margin 15, depth 1, 4 nodes" in capsys.readouterr().out
     assert io.load_tree(out / "tree.json").levels == (frozenset({0}), frozenset({298, 299, 300}))
+
+
+def test_only_a_synth_draw_imports_numpy(tmp_path):
+    scenario = tmp_path / "chain.json"
+    scenario.write_text(json.dumps(
+        {"format": "synth-scenario/1", "kind": "chain", "n": 4, "on_loss": 45, "off_loss": 90}
+    ))
+    code = (
+        "import sys, topogen.cli\n"
+        "topogen.cli.main(['settings', '82'])\n"
+        f"topogen.cli.main(['synth', {str(scenario)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "out" / "matrix.json").exists()
 
 
 def test_settings_output(tmp_path, capsys):

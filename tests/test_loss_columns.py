@@ -10,7 +10,8 @@ must hold rounded once. Hypothesis draws multi-file logs with integer, decimal,
 exponent-form and repr floats, comments, blank lines, every kind of
 rejected line and mixed channels. A second strategy repeats a few heads
 (a line's text before its last space) with drawn separators and last
-tokens, so that most lines take the parse's head cache.
+tokens, so that most lines take the parse's head cache. Logs parsed one
+after another into one store must equal their concatenation parsed once.
 
 Stddev is checked against exact correct rounding on every Python, and
 against ``statistics.stdev`` from 3.11 on, where it rounds once, and
@@ -192,15 +193,19 @@ AGGREGATORS = st.sampled_from(["mean", "median", "p0", "p33.3", "p90", "p100"])
 
 
 def ingest_both(files, aggregator):
-    """(old result, new result): per-file rejections and counts, then the matrix."""
+    """(old result, new result): per-file rejections and counts, then the matrix.
+
+    Every file parses into one store, as in ``ingest``; a file's count is
+    what the store grew by.
+    """
     results = []
     old_samples, columns = [], LossColumns()
     for lines in files:
         samples, old_rejected = old_parse(lines)
-        file_columns, rejected = parse_campaign_log(lines)
-        results.append(((len(samples), old_rejected), (len(file_columns), rejected)))
+        before = len(columns)
+        _, rejected = parse_campaign_log(lines, columns)
+        results.append(((len(samples), old_rejected), (len(columns) - before, rejected)))
         old_samples.extend(samples)
-        columns.extend(file_columns)
     try:
         old = old_build(old_samples, aggregator)
     except ChannelMismatchError as exc:
@@ -302,7 +307,7 @@ def new_columns(columns):
 
 def assert_parses_as_oracle(lines):
     samples, old_rejected = old_parse(lines)
-    columns, rejected = parse_campaign_log(lines)
+    columns, rejected = parse_campaign_log(lines, LossColumns())
     assert rejected == old_rejected
     assert new_columns(columns) == old_columns(samples)
     return columns
@@ -345,12 +350,32 @@ def repeated_head_log(pool):
     )
 
 
+REPEATED_HEAD_FILES = st.lists(
+    st.lists(heads(), min_size=1, max_size=3).flatmap(repeated_head_log), min_size=1, max_size=3
+)
+
+
 @settings(max_examples=500, deadline=None)
-@given(st.lists(st.lists(heads(), min_size=1, max_size=3).flatmap(repeated_head_log),
-                min_size=1, max_size=3))
+@given(REPEATED_HEAD_FILES)
 def test_head_cache_matches_per_sample_oracle(files):
     for lines in files:
         assert_parses_as_oracle(lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(log_files(), REPEATED_HEAD_FILES))
+def test_logs_parsed_into_one_store_equal_their_concatenation(files):
+    # each parse starts an empty head cache; the concatenation's carries over
+    store, rejected, offset = LossColumns(), [], 0
+    for lines in files:
+        columns, file_rejected = parse_campaign_log(lines, store)
+        assert columns is store
+        rejected += [Rejection(r.line_number + offset, r.reason) for r in file_rejected]
+        offset += len(lines)
+    whole, whole_rejected = parse_campaign_log(sum(files, []), LossColumns())
+    assert store == whole
+    assert new_columns(store) == new_columns(whole)
+    assert rejected == whole_rejected
 
 
 def test_heads_past_the_cache_bound_parse_line_by_line():
