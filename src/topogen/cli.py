@@ -58,13 +58,17 @@ def _add_out_flag(parser: argparse.ArgumentParser):
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
 
+def _grid_error(args, exc: ValueError) -> ValueError:
+    """``exc``, a bound grid's error, followed by the grid flags and their values."""
+    flags = f"--beta-min {args.beta_min!r} --beta-max {args.beta_max!r}"
+    return ValueError(f"{exc} ({flags} --beta-step {args.beta_step!r})")
+
+
 def _family(matrix, args) -> graphs.GraphFamily:
-    return graphs.GraphFamily(
-        matrix=matrix,
-        beta_min=args.beta_min,
-        beta_max=args.beta_max,
-        step=args.beta_step,
-    )
+    try:
+        return graphs.GraphFamily(matrix, args.beta_min, args.beta_max, args.beta_step)
+    except ValueError as exc:
+        raise _grid_error(args, exc) from None
 
 
 def _tree_matrix(path) -> measurements.LossMatrix:
@@ -154,10 +158,12 @@ def cmd_ingest(args) -> tuple[int, list[str]]:
 
 def cmd_analyze(args) -> tuple[int, list[str]]:
     matrix = io.load_matrix(args.matrix)
-    family = _family(matrix, args)
-    distribution = graphs.degree_distribution(family)
+    distribution = graphs.degree_distribution(matrix, _family(matrix, args).betas())
     degrees_csv = io.degree_distribution_csv(distribution)
-    report = graphs.monotonicity_report(distribution)
+    try:
+        report = graphs.monotonicity_report(distribution)
+    except ValueError as exc:
+        raise _grid_error(args, exc) from None
     monotonicity = "\n".join(
         f"{b1:g} -> {b2:g}: +{delta} edges" for b1, b2, delta in report
     ) + "\n"
@@ -200,6 +206,8 @@ def cmd_tree(args) -> tuple[int, list[str]]:
         family = _family(matrix, args)
     else:
         family = graphs.GraphFamily(matrix, beta_min=args.beta, beta_max=args.beta, step=1.0)
+    if args.root is not None and args.root not in matrix.nodes:
+        raise ValueError(f"--root: unknown root {args.root}, not a node of {args.matrix}")
     roots = None if args.root is None else [args.root]
     best = trees.sweep_trees(matrix, kappa, args.margin, family, roots)[0]
     if args.reduce:

@@ -32,15 +32,11 @@ class DegreeSelection:
     def objective(self) -> int:
         return len(self.selected)
 
-    @property
-    def graph(self) -> BoundedGraph:
-        """The subgraph induced by the selected nodes."""
-        return BoundedGraph(beta=self.beta, nodes=tuple(sorted(self.selected)), edges=self.edges)
-
     @cached_property
     def components(self) -> tuple[frozenset[int], ...]:
         """Connected node sets of the induced subgraph, largest first."""
-        return tuple(map(frozenset, connected_components(self.graph)))
+        induced = BoundedGraph(beta=self.beta, nodes=tuple(sorted(self.selected)), edges=self.edges)
+        return tuple(map(frozenset, connected_components(induced)))
 
 
 def build_degree_program(graph: BoundedGraph, c: int) -> ilp.BinaryProgram:
@@ -76,16 +72,17 @@ def verify_regular(selection: DegreeSelection) -> list[int]:
     return sorted(u for u, d in degrees.items() if d != selection.c)
 
 
-def _make_selection(graph: BoundedGraph, c: int, selected: frozenset[int]) -> DegreeSelection:
+def _make_selection(beta: float, c: int, selected: frozenset[int], edges) -> DegreeSelection:
+    """``selected`` with those of ``edges`` that it induces, re-verified c-regular."""
     selection = DegreeSelection(
-        beta=graph.beta,
+        beta=beta,
         c=c,
         selected=selected,
-        edges=frozenset((a, b) for a, b in graph.edges if a in selected and b in selected),
+        edges=frozenset((a, b) for a, b in edges if a in selected and b in selected),
     )
     bad = verify_regular(selection)
     if bad:
-        raise RuntimeError(f"selection at beta {graph.beta} not {c}-regular: nodes {bad}")
+        raise RuntimeError(f"selection at beta {beta} not {c}-regular: nodes {bad}")
     return selection
 
 
@@ -98,7 +95,7 @@ def select_at(matrix: LossMatrix, beta: float, c: int, floor: int) -> DegreeSele
     graph = neighborhood_graph(matrix, beta)
     solution = ilp.solve(build_degree_program(graph, c), floor=floor)
     selected = frozenset(u for u, value in solution.assignment.items() if value)
-    return _make_selection(graph, c, selected) if selected else None
+    return _make_selection(beta, c, selected, graph.edges) if selected else None
 
 
 def select_constant_degree(
@@ -109,14 +106,16 @@ def select_constant_degree(
     A record is a largest component bigger than every earlier bound's.
     Each bound is solved only for a selection larger than the record so
     far: a smaller optimum holds no larger component, and an equal one
-    would lose the tie to the smaller bound. Returns the record-setting
-    selections in bound order, so ``largest_component_selection`` of the
-    list is that of every bound's selection.
+    would lose the tie to the smaller bound. For odd c, c*k/2 edges make
+    every selection and component even, the record too, so the floor is
+    one higher. Returns the record-setting selections in bound order, so
+    ``largest_component_selection`` of the list is that of every bound's
+    selection.
     """
     records = []
     record = 0
     for beta in family.betas():
-        selection = select_at(matrix, beta, c, record + 1)
+        selection = select_at(matrix, beta, c, record + 1 + c % 2)
         if selection is not None and len(selection.components[0]) > record:
             records.append(selection)
             record = len(selection.components[0])
@@ -134,8 +133,5 @@ def largest_component_selection(
     """
     if not selections:
         raise ValueError("no selections to choose from")
-    selection = min(
-        selections,
-        key=lambda s: (-len(s.components[0]), s.beta, min(s.components[0])),
-    )
-    return _make_selection(selection.graph, selection.c, selection.components[0])
+    best = min(selections, key=lambda s: (-len(s.components[0]), s.beta, min(s.components[0])))
+    return _make_selection(best.beta, best.c, best.components[0], best.edges)

@@ -39,8 +39,8 @@ class BoundedGraph:
 def neighborhood_graph(matrix: LossMatrix, beta: float) -> BoundedGraph:
     """Graph with an edge wherever both directed losses are <= beta.
 
-    Isolated nodes are kept so per-bound degree statistics always cover
-    the whole deployment.
+    Isolated nodes are kept, so the degree program has a variable and
+    ``adjacency`` a row for every node.
     """
     if math.isnan(beta):
         raise ValueError("bound is NaN")
@@ -93,12 +93,11 @@ class GraphFamily:
         return neighborhood_graph(self.matrix, beta)
 
 
-def degree_distribution(family: GraphFamily) -> dict[float, tuple[int, ...]]:
+def degree_distribution(matrix: LossMatrix, betas: list[float]) -> dict[float, tuple[int, ...]]:
     """Per-bound multiset of node degrees (sorted ascending)."""
-    matrix = family.matrix
     return {
         beta: tuple(sorted(len(matrix.neighbors_within(u, beta)) for u in matrix.nodes))
-        for beta in family.betas()
+        for beta in betas
     }
 
 

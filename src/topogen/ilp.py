@@ -87,11 +87,6 @@ class Solution:
     assignment: dict[VarId, int]
     explored: int | None = None  # B&B nodes entered, or assignments enumerated
 
-    @property
-    def objective_value(self) -> int | None:
-        """Count of variables set to 1, or None when infeasible."""
-        return None if self.status == "infeasible" else sum(self.assignment.values())
-
 
 def force(row_terms, left: int, values: list[int], queue: list[int]):
     """Force each free term whose ``|coef|`` exceeds ``left`` and queue it."""

@@ -15,7 +15,6 @@ from pathlib import Path
 
 from . import __version__
 from .degree import DegreeSelection
-from .graphs import BoundedGraph
 from .measurements import LossMatrix, MatrixEntry, NodePositions, check_channel
 from .radio import TransceiverProfile
 from .synth import chain_scenario, finite, generate, grid_scenario
@@ -48,7 +47,7 @@ def _load(path: Path | str, expected_format: str):
         yield document
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:  # too deep a nesting recurses
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -285,17 +284,18 @@ def _position_ids(positions) -> NodePositions:
     return by_id
 
 
-def graph_to_dot(graph: BoundedGraph) -> str:
+def graph_to_dot(nodes, edges) -> str:
+    """DOT export of ``nodes`` in the given order and ``edges`` in sorted order."""
     lines = ["graph topology {"]
-    lines.extend(f"  {node};" for node in graph.nodes)
-    for a, b in sorted(graph.edges):
+    lines.extend(f"  {node};" for node in nodes)
+    for a, b in sorted(edges):
         lines.append(f"  {a} -- {b};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def selection_to_dot(selection: DegreeSelection) -> str:
-    return graph_to_dot(selection.graph)
+    return graph_to_dot(sorted(selection.selected), selection.edges)
 
 
 def tree_to_dot(tree: LayeredTree, matrix: LossMatrix) -> str:

@@ -790,4 +790,48 @@ def test_runaway_beta_step_is_input_error(tmp_path, capsys):
     grid = ["--beta-min", "1e20", "--beta-max", "1.0000000000000003e20", "--beta-step", "1"]
     code = main(["degree", str(matrix), "1", *grid, "--out", str(tmp_path / "o")])
     assert code == EXIT_INPUT
-    assert capsys.readouterr().err == "error: step 1.0 gives bound 1e+20 more than once\n"
+    assert capsys.readouterr().err == (
+        "error: step 1.0 gives bound 1e+20 more than once "
+        "(--beta-min 1e+20 --beta-max 1.0000000000000003e+20 --beta-step 1.0)\n"
+    )
+
+
+# (command, grid flags, error): the grid's own error keeps its text and is
+# followed by every grid flag with its value, defaults included
+BAD_GRIDS = [
+    ("analyze", ["--beta-step", "0"],
+     "step must be positive (--beta-min 31.0 --beta-max 104.0 --beta-step 0.0)"),
+    ("degree", ["--beta-min", "60", "--beta-max", "50"],
+     "beta_min must not exceed beta_max (--beta-min 60.0 --beta-max 50.0 --beta-step 1.0)"),
+    ("analyze", ["--beta-min", "50", "--beta-max", "50"],
+     "family grid needs at least 2 points (--beta-min 50.0 --beta-max 50.0 --beta-step 1.0)"),
+]
+
+
+@pytest.mark.parametrize("command, grid, error", BAD_GRIDS, ids=[e for _, _, e in BAD_GRIDS])
+def test_grid_errors_name_their_flags(tmp_path, capsys, command, grid, error):
+    matrix = write_chain_matrix(tmp_path, n=3)
+    argv = [command, str(matrix), *(["1"] if command == "degree" else []), *grid]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_unknown_root_names_the_flag_and_the_matrix(tmp_path, capsys):
+    matrix = write_chain_matrix(tmp_path, n=3)
+    assert main(["tree", str(matrix), "--root", "99", "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: --root: unknown root 99, not a node of {matrix}\n"
+
+
+@pytest.mark.parametrize("target", ["matrix", "tree"])
+def test_deeply_nested_json_is_input_error(tmp_path, capsys, target):
+    # json.loads recurses once per level, so 100,000 levels exceed the recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    matrix = write_chain_matrix(tmp_path, n=3)
+    argv = {
+        "matrix": ["analyze", str(deep), "--out", str(tmp_path / "o")],
+        "tree": ["verify", str(deep), str(matrix), "--kappa", "const:1"],
+    }[target]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: {deep}: ")

@@ -4,9 +4,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import best_regular_subset_size, brute_force, random_matrix, symmetric_matrix
-from topogen import ilp, synth
+from topogen import degree, ilp, synth
 from topogen.degree import (
     build_degree_program,
     largest_component_selection,
@@ -15,6 +17,7 @@ from topogen.degree import (
     verify_regular,
 )
 from topogen.graphs import GraphFamily, neighborhood_graph
+from topogen.measurements import LossMatrix, MatrixEntry
 
 
 def graph_of(edges, nodes=None, beta=50.0):
@@ -24,14 +27,14 @@ def graph_of(edges, nodes=None, beta=50.0):
 def test_triangle_is_2_regular():
     graph = graph_of([(0, 1), (1, 2), (0, 2)])
     solution = ilp.solve(build_degree_program(graph, 2))
-    assert solution.objective_value == 3
+    assert sum(solution.assignment.values()) == 3
 
 
 def test_path_has_no_2_regular_subgraph():
     graph = graph_of([(1, 2), (2, 3)])
     program = build_degree_program(graph, 2)
-    assert brute_force(program).objective_value == 0
-    assert ilp.solve(program).objective_value == 0
+    assert sum(brute_force(program).assignment.values()) == 0
+    assert sum(ilp.solve(program).assignment.values()) == 0
 
 
 def test_star_optimum_fixed_by_oracle():
@@ -39,7 +42,7 @@ def test_star_optimum_fixed_by_oracle():
     graph = graph_of([(0, leaf) for leaf in (1, 2, 3, 4)])
     expected = best_regular_subset_size(graph, 1)
     assert expected == 2  # hub plus one leaf; leaf pairs share no edge
-    assert ilp.solve(build_degree_program(graph, 1)).objective_value == expected
+    assert sum(ilp.solve(build_degree_program(graph, 1)).assignment.values()) == expected
 
 
 def test_c_must_be_positive():
@@ -216,7 +219,7 @@ def test_packing_bound_proves_k16_optimum_quickly():
     # the search from trying each further node beside the first K4
     graph = graph_of(list(itertools.combinations(range(16), 2)))
     solution = ilp.solve(build_degree_program(graph, 3))
-    assert solution.objective_value == 4
+    assert sum(solution.assignment.values()) == 4
     assert solution.explored <= 100
 
 
@@ -242,15 +245,20 @@ def test_objective_matches_highs_on_5x5_grid(beta):
         bounds=scipy_optimize.Bounds(0, 1),
     )
     assert highs.success
-    assert ilp.solve(program).objective_value == round(-highs.fun)
+    assert sum(ilp.solve(program).assignment.values()) == round(-highs.fun)
+
+
+def grid_matrix(size, seed):
+    """A benchmark-style size x size grid."""
+    return synth.grid_scenario(
+        size, size, 3.0, path_loss_exponent=3.0, shadowing_sigma=4.0,
+        asymmetry_sigma=1.0, seed=seed,
+    )
 
 
 def grid_sweep(size, seed):
     """Per-bound degree programs of the c=3 sweep on a benchmark-style grid."""
-    matrix = synth.grid_scenario(
-        size, size, 3.0, path_loss_exponent=3.0, shadowing_sigma=4.0,
-        asymmetry_sigma=1.0, seed=seed,
-    )
+    matrix = grid_matrix(size, seed)
     for beta in GraphFamily(matrix).betas():
         yield beta, build_degree_program(neighborhood_graph(matrix, beta), 3)
 
@@ -260,9 +268,7 @@ def test_sweep_assignments_equal_brute_force_on_4x4_grids(seed):
     for beta, program in grid_sweep(4, seed):
         exact = ilp.solve(program)
         oracle = brute_force(program)
-        assert (exact.status, exact.objective_value, exact.assignment) == (
-            oracle.status, oracle.objective_value, oracle.assignment
-        ), beta
+        assert (exact.status, exact.assignment) == (oracle.status, oracle.assignment), beta
 
 
 def test_sweep_selections_pinned_on_5x5_grid():
@@ -281,3 +287,81 @@ def test_propagation_keeps_the_4x4_sweep_small():
     # nodes over these 74 bounds
     explored = sum(ilp.solve(program).explored for _, program in grid_sweep(4, 1))
     assert explored <= 6000
+
+
+def test_odd_c_floor_steps_over_the_odd_count_above_the_record(monkeypatch):
+    # for odd c every selection is even, so the floor is the record + 2; still
+    # one solve per bound
+    matrix = grid_matrix(4, 1)
+    floors = []
+
+    def spy(matrix, beta, c, floor):
+        floors.append(floor)
+        return select_at(matrix, beta, c, floor)
+
+    monkeypatch.setattr(degree, "select_at", spy)
+    family = GraphFamily(matrix)
+    records = select_constant_degree(matrix, 3, family)
+    assert len(floors) == len(family.betas())
+    assert floors[0] == 2
+    assert floors[-1] == len(records[-1].components[0]) + 2
+    assert all(floor % 2 == 0 for floor in floors)
+
+
+def test_even_c_record_may_grow_by_one_node():
+    # a 4-cycle at 40; at 50 two more nodes close the 5-cycle 0-1-2-4-5, while
+    # 0 and 2 gain a third neighbour each, so no selection holds 6 nodes; a
+    # floor of record + 2 would miss it
+    matrix = symmetric_matrix({
+        (0, 1): 40.0, (1, 2): 40.0, (2, 3): 40.0, (0, 3): 40.0,
+        (2, 4): 50.0, (4, 5): 50.0, (0, 5): 50.0,
+    })
+    family = GraphFamily(matrix, beta_min=40, beta_max=50, step=10)
+    records = select_constant_degree(matrix, 2, family)
+    assert [(s.beta, s.objective) for s in records] == [(40, 4), (50, 5)]
+    best = largest_component_selection(records)
+    assert (best.beta, best.selected) == (50, frozenset({0, 1, 2, 4, 5}))
+    assert best == every_bound_winner(matrix, 2, family)
+
+
+def winner(matrix, c, family):
+    """The record-setting selections and the winner's (beta, selected, edges)."""
+    records = select_constant_degree(matrix, c, family)
+    if not records:
+        return records, None
+    best = largest_component_selection(records)
+    return records, (best.beta, best.selected, best.edges)
+
+
+def reversed_nodes(matrix):
+    return LossMatrix(nodes=matrix.nodes[::-1], channel=matrix.channel, entries=matrix.entries)
+
+
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_reversed_node_list_keeps_the_winner_on_4x4_grids(seed):
+    # bit masks key nodes by position in ``nodes``; the winner must not
+    matrix = grid_matrix(4, seed)
+    family = GraphFamily(matrix)
+    expected = winner(matrix, 3, family)
+    assert expected[1] is not None
+    assert winner(reversed_nodes(matrix), 3, family) == expected
+
+
+@st.composite
+def unsorted_matrices(draw):
+    """Up to 8 node ids in drawn order, directed losses around the 40-60 dB grid."""
+    nodes = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=8, unique=True))
+    pairs = [(a, b) for a in nodes for b in nodes if a != b]
+    losses = draw(st.lists(st.sampled_from([38.0, 45.0, 50.0, 57.5, 90.0]),
+                           min_size=len(pairs), max_size=len(pairs)))
+    entries = {
+        pair: MatrixEntry(mean_loss=loss, stddev=0.0, count=1) for pair, loss in zip(pairs, losses)
+    }
+    return LossMatrix(nodes=nodes, channel=26, entries=entries)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(unsorted_matrices(), st.integers(1, 3))
+def test_reversed_node_list_keeps_the_winner(matrix, c):
+    family = GraphFamily(matrix, beta_min=40, beta_max=60, step=5)
+    assert winner(reversed_nodes(matrix), c, family) == winner(matrix, c, family)

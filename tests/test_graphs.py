@@ -49,7 +49,7 @@ def test_degree_distribution_extremes():
         {(a, b): 60.0 for a in range(4) for b in range(a + 1, 4)}
     )
     family = GraphFamily(matrix, beta_min=50, beta_max=70, step=10)
-    distribution = degree_distribution(family)
+    distribution = degree_distribution(matrix, family.betas())
     assert distribution[50] == (0, 0, 0, 0)
     assert distribution[60] == (3, 3, 3, 3)
     assert all(len(degrees) == 4 for degrees in distribution.values())
@@ -77,7 +77,7 @@ def test_degree_distribution_compact_testbed_fixture():
     edges = havel_hakimi_edges(degrees)
     matrix = symmetric_matrix({e: 45.0 for e in edges}, nodes=range(12))
     family = GraphFamily(matrix, beta_min=46, beta_max=46, step=1)
-    observed = degree_distribution(family)[46]
+    observed = degree_distribution(matrix, family.betas())[46]
     assert sorted(observed) == degrees
     assert sum(1 for d in observed if d == 1) == 1
     assert sum(1 for d in observed if d == 2) == 5
@@ -141,7 +141,7 @@ def test_components_partition_properties():
 def test_monotonicity_report_two_losses():
     matrix = symmetric_matrix({(1, 2): 40.0, (3, 4): 50.0})
     family = GraphFamily(matrix, beta_min=39, beta_max=51, step=1)
-    report = monotonicity_report(degree_distribution(family))
+    report = monotonicity_report(degree_distribution(matrix, family.betas()))
     deltas = {(b1, b2): delta for b1, b2, delta in report}
     assert deltas[(39, 40)] == 1
     assert deltas[(49, 50)] == 1
@@ -151,16 +151,14 @@ def test_monotonicity_report_two_losses():
 def test_monotonicity_report_constant_matrix():
     matrix = symmetric_matrix({(a, b): 60.0 for a in range(4) for b in range(a + 1, 4)})
     family = GraphFamily(matrix, beta_min=59, beta_max=61, step=1)
-    report = monotonicity_report(degree_distribution(family))
+    report = monotonicity_report(degree_distribution(matrix, family.betas()))
     assert [delta for _, _, delta in report] == [6, 0]
 
 
 def test_monotonicity_report_requires_grid():
     matrix = symmetric_matrix({(1, 2): 40.0})
     with pytest.raises(ValueError, match="at least 2"):
-        monotonicity_report(
-            degree_distribution(GraphFamily(matrix, beta_min=40, beta_max=40, step=1))
-        )
+        monotonicity_report(degree_distribution(matrix, [40.0]))
 
 
 def test_monotonicity_deltas_never_negative():
@@ -171,7 +169,7 @@ def test_monotonicity_deltas_never_negative():
         # independent recount at each bound
         betas = family.betas()
         counts = [len(neighborhood_graph(matrix, b).edges) for b in betas]
-        report = monotonicity_report(degree_distribution(family))
+        report = monotonicity_report(degree_distribution(matrix, betas))
         for (b1, b2, delta), c1, c2 in zip(report, counts, counts[1:]):
             assert delta == c2 - c1
             assert delta >= 0

@@ -154,7 +154,7 @@ def test_scenario_kinds(tmp_path):
 def test_graph_dot_export():
     matrix = symmetric_matrix({(1, 2): 45.0}, nodes={1, 2, 3})
     graph = neighborhood_graph(matrix, 50)
-    dot = io.graph_to_dot(graph)
+    dot = io.graph_to_dot(graph.nodes, graph.edges)
     assert dot == "graph topology {\n  1;\n  2;\n  3;\n  1 -- 2;\n}\n"
 
 
