@@ -94,18 +94,6 @@ def _manifest_args(args) -> dict:
     }
 
 
-def _name_undecodable_line(path):
-    """Raise ValueError naming '<path>:<line>', the first line of a log not in UTF-8."""
-    with open(path, "rb") as stream:
-        # splitlines counts a lone carriage return as the text-mode parse does
-        lines = (line for chunk in stream for line in chunk.splitlines())
-        for number, line in enumerate(lines, 1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}:{number}: {exc}") from None
-
-
 def _write(args, outputs: dict, inputs: list) -> str:
     """Write a command's outputs into ``--out``, then its manifest.
 
@@ -137,12 +125,10 @@ def cmd_ingest(args) -> tuple[int, list[str]]:
     samples = measurements.LossColumns()
     rejections = []
     for path in args.logs:
-        try:
-            with open(path, encoding="utf-8") as stream:
-                _, file_rejections = measurements.parse_campaign_log(stream, samples)
-        except UnicodeDecodeError as exc:
-            _name_undecodable_line(path)
-            raise ValueError(f"{path}: {exc}") from None
+        # An undecodable byte reads as the ASCII text \xff, which no number
+        # accepts, so it rejects only its own line.
+        with open(path, encoding="utf-8", errors="backslashreplace") as stream:
+            _, file_rejections = measurements.parse_campaign_log(stream, samples)
         rejections.extend((path, r) for r in file_rejections)
     matrix = measurements.build_loss_matrix(samples, aggregator=args.aggregator)
     lines = [f"{len(samples)} samples accepted, {len(rejections)} lines rejected"]
@@ -157,6 +143,8 @@ def cmd_ingest(args) -> tuple[int, list[str]]:
 
 
 def cmd_analyze(args) -> tuple[int, list[str]]:
+    if args.correlation != (args.positions is not None):
+        raise ValueError("--correlation and --positions go together: give both or neither")
     matrix = io.load_matrix(args.matrix)
     distribution = graphs.degree_distribution(matrix, _family(matrix, args).betas())
     degrees_csv = io.degree_distribution_csv(distribution)
@@ -169,8 +157,6 @@ def cmd_analyze(args) -> tuple[int, list[str]]:
     ) + "\n"
     inputs, lines = [args.matrix], []
     if args.correlation:
-        if args.positions is None:
-            raise ValueError("--correlation requires --positions")
         positions = io.load_positions(args.positions)
         coefficient = measurements.distance_loss_correlation(matrix, positions)
         lines.append(f"distance-loss correlation: {coefficient:.4f}")
@@ -210,11 +196,11 @@ def cmd_tree(args) -> tuple[int, list[str]]:
         raise ValueError(f"--root: unknown root {args.root}, not a node of {args.matrix}")
     roots = None if args.root is None else [args.root]
     best = trees.sweep_trees(matrix, kappa, args.margin, family, roots)[0]
-    if args.reduce:
-        best = trees.reduce_tree(best, matrix, kappa)
     violations = trees.check_tree(best, matrix, kappa)
     if violations:
         raise RuntimeError(f"constructed tree failed requirement check: {violations}")
+    if args.reduce:  # reduce_tree checks the tree it returns
+        best = trees.reduce_tree(best, matrix, kappa)
     outputs = {"tree.json": (io.save_tree, best), "tree.dot": io.tree_to_dot(best, matrix)}
     return EXIT_OK, [
         f"best tree: root {best.root}, beta {best.beta:g}, margin {best.margin:g}, "
@@ -264,7 +250,7 @@ def cmd_sweep_report(args) -> tuple[int, list[str]]:
         betas = sorted({t.beta for t in swept if t.depth == depth})
         note = "no multi-hop" if depth < 2 else ""
         suffix = f"  ({note})" if note else ""
-        name = Path(path).stem
+        name = str(path).removesuffix(".json")  # every matrix topogen writes is matrix.json
         lines.append(f"{name:<20} {depth:>9} {betas[0]:>9g} {betas[-1]:>9g}{suffix}")
         csv_lines.append(f"{name},{depth},{betas[0]:g},{betas[-1]:g},{note}")
     csv = "\n".join(csv_lines) + "\n"

@@ -325,7 +325,12 @@ def degree_distribution_csv(distribution: dict[float, tuple[int, ...]]) -> str:
 
 
 def sha256_file(path: Path | str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """Hex sha256 of a file, read in 64 KiB chunks so no input is held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as stream:
+        for chunk in iter(lambda: stream.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def write_manifest(

@@ -74,7 +74,7 @@ def generate(
         raise ValueError("need at least 2 positioned nodes")
     for node, position in sorted(positions.items()):
         if node < 0:
-            raise ValueError("node ids must be non-negative")
+            raise ValueError(f"positions: node id {node} is negative")
         if type(position) not in (list, tuple) or len(position) != 3:
             raise ValueError(f"positions[{node}] {position!r} is not [x, y, z]")
         for axis, value in zip("xyz", position):

@@ -138,6 +138,13 @@ BAD_SCENARIOS = {
     "four-dimensional position": (
         {"kind": "log-distance", "positions": {"0": [0, 0, 0, 0], "1": [1, 0, 0]}},
         "positions[0] [0, 0, 0, 0] is not [x, y, z]"),
+    "one-node grid": (
+        {"kind": "grid", "rows": 1, "cols": 1, "spacing": 1.0}, "grid needs at least 2 nodes"),
+    "zero spacing": (
+        {"kind": "grid", "rows": 2, "cols": 2, "spacing": 0}, "spacing must be positive"),
+    "negative position id": (
+        {"kind": "log-distance", "positions": {"-1": [0, 0, 0], "1": [1, 0, 0]}},
+        "positions: node id -1 is negative"),
 }
 
 
@@ -255,7 +262,11 @@ def test_degree_c_must_be_a_positive_integer(tmp_path, capsys, value, reason):
 
 @pytest.mark.parametrize(
     "spec, reason",
-    [("p101", "percentile 101.0 outside [0, 100]"), ("mode", "unknown aggregator 'mode'")],
+    [
+        ("p101", "percentile 101.0 outside [0, 100]"),
+        ("mode", "unknown aggregator 'mode'"),
+        ("pxyz", "unknown aggregator 'pxyz'"),
+    ],
 )
 def test_ingest_checks_the_aggregator_before_any_log(tmp_path, capsys, spec, reason):
     # the log does not exist: the spec is refused before it would be opened
@@ -277,17 +288,19 @@ def test_kappa_is_checked_before_any_file(tmp_path, capsys, command, files):
 
 def test_ingest_names_a_log_that_is_not_utf8(tmp_path, capsys):
     log = tmp_path / "campaign.log"
-    out = tmp_path / "out"
     # 10,000 lines put the bad byte far past the first 8 KiB decode chunk
     for valid in (1, 10_000):
+        out = tmp_path / f"out{valid}"
         prefix = b"".join(b"0 1 3 -40 26 %d\n" % seq for seq in range(valid))
-        log.write_bytes(prefix + b"0 1 3 \xff40 26 1\n0 1 3 -40 26 0\n")
-        assert main(["ingest", str(log), "--out", str(out)]) == EXIT_INPUT
-        assert capsys.readouterr().err == (
-            f"error: {log}:{valid + 1}: 'utf-8' codec can't decode byte 0xff "
-            "in position 6: invalid start byte\n"
-        )
-        assert not out.exists()
+        # the bad byte rejects its own line; one inside a comment is accepted
+        log.write_bytes(prefix + b"0 1 3 \xff40 26 1\n0 1 3 -40 26 0  # \xfe\n")
+        assert main(["ingest", str(log), "--min-count", "1", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[:3] == [
+            f"{valid + 1} samples accepted, 1 lines rejected",
+            rf"  rejected {log}:{valid + 1}: could not convert string to float: '\\xff40'",
+            f"wrote {out / 'matrix.json'}",
+        ]
+        assert io.load_matrix(out / "matrix.json").entries[(0, 1)].count == valid + 1
 
 
 def test_analyze_chain(tmp_path):
@@ -315,6 +328,18 @@ def test_analyze_correlation_requires_positions(tmp_path, capsys):
     code = main(["analyze", str(matrix), "--correlation", "--out", str(tmp_path / "o")])
     assert code == EXIT_INPUT
     assert "--positions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--correlation"], ["--positions", "p.json"]], ids=["correlation", "positions"]
+)
+def test_analyze_checks_its_flag_pair_before_the_matrix(tmp_path, capsys, flags):
+    # neither the matrix nor p.json exists: the pair is refused before either is read
+    out = tmp_path / "o"
+    assert main(["analyze", str(tmp_path / "missing.json"), *flags, "--out", str(out)]) == EXIT_INPUT
+    detail = "--correlation and --positions go together: give both or neither"
+    assert capsys.readouterr() == ("", f"error: {detail}\n")
+    assert not out.exists()
 
 
 def test_analyze_correlation_with_positions(tmp_path, capsys):
@@ -475,6 +500,27 @@ def test_tree_reduce_flag(tmp_path):
     assert reduced.total_nodes < full.total_nodes
 
 
+def test_tree_checks_the_swept_and_the_reduced_tree(tmp_path, monkeypatch):
+    from helpers import symmetric_matrix
+
+    check, checked = trees.check_tree, []
+
+    def recording(tree, matrix, kappa):
+        checked.append(tree)
+        return check(tree, matrix, kappa)
+
+    monkeypatch.setattr(trees, "check_tree", recording)
+    matrix = tmp_path / "bushy.json"
+    io.save_matrix(symmetric_matrix({(0, 1): 45.0, (0, 2): 45.0, (1, 3): 45.0}), matrix)
+    args = [str(matrix), "--kappa", "const:1", "--beta", "50", "--root", "0"]
+    assert main(["tree", *args, "--out", str(tmp_path / "swept")]) == EXIT_OK
+    assert main(["tree", *args, "--reduce", "--out", str(tmp_path / "reduced")]) == EXIT_OK
+    swept = io.load_tree(tmp_path / "swept" / "tree.json")
+    reduced = io.load_tree(tmp_path / "reduced" / "tree.json")
+    assert swept != reduced
+    assert checked == [swept, swept, reduced]
+
+
 def test_tree_reduces_a_star_of_300_leaves(tmp_path, capsys):
     from helpers import symmetric_matrix
 
@@ -519,6 +565,20 @@ def test_settings_output(tmp_path, capsys):
     assert "guard saturated" in out
 
     assert main(["settings", "30"]) == EXIT_INPUT
+    capsys.readouterr()
+    assert main(["settings", "46.5"]) == EXIT_INPUT
+    assert capsys.readouterr() == (
+        "", "error: bound 46.5 not exactly realizable with profile AT86RF231\n"
+    )
+
+
+def test_verify_fails_a_node_in_two_levels(tmp_path, capsys):
+    matrix = write_chain_matrix(tmp_path, n=4)
+    tree = tmp_path / "tree.json"
+    levels = (frozenset({0}), frozenset({1}), frozenset({1, 2}))
+    io.save_tree(trees.LayeredTree(root=0, beta=50.0, margin=15.0, levels=levels), tree)
+    assert main(["verify", str(tree), str(matrix), "--kappa", "const:1"]) == EXIT_VERIFY
+    assert "  requirement 1: nodes [1] appear in multiple levels" in capsys.readouterr().out
 
 
 def test_verify_pass_and_fail(tmp_path, capsys):
@@ -591,10 +651,25 @@ def test_sweep_report(tmp_path, capsys):
     report = (out / "sweep_report.csv").read_text().splitlines()
     assert report[0] == "testbed,max_depth,beta_min,beta_max,note"
     rows = {line.split(",")[0]: line.split(",") for line in report[1:]}
-    assert rows["compact"][1] == "1"
-    assert rows["compact"][4] == "no multi-hop"
-    assert int(rows["sparse"][1]) == 5
+    compact, sparse = str(tmp_path / "compact"), str(tmp_path / "sparse")
+    assert rows[compact][1] == "1"
+    assert rows[compact][4] == "no multi-hop"
+    assert int(rows[sparse][1]) == 5
     assert "no multi-hop" in capsys.readouterr().out
+
+
+def test_sweep_report_names_each_matrix_by_its_path(tmp_path):
+    matrices = []
+    for site in ("a", "b"):
+        (tmp_path / site).mkdir()
+        matrices.append(str(write_chain_matrix(tmp_path / site)))
+    out = tmp_path / "out"
+    argv = ["sweep-report", *matrices, "--kappa", "const:1", "--out", str(out),
+            "--beta-min", "45", "--beta-max", "60", "--beta-step", "5"]
+    assert main(argv) == EXIT_OK
+    report = (out / "sweep_report.csv").read_text().splitlines()
+    names = [row.split(",")[0] for row in report[1:]]
+    assert names == [str(tmp_path / "a" / "matrix"), str(tmp_path / "b" / "matrix")]
 
 
 def test_single_matrix_report(tmp_path):

@@ -66,7 +66,7 @@ GOLDEN = {
     "file:ingest/matrix.json": "fea53fdf090f5ff5f35669b6257c7e44c207ddd0668d7e9960f0732d4f28e5f8",
     "file:ingest-median/manifest.json": "645fc063ef3cf2f8c432f3a81e271056449bee7ecabe58df318a5cb536fafb7c",
     "file:ingest-median/matrix.json": "561a31de3bccb60875870b1b73434dda6230c61820774807485f22220d6fe12d",
-    "stdout:pipeline": "0489438fb58a77c1d2ffbf1656fdd7f61f7353cdc3aaf6ba76151788379776fd",
+    "stdout:pipeline": "6454c6b81dee6d4ec95cfa22183d61ada1458fe268120dea60c79b0e9b8d627d",
     "exit:tree-reduce": 0,
     "stdout:tree-reduce": "d75a92c4c5786c5dcbb7a032162ddc799086013a8cde2d49de668bbf22b60784",
     "exit:tree-root": 0,
@@ -98,7 +98,7 @@ GOLDEN = {
     "file:pipeline/matrix.json": "93f08d58633f3fe2f57d9087da6a22373f9bb21b1bd3b20d18b14dacd2ddbe1b",
     "file:pipeline/positions.json": "f9a8b9db8df2dcd78b73bfce5742965e736415e265db8abd9d8740c5bd8e77c4",
     "file:pipeline/report/manifest.json": "71ac5d4d8402e9791f48f8bd588d0ed2dd9d806e566f3db8eda4039bc197d943",
-    "file:pipeline/report/sweep_report.csv": "37b2523dabf635c309448d54ddade9e7dbd9b6af2cb4482c9bada38d8feede31",
+    "file:pipeline/report/sweep_report.csv": "6a8702da57a89580d64ca47d3997b0e08c0dfe9ebbdd44919d2acfb8c4454300",
     "file:pipeline/scenario.json": "85a58558257edb3414e1d55b454013cd5ff495cf14cb29398e1f398daddf2d32",
     "file:pipeline/tree/manifest.json": "95b7c38ad1af4747375771172f5da3a1e68ce72d7cc2a0fab66d255ebebbc064",
     "file:pipeline/tree/tree.dot": "ea02e5be39ad7b7df7b88742fced709214f756d35f22ca2909999dea8697ce18",
