@@ -13,9 +13,11 @@ code and stdout lines, which only ``main`` prints. So a bad input leaves
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import os
 import sys
+from io import StringIO
 from pathlib import Path
 
 from . import __version__, degree, graphs, io, measurements, radio, trees
@@ -242,7 +244,9 @@ def cmd_verify(args) -> tuple[int, list[str]]:
 def cmd_sweep_report(args) -> tuple[int, list[str]]:
     kappa = trees.KappaSpec.parse(args.kappa)
     lines = [f"{'testbed':<20} {'max_depth':>9} {'beta_min':>9} {'beta_max':>9}"]
-    csv_lines = ["testbed,max_depth,beta_min,beta_max,note"]
+    csv_text = StringIO()
+    rows = csv.writer(csv_text, lineterminator="\n")
+    rows.writerow(["testbed", "max_depth", "beta_min", "beta_max", "note"])
     for path in args.matrices:
         matrix = _tree_matrix(path)
         swept = trees.sweep_trees(matrix, kappa, args.margin, _family(matrix, args))
@@ -252,9 +256,8 @@ def cmd_sweep_report(args) -> tuple[int, list[str]]:
         suffix = f"  ({note})" if note else ""
         name = str(path).removesuffix(".json")  # every matrix topogen writes is matrix.json
         lines.append(f"{name:<20} {depth:>9} {betas[0]:>9g} {betas[-1]:>9g}{suffix}")
-        csv_lines.append(f"{name},{depth},{betas[0]:g},{betas[-1]:g},{note}")
-    csv = "\n".join(csv_lines) + "\n"
-    lines.append(_write(args, {"sweep_report.csv": csv}, args.matrices))
+        rows.writerow([name, depth, f"{betas[0]:g}", f"{betas[-1]:g}", note])
+    lines.append(_write(args, {"sweep_report.csv": csv_text.getvalue()}, args.matrices))
     return EXIT_OK, lines
 
 

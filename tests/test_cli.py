@@ -672,6 +672,20 @@ def test_sweep_report_names_each_matrix_by_its_path(tmp_path):
     assert names == [str(tmp_path / "a" / "matrix"), str(tmp_path / "b" / "matrix")]
 
 
+def test_sweep_report_quotes_a_name_that_holds_a_comma(tmp_path, monkeypatch):
+    import csv
+
+    monkeypatch.chdir(tmp_path)
+    write_chain_matrix(tmp_path, "site,a.json", n=4)
+    argv = ["sweep-report", "site,a.json", "--kappa", "const:1", "--out", "out",
+            "--beta-min", "45", "--beta-max", "60", "--beta-step", "5"]
+    assert main(argv) == EXIT_OK
+    with open(tmp_path / "out" / "sweep_report.csv", newline="") as report:
+        header, row = csv.reader(report)
+    assert len(header) == len(row) == 5
+    assert row[0] == "site,a"
+
+
 def test_single_matrix_report(tmp_path):
     matrix = write_chain_matrix(tmp_path)
     out = tmp_path / "out"
