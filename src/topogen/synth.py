@@ -2,18 +2,22 @@
 
 Log-distance path loss with optional per-pair shadowing and per-direction
 asymmetry noise, plus deterministic scenario builders (chains, grids).
-Randomness comes from numpy's PCG64 seeded per pair, so generation is
-reproducible and order-independent; the generator identity is recorded
-in the matrix metadata.
+Each draw is keyed by (seed, tag, pair): the key's text is hashed with
+BLAKE2b, and its top 52 bits pick a point strictly inside (0, 1) that the
+normal quantile function maps to the draw. Generation is therefore
+reproducible, order-independent and free of third-party packages; the
+generator identity is recorded in the matrix metadata.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+from statistics import NormalDist
 
 from .measurements import LossMatrix, MatrixEntry, NodePositions, check_channel
 
-GENERATOR_ID = "numpy-pcg64-per-pair"
+GENERATOR_ID = "blake2b-inv-cdf-per-pair"
 
 SYNTH_COUNT = 250  # nominal campaign size recorded for generated entries
 
@@ -33,11 +37,12 @@ def _integer(value, where: str) -> int:
 
 
 def _normal(seed_key: list[int], sigma: float) -> float:
+    """N(0, sigma) draw keyed by non-negative ints; (k + 0.5) / 2**52 is exact, in (0, 1)."""
     if sigma == 0:
         return 0.0
-    import numpy as np  # loaded by the first draw, so no other command pays for it
-    rng = np.random.default_rng(seed_key)
-    return float(rng.normal(0.0, sigma))
+    digest = hashlib.blake2b(" ".join(map(str, seed_key)).encode(), digest_size=8).digest()
+    k = int.from_bytes(digest, "big") >> 12
+    return NormalDist(0.0, sigma).inv_cdf((k + 0.5) / 2**52)
 
 
 def generate(

@@ -66,13 +66,13 @@ GOLDEN = {
     "file:ingest/matrix.json": "fea53fdf090f5ff5f35669b6257c7e44c207ddd0668d7e9960f0732d4f28e5f8",
     "file:ingest-median/manifest.json": "645fc063ef3cf2f8c432f3a81e271056449bee7ecabe58df318a5cb536fafb7c",
     "file:ingest-median/matrix.json": "561a31de3bccb60875870b1b73434dda6230c61820774807485f22220d6fe12d",
-    "stdout:pipeline": "6454c6b81dee6d4ec95cfa22183d61ada1458fe268120dea60c79b0e9b8d627d",
+    "stdout:pipeline": "8a376c22485e7795e532106e7023e02eed3293c64b992dc1f936834664442611",
     "exit:tree-reduce": 0,
-    "stdout:tree-reduce": "d75a92c4c5786c5dcbb7a032162ddc799086013a8cde2d49de668bbf22b60784",
+    "stdout:tree-reduce": "f37cd0efa7447999e2e5f41d9a09a0f5bae62b46bbf18a7ab875cd4b3b80b5e4",
     "exit:tree-root": 0,
-    "stdout:tree-root": "77e9c2bb5f3df88b9f424138ffc18024e64d8bc0ebec65581a011fd352111320",
+    "stdout:tree-root": "d5a6e12ac88c1932677241b45e6c5d7398668e726be00a0843cd3e1a872a250b",
     "exit:degree": 0,
-    "stdout:degree": "14b416f5fe9b675663933ff3035add7875b0327cf7f14733199e162ad73ad62e",
+    "stdout:degree": "54abedcf88a5076deec24ea9b0ad885a4372e25a897470d8bc6a42b544afce37",
     "exit:verify": 0,
     "stdout:verify": "50a8cbd5b947070cb751abae1cda97f51c62bbe28797f9f32b1d855ae10b2a80",
     "exit:settings": 0,
@@ -80,40 +80,40 @@ GOLDEN = {
     "exit:settings-82": 0,
     "stdout:settings-82": "f87507db9af729a7f09a7b0c437c581ae6902eaac982bffd3385fb1fac1910e7",
     "exit:tree6-reduce": 0,
-    "stdout:tree6-reduce": "2c85ce30797d28731ecf2835016d21adbc330635287d4de6ae2688f2301b9b98",
+    "stdout:tree6-reduce": "01ce2f8738dfd0bdcd46a5be67cef159e24bfe5341fae34cd55dff9563a71d8d",
     "exit:sweep-report6": 0,
-    "stdout:sweep-report6": "441824c41dcf4c4d3bdb3ceb4096003b784296ce5e78455a5ad9119de3c9160d",
-    "file:degree/manifest.json": "7156f477bdbc0c305cdb3a2019913a73f4d40ba7a06d820e2897dbe665af046e",
-    "file:degree/selection.dot": "299fadfb07d06adc341e17572bbfaadfc429cb887352eb15a7bf7f0ac3c2dcac",
-    "file:degree/selection.json": "ed5271766f89556aac69b0c105280bb82c100fb4f130a574839077b838201303",
-    "file:grid.json": "e985ab4819b98a5caaa889b507c11d9b45861f42f2d53ac8342f9a3713d8da1b",
-    "file:grid6.json": "6e1e6addd7978d38c53d63c5fe29591329e73b7916551e6d9183bff426691f2a",
-    "file:pipeline/analyze/degrees.csv": "479e165597ed3f970ea2bc2ce784b7380e4bc1770b1f1964ce726d13f25a8c74",
-    "file:pipeline/analyze/manifest.json": "38c189154acd0c593eb718f96d969f457a4154bd0fde6ace9f4d4165b450183c",
-    "file:pipeline/analyze/monotonicity.txt": "6149548ecf94d54ffc712a1994ab79ecceac516a735c2622b5476de35b9c7318",
-    "file:pipeline/degree/manifest.json": "e0e6e99575bad5b34d9238a7332e5199975d59eb347930c99874f65b47f56219",
-    "file:pipeline/degree/selection.dot": "0a7cd3168dd8d2289f56ad4ae8dcf147c0b98130cc42e265fc4b72e999d9db91",
-    "file:pipeline/degree/selection.json": "aedb99c87af9ccb6b808fb00fb226d0df382d63a9ba45e8d76d0fc5d3abb22de",
+    "stdout:sweep-report6": "bbf9165bec3eaaa7d0698b09edbea6a3dbe191147195a78a28cfa4024f585667",
+    "file:degree/manifest.json": "df9990764e1b69d05dd508157309ecbfcf2e8f7712c09ca05f95e570d7d05fb7",
+    "file:degree/selection.dot": "efa8e8af61ae1fb8a2ef532a5844782784939b70644908e361f6650b37efddfe",
+    "file:degree/selection.json": "a6dbe1f118fb5acc3ea73a6f488e9346190d002e863a981adf84e3077f19dc1f",
+    "file:grid.json": "d13f6263b1f2b4f88c3743d9172155c3702aea7a7963479f8dc4a78ec5cea99a",
+    "file:grid6.json": "afcfdcda79bed968697d3bdf7810c1cd1393494cbe19f96c16693b44887b59a5",
+    "file:pipeline/analyze/degrees.csv": "3627631db4b9f716eb420d698ddc0483d88a1d09e881daf4d0e037f2de1f2fcc",
+    "file:pipeline/analyze/manifest.json": "7a5199078aa4b2dd870b2c30f0fd894faa611120ef1cc1f8f5abf05102e6b321",
+    "file:pipeline/analyze/monotonicity.txt": "002aa1627555cf1e730bf28fd4c3e3ee31acfa91ab6a9976191b7bccc5e98315",
+    "file:pipeline/degree/manifest.json": "f025698190208243988e500560b8d7fe8fa81bf1afe6702da64f6748e5c9a440",
+    "file:pipeline/degree/selection.dot": "a7780eb2162704aebc22c37f03bf1e050f00018c12b4f8643b480f7cbce47152",
+    "file:pipeline/degree/selection.json": "3427c48b164d3f5cdd314564dd568c50cd6dfd1c8767517c6c6e5c5bbfe8e400",
     "file:pipeline/manifest.json": "9e426b707d55672ef2c7738903737b53b367e9b35f4c421a80a95ec6c497e7fe",
-    "file:pipeline/matrix.json": "93f08d58633f3fe2f57d9087da6a22373f9bb21b1bd3b20d18b14dacd2ddbe1b",
+    "file:pipeline/matrix.json": "c865d08d9bded7446f3e0b68e1cf1bc67aa62ca895663c07390518c569bc3973",
     "file:pipeline/positions.json": "f9a8b9db8df2dcd78b73bfce5742965e736415e265db8abd9d8740c5bd8e77c4",
-    "file:pipeline/report/manifest.json": "71ac5d4d8402e9791f48f8bd588d0ed2dd9d806e566f3db8eda4039bc197d943",
-    "file:pipeline/report/sweep_report.csv": "6a8702da57a89580d64ca47d3997b0e08c0dfe9ebbdd44919d2acfb8c4454300",
+    "file:pipeline/report/manifest.json": "d105087dc5b2c854741def7ee1d3696d42760642c40bcba0705214562c76f95a",
+    "file:pipeline/report/sweep_report.csv": "3e1f354176dd84537c142b238d6b04659cc0cc62be5a5419418122a36def142c",
     "file:pipeline/scenario.json": "85a58558257edb3414e1d55b454013cd5ff495cf14cb29398e1f398daddf2d32",
-    "file:pipeline/tree/manifest.json": "95b7c38ad1af4747375771172f5da3a1e68ce72d7cc2a0fab66d255ebebbc064",
-    "file:pipeline/tree/tree.dot": "ea02e5be39ad7b7df7b88742fced709214f756d35f22ca2909999dea8697ce18",
-    "file:pipeline/tree/tree.json": "b3bc4789532bfb35dfdc619f153213063c3b6a3f3a337da8bf4650ee90545066",
-    "file:sweep-report6/manifest.json": "1495c53590f6d65f4a1df7755f533d7503b07e826db8c2e3d6c3055e5836c207",
-    "file:sweep-report6/sweep_report.csv": "1b81614ed5286ea873376970c32012870778ffd340c643a4aa71296155dc5413",
-    "file:tree-reduce/manifest.json": "f701359edff1980f493bd2233ea18ffadb2e84b40a8dc421f3f83ede23efcde2",
-    "file:tree-reduce/tree.dot": "b197a9d36dcf7eb19a18185babe66a32f2d00128b4398a1aa17ebcf2f8c5e489",
-    "file:tree-reduce/tree.json": "859505fd47805527faab66bb0a038dc91b5f5acd3216760a99375fe4e55a6e6d",
-    "file:tree-root/manifest.json": "d54115416c022a3f4ba9747860010d656e216bc5ae0bbc15aac86b2f1d9aa4d0",
-    "file:tree-root/tree.dot": "20f7433fb84373f50dc7a8f2e55772b65a244a48fa98bb03854d3c5cdd9d29ac",
-    "file:tree-root/tree.json": "f979a58734963793085b6342634985b71d29eb02ded8b39a90ecb877fba0f730",
-    "file:tree6-reduce/manifest.json": "1308e7f05e08b480cd79d08dcb3f6733e4350f461b52653c9756525efa8c8eb6",
-    "file:tree6-reduce/tree.dot": "8fe0ee16ed9f0a26cdc935c5857f5fb98fc9995c491cb95340c70e5b92a451ca",
-    "file:tree6-reduce/tree.json": "29d91a5e02718f9e482b20a9d6a790e51e7d67a641ba6f70e108c2cefb7274b4",
+    "file:pipeline/tree/manifest.json": "189d28824d21581aa12624569c91420204cf11319e4aeb6a2b38a1170ca58731",
+    "file:pipeline/tree/tree.dot": "6ef8f22758a1b0edd034ed6afc412b01fff36ebabb13b13a509d348ffada9c31",
+    "file:pipeline/tree/tree.json": "bdf75291a250157a662d37c3248993f2d11cef4d5e1e8e48e89cb8d9b800ba6c",
+    "file:sweep-report6/manifest.json": "211e083193376ed09ae699215503d6e56a9ab0579ad14a7772ab6a9c1d710bec",
+    "file:sweep-report6/sweep_report.csv": "b073b6ecd3c065f3f92d7be4f01474d339cfa68a97db6d9dd84efab691bb8a27",
+    "file:tree-reduce/manifest.json": "df39ef3e53c6d390a94341cd58b6a08c3b8b42fe57531d2d4ffa760f51ae8cfc",
+    "file:tree-reduce/tree.dot": "72975410cadbdf1a9393bc3e97670decfbf0b79a284b516eaf8538db33d86b7f",
+    "file:tree-reduce/tree.json": "b24f79e3946cc1f56c78d3c437a70b374f4c84f1e551dfbe5e2f1ad03d91ad42",
+    "file:tree-root/manifest.json": "f8542b1a53694e6daa1f4fab54a6e6645e6207e0178e4e03d8bcffa6b113356a",
+    "file:tree-root/tree.dot": "ae65134d2ddf3158ae5116b298caa1f5b3fe1d9569e130b0a6b960f32e08aaad",
+    "file:tree-root/tree.json": "991e2bde975f77e1a1672bba5b5354aba735b317bf01b3956e8d580d0e63f4d3",
+    "file:tree6-reduce/manifest.json": "8616cbe22c4246c39580785d3ff6fd15ce88992a66c50430e278b89bf81e9415",
+    "file:tree6-reduce/tree.dot": "551aa25ff9a9d68a73282050da5cb2f6936880d769c39ac06924edf254f601ce",
+    "file:tree6-reduce/tree.json": "a36bf62c06a35499d06f13f440f2bf079b1b6a04d8647d5bcdd6fce96a0bd571",
 }
 
 
