@@ -533,24 +533,29 @@ def test_tree_reduces_a_star_of_300_leaves(tmp_path, capsys):
     assert io.load_tree(out / "tree.json").levels == (frozenset({0}), frozenset({298, 299, 300}))
 
 
-def test_only_a_synth_draw_imports_numpy(tmp_path):
-    scenario = tmp_path / "chain.json"
+def test_no_command_imports_numpy(tmp_path):
+    scenario = tmp_path / "grid.json"
     scenario.write_text(json.dumps(
-        {"format": "synth-scenario/1", "kind": "chain", "n": 4, "on_loss": 45, "off_loss": 90}
+        {"format": "synth-scenario/1", "kind": "grid", "rows": 4, "cols": 4, "spacing": 3,
+         "shadowing_sigma": 4, "asymmetry_sigma": 1}
     ))
+    matrix = str(tmp_path / "synth" / "matrix.json")
+    commands = [
+        ["synth", str(scenario), "--out", str(tmp_path / "synth")],
+        ["tree", matrix, "--out", str(tmp_path / "tree")],
+        ["degree", matrix, "3", "--out", str(tmp_path / "degree")],
+    ]
     code = (
-        "import sys, topogen.cli\n"
-        "topogen.cli.main(['settings', '82'])\n"
-        f"topogen.cli.main(['synth', {str(scenario)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
-        "print('numpy' in sys.modules)\n"
+        "import sys\n"
+        "sys.modules['numpy'] = None  # any import of numpy now raises ImportError\n"
+        "from topogen.cli import main\n"
+        f"print([main(argv) for argv in {commands!r}])\n"
     )
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout.splitlines()[-1] == "False"
-    assert (tmp_path / "out" / "matrix.json").exists()
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0]"
 
 
 def test_settings_output(tmp_path, capsys):

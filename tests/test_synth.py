@@ -1,9 +1,11 @@
 import math
 import random
+import statistics
+from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
+from topogen import synth
 from topogen.graphs import neighborhood_graph
 from topogen.measurements import distance_loss_correlation
 from topogen.synth import chain_scenario, generate, grid_positions, grid_scenario
@@ -50,6 +52,36 @@ def test_determinism_in_seed():
     assert different != generate(positions, **params)
 
 
+@pytest.mark.parametrize(
+    "key, sigma, draw",
+    # exact reprs: a libm or inv_cdf that differs, or a changed key text, changes them
+    [
+        ([0, 0, 0, 1], 1.0, "-0.8187306265688256"),
+        ([1, 0, 0, 1], 4.0, "-10.521824973771372"),
+        ([1, 1, 0, 1], 1.0, "0.1540519832235539"),
+        ([1, 2, 0, 1], 2.5, "0.02943381657857199"),
+        ([7, 0, 256, 257], 0.5, "-0.3569172855077872"),
+        ([3, 2, 300, 301], 6.0, "-12.988379441807325"),
+        ([2**70, 0, 5, 288], 4.0, "-2.334879930919743"),
+        ([2**70, 1, 5, 288], 1.0, "0.8545052066184337"),
+        ([2**70, 2, 5, 288], 1.0, "-0.11140159588058535"),
+        ([2**70, 2, 5, 288], 0.0, "0.0"),
+    ],
+)
+def test_draws_are_pinned(key, sigma, draw):
+    assert repr(synth._normal(key, sigma)) == draw
+
+
+@pytest.mark.parametrize("digest, z", [(bytes(8), -8.2095), (b"\xff" * 8, 8.2095)])
+def test_extreme_hashes_give_finite_draws(monkeypatch, digest, z):
+    # the top 52 bits all 0 or all 1 are the points 2**-53 and 1 - 2**-53
+    fixed = SimpleNamespace(blake2b=lambda data, digest_size: SimpleNamespace(digest=lambda: digest))
+    monkeypatch.setattr(synth, "hashlib", fixed)
+    draw = synth._normal([0, 0, 0, 1], 3.0)
+    assert math.isfinite(draw)
+    assert draw == pytest.approx(3.0 * z, abs=1e-3)
+
+
 def test_symmetric_without_noise_and_increasing_in_distance():
     positions = {i: (float(2**i), 0.0, 0.0) for i in range(5)}
     matrix = generate(positions)
@@ -71,7 +103,7 @@ def test_asymmetry_sigma_scale():
         for b in nodes[i + 1:]:
             deltas.append(matrix.entries[(a, b)].mean_loss - matrix.entries[(b, a)].mean_loss)
     assert len(deltas) >= 1000
-    observed = float(np.std(deltas))
+    observed = statistics.pstdev(deltas)
     expected = math.sqrt(2) * sigma
     assert abs(observed - expected) / expected < 0.2
 
