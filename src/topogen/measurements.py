@@ -263,7 +263,7 @@ def aggregate(counts: Counter[float], percentile: float | None) -> tuple[float, 
     ``counts`` maps each distinct loss to how often it occurs. The losses
     are integers over their largest power-of-two denominator ``scale``, so
     every sum is exact. The location is the mean ``total / (count * scale)``
-    if ``percentile`` is None, else numpy's default (linear) percentile
+    if ``percentile`` is None, else the linearly interpolated percentile
     with an exact rank ``(count - 1) * percentile / 100``. Both are exact
     fractions rounded once by an int-by-int division, and lie between the
     extreme losses, so they never overflow. The square root of the exact

@@ -2,11 +2,9 @@
 
 Log-distance path loss with optional per-pair shadowing and per-direction
 asymmetry noise, plus deterministic scenario builders (chains, grids).
-Each draw is keyed by (seed, tag, pair): the key's text is hashed with
-BLAKE2b, and its top 52 bits pick a point strictly inside (0, 1) that the
-normal quantile function maps to the draw. Generation is therefore
-reproducible, order-independent and free of third-party packages; the
-generator identity is recorded in the matrix metadata.
+Each draw hashes the text of its key (seed, tag, pair) with BLAKE2b and
+maps the hash to a normal quantile, so generation is reproducible and
+order-independent; the generator identity is recorded in the matrix metadata.
 """
 
 from __future__ import annotations
@@ -37,11 +35,11 @@ def _integer(value, where: str) -> int:
 
 
 def _normal(seed_key: list[int], sigma: float) -> float:
-    """N(0, sigma) draw keyed by non-negative ints; (k + 0.5) / 2**52 is exact, in (0, 1)."""
+    """N(0, sigma) draw keyed by non-negative ints."""
     if sigma == 0:
         return 0.0
     digest = hashlib.blake2b(" ".join(map(str, seed_key)).encode(), digest_size=8).digest()
-    k = int.from_bytes(digest, "big") >> 12
+    k = int.from_bytes(digest, "big") >> 12  # 52 bits: with 53, k + 0.5 could round to 2**53
     return NormalDist(0.0, sigma).inv_cdf((k + 0.5) / 2**52)
 
 

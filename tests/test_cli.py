@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -678,8 +679,6 @@ def test_sweep_report_names_each_matrix_by_its_path(tmp_path):
 
 
 def test_sweep_report_quotes_a_name_that_holds_a_comma(tmp_path, monkeypatch):
-    import csv
-
     monkeypatch.chdir(tmp_path)
     write_chain_matrix(tmp_path, "site,a.json", n=4)
     argv = ["sweep-report", "site,a.json", "--kappa", "const:1", "--out", "out",

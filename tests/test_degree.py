@@ -273,7 +273,7 @@ def test_sweep_assignments_equal_brute_force_on_4x4_grids(seed):
 
 def test_sweep_selections_pinned_on_5x5_grid():
     # sha256 of every bound's selected set, so a faster search must pick the
-    # same optimum; re-pinned with the solver unchanged when synth's draws changed
+    # same optimum
     lines = []
     for beta, program in grid_sweep(5, 1):
         selected = [v for v, value in ilp.solve(program).assignment.items() if value]

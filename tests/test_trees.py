@@ -299,10 +299,7 @@ def test_reduction_matches_brute_force():
 @pytest.mark.parametrize(
     "root, beta, depth, cap",
     # the second case is the depth-2 tree whose reduction explores the most
-    # nodes on this grid. The drop program's packing bound explores 121 and
-    # 5,851; on the grid of the earlier numpy draws, where the second case was
-    # (21, 70) at 7,770 nodes, the keep program it replaced explored 79,421 and
-    # 288,545
+    # nodes on this grid; the drop program's packing bound explores 121 and 5,851
     [(51, 103, 1, 250), (31, 71, 2, 16000)],
 )
 def test_packing_bound_keeps_the_reduction_small(root, beta, depth, cap):
