@@ -217,11 +217,11 @@ def cmd_settings(args) -> tuple[int, list[str]]:
     for option in radio.settings_for_bound(args.beta, profile, args.guard):
         base = option.base
         line = f"{base.tx_power:g}/{base.sensitivity:g} ({base.budget:g} dB)"
-        if option.guarded is not None and args.guard > 0:
+        if option.guarded is None:
+            line += "  guard saturated: no headroom in profile"
+        elif args.guard > 0:
             g = option.guarded
             line += f"  guarded: {g.tx_power:g}/{g.sensitivity:g} ({g.budget:g} dB)"
-        elif option.saturated:
-            line += "  guard saturated: no headroom in profile"
         lines.append(line)
     return EXIT_OK, lines
 

@@ -35,7 +35,7 @@ class DegreeSelection:
     @cached_property
     def components(self) -> tuple[frozenset[int], ...]:
         """Connected node sets of the induced subgraph, largest first."""
-        induced = BoundedGraph(beta=self.beta, nodes=tuple(sorted(self.selected)), edges=self.edges)
+        induced = BoundedGraph(nodes=tuple(sorted(self.selected)), edges=self.edges)
         return tuple(map(frozenset, connected_components(induced)))
 
 

@@ -23,7 +23,6 @@ MAX_GRID_STEPS = 100_000  # far past any transceiver's budget resolution
 
 @dataclass(frozen=True)
 class BoundedGraph:
-    beta: float
     nodes: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
 
@@ -50,7 +49,7 @@ def neighborhood_graph(matrix: LossMatrix, beta: float) -> BoundedGraph:
         for v in matrix.neighbors_within(u, beta)
         if u < v
     )
-    return BoundedGraph(beta=beta, nodes=tuple(sorted(matrix.nodes)), edges=edges)
+    return BoundedGraph(nodes=tuple(sorted(matrix.nodes)), edges=edges)
 
 
 @dataclass(frozen=True)

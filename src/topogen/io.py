@@ -110,7 +110,7 @@ def load_matrix(path: Path | str) -> LossMatrix:
             entries[pair] = MatrixEntry(mean_loss=loss, stddev=stddev, count=count)
         return LossMatrix(
             nodes=nodes,
-            channel=channel if channel is None else check_channel(channel),
+            channel=None if channel is None and not entries else check_channel(channel),
             entries=entries,
             meta=_object(document.get("meta", {}), "meta"),
         )

@@ -63,29 +63,10 @@ class RadioSetting:
 
 @dataclass(frozen=True)
 class GuardedSetting:
-    """A base setting plus its guarded variant, if the profile allows one."""
+    """A base setting plus its guarded variant, or None if the profile allows none."""
 
     base: RadioSetting
     guarded: RadioSetting | None
-
-    @property
-    def saturated(self) -> bool:
-        return self.guarded is None
-
-
-def _guard_variant(
-    base: RadioSetting, guard: float, profile: TransceiverProfile
-) -> RadioSetting | None:
-    """Least-power setting of budget + guard, tx and sensitivity no worse than base's.
-
-    The tx levels ascend, so the first match has the least power.
-    """
-    target = base.budget + guard
-    sens_set = set(profile.sensitivity_levels)
-    for tx in profile.tx_levels:
-        if tx >= base.tx_power and tx - target in sens_set and tx - target <= base.sensitivity:
-            return RadioSetting(tx, tx - target)
-    return None
 
 
 def settings_for_bound(
@@ -95,9 +76,10 @@ def settings_for_bound(
 ) -> list[GuardedSetting]:
     """All settings realizing the bound exactly, lowest transmit power first.
 
-    Each base pair carries a guarded variant with realized budget
-    beta + guard, or a saturation marker when the profile has no
-    headroom left.
+    Each base pair carries its guarded variant: the least-power setting
+    of budget ``base.budget + guard`` with transmit power and sensitivity
+    no worse than the base's, or None when the profile has no headroom
+    left.
     """
     if guard < 0:
         raise ValueError("guard must be >= 0")
@@ -107,13 +89,20 @@ def settings_for_bound(
             f"[{profile.min_budget}, {profile.max_budget}]"
         )
     sens_set = set(profile.sensitivity_levels)
+
+    def exact(budget: float) -> list[RadioSetting]:
+        """Settings of exactly ``budget``, least power first (tx levels ascend)."""
+        return [
+            RadioSetting(tx, tx - budget) for tx in profile.tx_levels if tx - budget in sens_set
+        ]
+
     results = []
-    for tx in profile.tx_levels:
-        sens = tx - beta
-        if sens not in sens_set:
-            continue
-        base = RadioSetting(tx, sens)
-        results.append(GuardedSetting(base, _guard_variant(base, guard, profile)))
+    for base in exact(beta):
+        guarded = [
+            s for s in exact(base.budget + guard)
+            if s.tx_power >= base.tx_power and s.sensitivity <= base.sensitivity
+        ]
+        results.append(GuardedSetting(base, guarded[0] if guarded else None))
     if not results:
         raise ValueError(
             f"bound {beta} not exactly realizable with profile {profile.name}"

@@ -87,6 +87,8 @@ class LayeredTree:
             raise ValueError("levels: a tree needs at least its root level")
         if math.isnan(self.beta + self.margin):
             raise ValueError(f"bound {self.beta} plus margin {self.margin} is NaN")
+        if self.margin < 0:
+            raise ValueError(f"margin {self.margin} must be >= 0")
 
     @property
     def depth(self) -> int:
@@ -118,8 +120,6 @@ def monitored_bfs(
     """
     if v0 not in matrix.nodes:
         raise ValueError(f"unknown root {v0}")
-    if not margin >= 0:
-        raise ValueError("margin must be >= 0")
     near = matrix.masks_within(beta)
     far = matrix.masks_within(beta + margin)
 

@@ -25,6 +25,24 @@ def matrix_from_losses(losses, nodes=None, channel=26):
     return LossMatrix(nodes=sorted(nodes), channel=channel, entries=entries)
 
 
+def relabel(node):
+    """An order-preserving map of node ids that moves every id off its position."""
+    return 3 * node + 7
+
+
+def relabeled(matrix):
+    """``matrix`` with every id mapped by ``relabel`` and the node list reversed.
+
+    Ties go to the smaller id and ``nodes`` is only a list order, so any
+    result on this matrix is the original result mapped by ``relabel``.
+    """
+    return LossMatrix(
+        nodes=[relabel(n) for n in reversed(matrix.nodes)],
+        channel=matrix.channel,
+        entries={(relabel(a), relabel(b)): e for (a, b), e in matrix.entries.items()},
+    )
+
+
 def symmetric_matrix(edge_losses, nodes=None):
     """Matrix where each undirected pair gets the same loss both ways."""
     losses = {}
@@ -84,7 +102,7 @@ def random_graph(rng: random.Random, n, density):
     edges = frozenset(
         (a, b) for a in nodes for b in nodes if a < b and rng.random() < density
     )
-    return BoundedGraph(beta=0.0, nodes=nodes, edges=edges)
+    return BoundedGraph(nodes=nodes, edges=edges)
 
 
 def best_regular_subset_size(graph, c):

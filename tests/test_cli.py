@@ -587,6 +587,20 @@ def test_verify_fails_a_node_in_two_levels(tmp_path, capsys):
     assert "  requirement 1: nodes [1] appear in multiple levels" in capsys.readouterr().out
 
 
+def test_verify_refuses_a_negative_tree_margin(tmp_path, capsys):
+    matrix = tmp_path / "matrix.json"
+    io.save_matrix(chain_scenario(6, 45, 60), matrix)  # every pair links within 50 + 15
+    tree = tmp_path / "tree.json"
+    levels = tuple(frozenset({i}) for i in range(6))
+    io.save_tree(trees.LayeredTree(root=0, beta=50.0, margin=15.0, levels=levels), tree)
+    argv = ["verify", str(tree), str(matrix), "--kappa", "const:1"]
+    assert main(argv) == EXIT_VERIFY
+    assert "requirement 4" in capsys.readouterr().out
+    tree.write_text(tree.read_text().replace('"margin": 15.0', '"margin": -100'))
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {tree}: margin -100 must be >= 0\n")
+
+
 def test_verify_pass_and_fail(tmp_path, capsys):
     from helpers import symmetric_matrix
 
@@ -712,6 +726,15 @@ def test_empty_matrix_is_input_error(tmp_path, capsys, command):
     assert f"error: {matrix}: empty matrix" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["tree", "sweep-report"])
+def test_negative_margin_is_input_error(tmp_path, capsys, command):
+    matrix = write_chain_matrix(tmp_path, n=3)
+    out = tmp_path / "o"
+    assert main([command, str(matrix), "--margin", "-1", "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: margin -1.0 must be >= 0\n"
+    assert not out.exists()
+
+
 def _without(key):
     return lambda d: {k: v for k, v in d.items() if k != key}
 
@@ -731,6 +754,8 @@ MALFORMED = {
     "top-level list": ("matrix", lambda d: [d], "JSON object"),
     "tree without levels": ("tree", _without("levels"), "'levels'"),
     "NaN tree margin": ("tree", lambda d: {**d, "margin": float("nan")}, "margin nan"),
+    "negative tree margin": (
+        "tree", lambda d: {**d, "margin": -1.0}, "margin -1.0 must be >= 0"),
     "infinite tree bound": ("tree", lambda d: {**d, "beta": float("inf")}, "beta inf"),
     "NaN loss": ("matrix", _first_entry(mean_loss=float("nan")), "entries[0].mean_loss nan"),
     "infinite loss": (
@@ -781,6 +806,7 @@ MALFORMED = {
     "string stddev": ("matrix", _first_entry(stddev="0"), "entries[0].stddev '0'"),
     "string channel": ("matrix", lambda d: {**d, "channel": "x"}, "channel 'x'"),
     "channel below 11": ("matrix", lambda d: {**d, "channel": 5}, "channel 5"),
+    "null channel with entries": ("matrix", lambda d: {**d, "channel": None}, "channel None"),
     "repeated position node": (
         "positions", lambda d: {**d, "positions": [*d["positions"], d["positions"][0]]},
         "positions[3].node: node 0 repeats positions[0]"),

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import best_regular_subset_size, brute_force, random_matrix, symmetric_matrix
+from helpers import (
+    best_regular_subset_size,
+    brute_force,
+    random_matrix,
+    relabel,
+    relabeled,
+    symmetric_matrix,
+)
 from topogen import degree, ilp, synth
 from topogen.degree import (
     build_degree_program,
@@ -284,7 +291,7 @@ def test_sweep_selections_pinned_on_5x5_grid():
 
 def test_propagation_keeps_the_4x4_sweep_small():
     # a count, not a timing: the search without propagation entered 20,860
-    # nodes over these 74 bounds
+    # nodes over these 74 bounds of the grid synth drew with numpy
     explored = sum(ilp.solve(program).explored for _, program in grid_sweep(4, 1))
     assert explored <= 6000
 
@@ -345,6 +352,17 @@ def test_reversed_node_list_keeps_the_winner_on_4x4_grids(seed):
     expected = winner(matrix, 3, family)
     assert expected[1] is not None
     assert winner(reversed_nodes(matrix), 3, family) == expected
+
+
+def test_relabeled_ids_map_the_5x5_winner():
+    matrix = grid_matrix(5, 1)
+    _, (beta, selected, edges) = winner(matrix, 3, GraphFamily(matrix))
+    moved = relabeled(matrix)
+    assert winner(moved, 3, GraphFamily(moved))[1] == (
+        beta,
+        frozenset(map(relabel, selected)),
+        frozenset((relabel(a), relabel(b)) for a, b in edges),
+    )
 
 
 @st.composite

@@ -85,9 +85,7 @@ def scan_graph(matrix, beta):
             continue
         if entry.mean_loss <= beta and reverse.mean_loss <= beta:
             edges.add((a, b))
-    return BoundedGraph(
-        beta=beta, nodes=tuple(sorted(matrix.nodes)), edges=frozenset(edges)
-    )
+    return BoundedGraph(nodes=tuple(sorted(matrix.nodes)), edges=frozenset(edges))
 
 
 def scan_degree_distribution(family):

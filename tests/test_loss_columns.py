@@ -11,7 +11,9 @@ exponent-form and repr floats, comments, blank lines, every kind of
 rejected line and mixed channels. A second strategy repeats a few heads
 (a line's text before its last space) with drawn separators and last
 tokens, so that most lines take the parse's head cache. Logs parsed one
-after another into one store must equal their concatenation parsed once.
+after another into one store must equal their concatenation parsed once,
+and every line read twice must keep each mean and median bit for bit,
+double each count and give the stddev of the doubled column.
 
 Stddev is checked against exact correct rounding on every Python, and
 against ``statistics.stdev`` from 3.11 on, where it rounds once, and
@@ -376,6 +378,25 @@ def test_logs_parsed_into_one_store_equal_their_concatenation(files):
     assert store == whole
     assert new_columns(store) == new_columns(whole)
     assert rejected == whole_rejected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(log_files(), REPEATED_HEAD_FILES))
+def test_every_line_twice_keeps_mean_and_median_and_doubles_the_count(files):
+    lines = sum(files, [])
+    once, _ = parse_campaign_log(lines, LossColumns())
+    twice, _ = parse_campaign_log([line for line in lines for _ in range(2)], LossColumns())
+    assert twice.channels == once.channels
+    if len(once.channels) > 1:
+        return  # both are refused for mixing channels
+    for aggregator in ("mean", "median"):
+        single = build_loss_matrix(once, aggregator)
+        double = build_loss_matrix(twice, aggregator)
+        assert double.entries.keys() == single.entries.keys()
+        for pair, entry in single.entries.items():
+            twin = double.entries[pair]
+            assert (twin.mean_loss.hex(), twin.count) == (entry.mean_loss.hex(), 2 * entry.count)
+            assert_correctly_rounded(twin.stddev, once.losses[pair] * 2)
 
 
 def test_heads_past_the_cache_bound_parse_line_by_line():

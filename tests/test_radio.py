@@ -27,7 +27,6 @@ def test_settings_for_46_with_guard():
     first = options[0]
     assert first.base == RadioSetting(-17.0, -63.0)
     assert first.guarded == RadioSetting(-17.0, -66.0)
-    assert not first.saturated
     # ascending transmit power, every base realizes the bound exactly
     tx_powers = [o.base.tx_power for o in options]
     assert tx_powers == sorted(tx_powers)
@@ -39,7 +38,6 @@ def test_settings_at_max_bound_saturate():
     assert len(options) == 1
     assert options[0].base == RadioSetting(3.0, -101.0)
     assert options[0].guarded is None
-    assert options[0].saturated
 
 
 def test_settings_below_minimum_is_error():
@@ -106,12 +104,8 @@ def least_power_guard(base, guard, profile):
     return min(candidates, key=lambda s: s.tx_power, default=None)
 
 
-def test_guard_is_the_least_power_setting_no_worse_than_base():
-    for guard in (0, 1, 2, 3, 5):
-        for beta in range(31, 105):
-            for option in settings_for_bound(float(beta), AT86RF231, guard=guard):
-                assert option.guarded == least_power_guard(option.base, guard, AT86RF231)
-                assert option.saturated == (option.guarded is None)
+def realizable_bounds(profile):
+    return sorted({tx - sens for tx in profile.tx_levels for sens in profile.sensitivity_levels})
 
 
 # the datasheet's TX_PWR register levels, with the 1 dB sensitivity grid
@@ -123,9 +117,16 @@ DECIMAL_TX = TransceiverProfile(
 )
 
 
+def test_guard_is_the_least_power_setting_no_worse_than_base():
+    for profile in (AT86RF231, DECIMAL_TX):
+        for guard in (0, 0.5, 0.7, 1, 2, 3, 5):
+            for beta in realizable_bounds(profile):
+                for option in settings_for_bound(beta, profile, guard=guard):
+                    assert option.guarded == least_power_guard(option.base, guard, profile)
+
+
 @pytest.mark.parametrize("profile", [AT86RF231, DECIMAL_TX], ids=lambda p: p.name)
 def test_guard_zero_returns_the_base(profile):
-    betas = {tx - sens for tx in profile.tx_levels for sens in profile.sensitivity_levels}
-    for beta in sorted(betas):
+    for beta in realizable_bounds(profile):
         for option in settings_for_bound(beta, profile, guard=0):
             assert option.guarded == option.base

@@ -4,7 +4,7 @@ from collections import deque
 
 import pytest
 
-from helpers import matrix_from_losses, random_matrix, symmetric_matrix
+from helpers import matrix_from_losses, random_matrix, relabel, relabeled, symmetric_matrix
 from topogen import ilp
 from topogen.graphs import GraphFamily, neighborhood_graph
 from topogen.measurements import LossMatrix, MatrixEntry
@@ -313,6 +313,25 @@ def test_packing_bound_keeps_the_reduction_small(root, beta, depth, cap):
     assert tree.depth == depth
     program = build_reduction_program(tree, neighborhood_graph(matrix, beta), kappa)
     assert ilp.solve(program).explored <= cap
+
+
+def test_relabeled_ids_map_the_8x8_winner_and_its_reduction():
+    matrix = grid_scenario(
+        8, 8, 3.0, path_loss_exponent=3.0, shadowing_sigma=4.0,
+        asymmetry_sigma=1.0, seed=1,
+    )
+    found = []
+    for m in (matrix, relabeled(matrix)):
+        best = sweep_trees(m, LINEAR, 15, GraphFamily(m))[0]
+        found.append((best, reduce_tree(best, m, LINEAR)))
+    assert found[0][1].total_nodes < found[0][0].total_nodes
+    assert found[1] == tuple(
+        LayeredTree(
+            root=relabel(tree.root), beta=tree.beta, margin=tree.margin,
+            levels=tuple(frozenset(map(relabel, level)) for level in tree.levels),
+        )
+        for tree in found[0]
+    )
 
 
 def test_reduction_program_root_is_constant():
