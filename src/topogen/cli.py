@@ -132,7 +132,10 @@ def cmd_ingest(args) -> tuple[int, list[str]]:
         with open(path, encoding="utf-8", errors="backslashreplace") as stream:
             _, file_rejections = measurements.parse_campaign_log(stream, samples)
         rejections.extend((path, r) for r in file_rejections)
-    matrix = measurements.build_loss_matrix(samples, aggregator=args.aggregator)
+    try:
+        matrix = measurements.build_loss_matrix(samples, aggregator=args.aggregator)
+    except measurements.ChannelMismatchError as exc:
+        raise ValueError(f"{', '.join(map(str, args.logs))}: {exc}") from None
     lines = [f"{len(samples)} samples accepted, {len(rejections)} lines rejected"]
     for path, rejection in rejections:
         lines.append(f"  rejected {path}:{rejection.line_number}: {rejection.reason}")

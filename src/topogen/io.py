@@ -17,7 +17,7 @@ from . import __version__
 from .degree import DegreeSelection
 from .measurements import LossMatrix, MatrixEntry, NodePositions, check_channel
 from .radio import TransceiverProfile
-from .synth import chain_scenario, finite, generate, grid_scenario
+from .synth import chain_scenario, finite, generate, grid_scenario, integer
 from .trees import LayeredTree, parents_of
 
 MATRIX_FORMAT = "loss-matrix/1"
@@ -240,6 +240,8 @@ def _edge(edge, where: str, selected: frozenset[int]) -> tuple[int, int]:
 
 def load_profile(path: Path | str) -> TransceiverProfile:
     with _load(path, PROFILE_FORMAT) as document:
+        if type(document["name"]) is not str:
+            raise ValueError(f"name {document['name']!r} is not a string")
         levels = {}
         for name in ("tx_levels", "sensitivity_levels"):
             values = _list(document[name], name)
@@ -252,13 +254,18 @@ def load_scenario_matrix(path: Path | str, seed: int | None = None) -> LossMatri
 
     Kinds: ``log-distance`` (explicit positions), ``grid`` and ``chain``.
     Every other field is passed by name to the kind's generator, so an
-    unknown field is an error. A non-None ``seed`` overrides the
-    scenario's own seed.
+    unknown field is an error. A non-None ``seed``, the ``--seed`` flag,
+    overrides the scenario's own seed; its errors name the flag, and a
+    chain, which draws nothing, refuses it.
     """
+    if seed is not None:
+        integer(seed, "--seed")
     with _load(path, SCENARIO_FORMAT) as document:
         del document["format"]
         kind = document.pop("kind", None)
         if seed is not None:
+            if kind == "chain":
+                raise ValueError(f"--seed {seed}: a chain scenario has no random draws")
             document["seed"] = seed
         if kind == "chain":
             return chain_scenario(**document)

@@ -20,9 +20,6 @@ from operator import itemgetter, mul, or_
 from typing import Iterable
 
 VALID_CHANNELS = range(11, 27)
-# Bounds whose neighbour-mask vectors a matrix keeps: a tree sweep asks,
-# bound by bound, for beta and beta + margin.
-MASK_BOUNDS = 2
 # Distinct record heads (a line's text before its last space) whose column
 # and loss one parse keeps; a log with more heads parses the rest line by line.
 HEAD_CACHE = 1 << 16
@@ -97,25 +94,26 @@ class MatrixEntry:
     count: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossMatrix:
     """Directed pairwise loss estimates between node ids.
 
     Absent entries mean the receiver never heard the transmitter; they
     are treated downstream as a loss above every bound. ``channel`` is
-    None only for an empty matrix.
+    None only for an empty matrix. Frozen, so the caches below, derived
+    from the fields once, cannot outlive a reassigned field.
     """
 
     nodes: list[int]
     channel: int | None
     entries: dict[tuple[int, int], MatrixEntry]
     meta: dict = field(default_factory=dict)
-    bound_masks: dict[float, list[int]] = field(
+    bound_masks: dict[tuple[float, float], tuple[list[int], list[int]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     @cached_property
-    def edge_births(self) -> dict[int, tuple[list[float], list[int]]]:
+    def edge_births(self) -> dict[int, tuple[list[float], list[int], list[int]]]:
         """Per node, its neighbours in the order their edges are born.
 
         The birth of edge {a, b} is max(loss(a->b), loss(b->a)): the
@@ -123,8 +121,9 @@ class LossMatrix:
         missing a direction, or with a NaN loss either way, is never an
         edge. Each node maps to parallel lists of births and neighbours
         sorted by (birth, neighbour), so the graph at any bound is a prefix
-        of every row. Computed once; a matrix is not mutated after
-        construction.
+        of every row, and to the row's prefix masks: bit i stands for
+        ``nodes[i]`` and mask k holds the bits of the first k neighbours,
+        so the graph at ``beta`` is mask ``bisect_right(births, beta)``.
         """
         rows: dict[int, list[tuple[float, int]]] = {n: [] for n in self.nodes}
         for (a, b), entry in self.entries.items():
@@ -139,48 +138,37 @@ class LossMatrix:
             birth = max(forward, backward)
             rows[a].append((birth, b))
             rows[b].append((birth, a))
-        for row in rows.values():
+        bit = {node: 1 << i for i, node in enumerate(self.nodes)}
+        result = {}
+        for node, row in rows.items():
             row.sort()
-        return {
-            node: ([birth for birth, _ in row], [v for _, v in row])
-            for node, row in rows.items()
-        }
+            neighbors = [v for _, v in row]
+            masks = list(accumulate(map(bit.__getitem__, neighbors), or_, initial=0))
+            result[node] = ([birth for birth, _ in row], neighbors, masks)
+        return result
 
     def neighbors_within(self, node: int, beta: float) -> list[int]:
         """Neighbours of ``node`` whose edge is born at or below ``beta``."""
-        births, neighbors = self.edge_births[node]
+        births, neighbors, _ = self.edge_births[node]
         return neighbors[: bisect_right(births, beta)]
 
-    @cached_property
-    def edge_masks(self) -> dict[int, list[int]]:
-        """Per node, the prefix masks of its ``edge_births`` row.
+    def masks_within(self, beta: float, outer: float) -> tuple[list[int], list[int]]:
+        """Per position in ``nodes``, the masks of its neighbours at ``beta`` and ``outer``.
 
-        Bit i stands for ``nodes[i]``. Mask k holds the bits of the row's
-        first k neighbours, so mask 0 is empty and ``neighbors_within(node,
-        beta)`` has the bits of mask ``bisect_right(births, beta)``.
+        Only the last pair asked for stays in ``bound_masks``: a sweep asks
+        for the same pair for every root, so it bisects each row twice per
+        bound, however long the grid.
         """
-        bit = {node: 1 << i for i, node in enumerate(self.nodes)}
-        return {
-            node: list(accumulate((bit[v] for v in neighbors), or_, initial=0))
-            for node, (_, neighbors) in self.edge_births.items()
-        }
-
-    def masks_within(self, beta: float) -> list[int]:
-        """Per position in ``nodes``, the mask of its neighbours at ``beta``.
-
-        The vectors of the last ``MASK_BOUNDS`` bounds asked for stay in
-        ``bound_masks``, so a sweep that asks for the same bounds for every
-        root bisects each row once per bound, however long the grid.
-        """
-        masks = self.bound_masks.get(beta)
+        key = (beta, outer)
+        masks = self.bound_masks.get(key)
         if masks is None:
-            if len(self.bound_masks) >= MASK_BOUNDS:
-                del self.bound_masks[next(iter(self.bound_masks))]
-            rows, prefixes = self.edge_births, self.edge_masks
-            masks = [
-                prefixes[node][bisect_right(rows[node][0], beta)] for node in self.nodes
-            ]
-            self.bound_masks[beta] = masks
+            rows = list(map(self.edge_births.__getitem__, self.nodes))
+            masks = tuple(
+                [prefixes[bisect_right(births, bound)] for births, _, prefixes in rows]
+                for bound in key
+            )
+            self.bound_masks.clear()
+            self.bound_masks[key] = masks
         return masks
 
 

@@ -27,7 +27,7 @@ def finite(value, where: str) -> float:
     return value
 
 
-def _integer(value, where: str) -> int:
+def integer(value, where: str) -> int:
     """``value`` if it is an int >= 0; any other type, bool included, is refused."""
     if type(value) is not int or value < 0:
         raise ValueError(f"{where} {value!r} is not a non-negative integer")
@@ -65,7 +65,7 @@ def generate(
     finite(path_loss_exponent, "path_loss_exponent")
     finite(shadowing_sigma, "shadowing_sigma")
     finite(asymmetry_sigma, "asymmetry_sigma")
-    _integer(seed, "seed")
+    integer(seed, "seed")
     check_channel(channel)
     if reference_loss < 0:
         raise ValueError(f"reference_loss {reference_loss!r} is a negative loss")
@@ -123,7 +123,7 @@ def chain_scenario(
     With a bound between the two losses the neighborhood graph is
     exactly the path graph, which makes hand-simulated oracles easy.
     """
-    if _integer(n, "n") < 2:
+    if integer(n, "n") < 2:
         raise ValueError("chain needs at least 2 nodes")
     finite(on_loss, "on_loss")
     finite(off_loss, "off_loss")
@@ -157,7 +157,7 @@ def grid_positions(rows: int, cols: int, spacing: float) -> NodePositions:
 
 def grid_scenario(rows: int, cols: int, spacing: float, **params) -> LossMatrix:
     """Regular grid layout fed through the log-distance generator."""
-    if _integer(rows, "rows") * _integer(cols, "cols") < 2:
+    if integer(rows, "rows") * integer(cols, "cols") < 2:
         raise ValueError("grid needs at least 2 nodes")
     finite(spacing, "spacing")
     if spacing <= 0:

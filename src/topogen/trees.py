@@ -120,8 +120,7 @@ def monitored_bfs(
     """
     if v0 not in matrix.nodes:
         raise ValueError(f"unknown root {v0}")
-    near = matrix.masks_within(beta)
-    far = matrix.masks_within(beta + margin)
+    near, far = matrix.masks_within(beta, beta + margin)
 
     levels = [frozenset({v0})]
     frontier = [matrix.nodes.index(v0)]

@@ -43,6 +43,23 @@ def relabeled(matrix):
     )
 
 
+def shifted(matrix, db):
+    """``matrix`` with every loss rounded to a multiple of 1/8 dB, then ``db`` dB added.
+
+    For an integer ``db`` the sums are exact, so a result on this matrix
+    with the bound grid moved by ``db`` is the ``db = 0`` result with
+    every bound moved by ``db``.
+    """
+    return LossMatrix(
+        nodes=list(matrix.nodes),
+        channel=matrix.channel,
+        entries={
+            pair: MatrixEntry(round(e.mean_loss * 8) / 8 + db, e.stddev, e.count)
+            for pair, e in matrix.entries.items()
+        },
+    )
+
+
 def symmetric_matrix(edge_losses, nodes=None):
     """Matrix where each undirected pair gets the same loss both ways."""
     losses = {}

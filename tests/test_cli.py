@@ -58,6 +58,21 @@ def test_synth_seed_override(tmp_path):
     assert a.entries != b.entries
 
 
+@pytest.mark.parametrize("fields, seed, error", [
+    ({"kind": "chain", "n": 3, "on_loss": 45, "off_loss": 90}, "5",
+     "{scenario}: --seed 5: a chain scenario has no random draws"),
+    ({"kind": "grid", "rows": 2, "cols": 2, "spacing": 1.0}, "-3",
+     "--seed -3 is not a non-negative integer"),
+], ids=["chain", "negative"])
+def test_synth_seed_flag_errors_name_the_flag(tmp_path, capsys, fields, seed, error):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"format": io.SCENARIO_FORMAT, **fields}))
+    out = tmp_path / "out"
+    assert main(["synth", str(scenario), "--seed", seed, "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {error.format(scenario=scenario)}\n"
+    assert not out.exists()
+
+
 NAN = float("nan")
 # case: (scenario fields, start of the error after the path)
 BAD_SCENARIOS = {
@@ -184,7 +199,8 @@ def test_ingest_mixed_channels_fails(tmp_path, capsys):
     log_b = tmp_path / "b.log"
     log_b.write_text("2 1 3.0 -60.0 26 0\n")
     assert main(["ingest", str(log_a), str(log_b), "--out", str(tmp_path / "o")]) == EXIT_INPUT
-    assert "mix channels" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"error: {log_a}, {log_b}: samples mix channels 17 and 26\n"
 
 
 def test_ingest_rejects_non_finite_levels(tmp_path, capsys):
@@ -792,6 +808,7 @@ MALFORMED = {
         "sensitivity_levels[1] nan"),
     "boolean tx level": ("profile", lambda d: {**d, "tx_levels": [True]}, "tx_levels[0] True"),
     "scalar tx levels": ("profile", lambda d: {**d, "tx_levels": 3.0}, "tx_levels: expected a list"),
+    "numeric profile name": ("profile", lambda d: {**d, "name": 5}, "name 5 is not a string"),
     "float tree depth": ("tree", lambda d: {**d, "depth": float(d["depth"])}, "depth 2.0"),
     "string tree depth": ("tree", lambda d: {**d, "depth": "2"}, "depth '2'"),
     "string entry count": ("matrix", _first_entry(count="x"), "entries[0].count 'x'"),

@@ -13,6 +13,7 @@ from helpers import (
     random_matrix,
     relabel,
     relabeled,
+    shifted,
     symmetric_matrix,
 )
 from topogen import degree, ilp, synth
@@ -363,6 +364,16 @@ def test_relabeled_ids_map_the_5x5_winner():
         frozenset(map(relabel, selected)),
         frozenset((relabel(a), relabel(b)) for a, b in edges),
     )
+
+
+def test_shifted_losses_and_grid_map_the_5x5_winner():
+    found = []
+    for db in (0, 10):
+        m = shifted(grid_matrix(5, 1), db)
+        grid = GraphFamily(m)
+        found.append(winner(m, 3, GraphFamily(m, grid.beta_min + db, grid.beta_max + db))[1])
+    beta, selected, edges = found[0]
+    assert len(selected) >= 3 and found[1] == (beta + 10, selected, edges)
 
 
 @st.composite

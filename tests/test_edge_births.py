@@ -28,7 +28,7 @@ from topogen.graphs import (
     monotonicity_report,
     neighborhood_graph,
 )
-from topogen.measurements import MASK_BOUNDS, LossMatrix, MatrixEntry
+from topogen.measurements import LossMatrix, MatrixEntry
 from topogen.trees import (
     KappaSpec,
     LayeredTree,
@@ -339,7 +339,7 @@ def test_mask_cache_stays_bounded_over_a_long_sweep(monkeypatch):
     swept = sweep_trees(matrix, kappa, 5.0, family)
     assert len(family.betas()) > 2000
     assert len(held) == len(family.betas()) * len(matrix.nodes)
-    assert max(held) == MASK_BOUNDS
+    assert max(held) == 1  # one (beta, beta + margin) pair
     fresh = [
         monitored_bfs(LossMatrix(list(matrix.nodes), 26, dict(matrix.entries)), v0, beta, 5.0, kappa)
         for beta in family.betas()
@@ -360,8 +360,21 @@ def test_rows_skip_nan_in_either_direction():
         channel=26,
         entries={p: MatrixEntry(mean_loss=v, stddev=0.0, count=1) for p, v in entries.items()},
     )
-    assert matrix.edge_births == {0: ([], []), 1: ([50.0], [2]), 2: ([50.0], [1])}
+    # births, neighbours and prefix masks; bit i stands for nodes[i]
+    assert matrix.edge_births == {
+        0: ([], [], [0]), 1: ([50.0], [2], [0, 0b100]), 2: ([50.0], [1], [0, 0b010])
+    }
     assert neighborhood_graph(matrix, math.inf).edges == {(1, 2)}
+
+
+def test_matrix_fields_cannot_be_reassigned():
+    # the cached rows and masks are derived from the fields once
+    matrix = grid_matrix(2, 2, seed=1)
+    rows = matrix.edge_births
+    for name, value in (("nodes", []), ("entries", {}), ("channel", 11), ("meta", {})):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(matrix, name, value)
+    assert matrix.edge_births is rows
 
 
 def test_nan_bound_or_margin_is_rejected():

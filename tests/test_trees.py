@@ -1,10 +1,18 @@
+import dataclasses
 import itertools
 import random
 from collections import deque
 
 import pytest
 
-from helpers import matrix_from_losses, random_matrix, relabel, relabeled, symmetric_matrix
+from helpers import (
+    matrix_from_losses,
+    random_matrix,
+    relabel,
+    relabeled,
+    shifted,
+    symmetric_matrix,
+)
 from topogen import ilp
 from topogen.graphs import GraphFamily, neighborhood_graph
 from topogen.measurements import LossMatrix, MatrixEntry
@@ -332,6 +340,22 @@ def test_relabeled_ids_map_the_8x8_winner_and_its_reduction():
         )
         for tree in found[0]
     )
+
+
+def test_shifted_losses_and_grid_map_the_8x8_winner_and_its_reduction():
+    matrix = grid_scenario(
+        8, 8, 3.0, path_loss_exponent=3.0, shadowing_sigma=4.0,
+        asymmetry_sigma=1.0, seed=1,
+    )
+    found = []
+    for db in (0, 10):
+        m = shifted(matrix, db)
+        grid = GraphFamily(m)
+        family = GraphFamily(m, grid.beta_min + db, grid.beta_max + db)
+        best = sweep_trees(m, LINEAR, 15, family)[0]
+        found.append((best, reduce_tree(best, m, LINEAR)))
+    assert found[0][1].total_nodes < found[0][0].total_nodes
+    assert found[1] == tuple(dataclasses.replace(tree, beta=tree.beta + 10) for tree in found[0])
 
 
 def test_reduction_program_root_is_constant():
