@@ -39,6 +39,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    """argparse type for margins and guards: a finite dB value of 0 or more."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {text!r}")
+    return value
+
+
 def _positive_int(text: str) -> int:
     """argparse type for counts: an integer of 1 or more."""
     try:
@@ -53,7 +61,6 @@ def _positive_int(text: str) -> int:
 def _add_grid_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--beta-min", type=_finite_float, default=radio.AT86RF231.min_budget)
     parser.add_argument("--beta-max", type=_finite_float, default=radio.AT86RF231.max_budget)
-    parser.add_argument("--beta-step", type=_finite_float, default=1.0)
 
 
 def _add_out_flag(parser: argparse.ArgumentParser):
@@ -62,13 +69,12 @@ def _add_out_flag(parser: argparse.ArgumentParser):
 
 def _grid_error(args, exc: ValueError) -> ValueError:
     """``exc``, a bound grid's error, followed by the grid flags and their values."""
-    flags = f"--beta-min {args.beta_min!r} --beta-max {args.beta_max!r}"
-    return ValueError(f"{exc} ({flags} --beta-step {args.beta_step!r})")
+    return ValueError(f"{exc} (--beta-min {args.beta_min!r} --beta-max {args.beta_max!r})")
 
 
 def _family(matrix, args) -> graphs.GraphFamily:
     try:
-        return graphs.GraphFamily(matrix, args.beta_min, args.beta_max, args.beta_step)
+        return graphs.GraphFamily(matrix, args.beta_min, args.beta_max)
     except ValueError as exc:
         raise _grid_error(args, exc) from None
 
@@ -196,7 +202,11 @@ def cmd_tree(args) -> tuple[int, list[str]]:
     if args.beta is None:
         family = _family(matrix, args)
     else:
-        family = graphs.GraphFamily(matrix, beta_min=args.beta, beta_max=args.beta, step=1.0)
+        try:  # a bound no radio setting realizes, refused in the terms of `settings`
+            radio.settings_for_bound(args.beta)
+        except ValueError as exc:
+            raise ValueError(f"--beta: {exc}") from None
+        family = graphs.GraphFamily(matrix, args.beta, args.beta)
     if args.root is not None and args.root not in matrix.nodes:
         raise ValueError(f"--root: unknown root {args.root}, not a node of {args.matrix}")
     roots = None if args.root is None else [args.root]
@@ -306,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tree", help="construct a layered tree topology")
     p.add_argument("matrix", type=Path)
     p.add_argument("--kappa", default="linear", help="const:K, linear or table:1=2,...")
-    p.add_argument("--margin", type=_finite_float, default=15.0)
+    p.add_argument("--margin", type=_nonnegative_float, default=15.0)
     p.add_argument("--reduce", action="store_true", help="minimize node count")
     p.add_argument("--root", type=int, help="fix the root instead of sweeping")
     p.add_argument("--beta", type=_finite_float, help="fix the bound instead of sweeping")
@@ -317,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("settings", help="transceiver settings for a bound")
     p.add_argument("beta", type=_finite_float)
     p.add_argument("--profile", type=Path, help="radio profile file")
-    p.add_argument("--guard", type=_finite_float, default=3.0)
+    p.add_argument("--guard", type=_nonnegative_float, default=3.0)
     p.set_defaults(func=cmd_settings)
 
     p = sub.add_parser("verify", help="revalidate a topology against fresh data")
@@ -331,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("matrices", nargs="+", type=Path)
     p.add_argument("--kappa", default="linear")
-    p.add_argument("--margin", type=_finite_float, default=15.0)
+    p.add_argument("--margin", type=_nonnegative_float, default=15.0)
     _add_grid_flags(p)
     _add_out_flag(p)
     p.set_defaults(func=cmd_sweep_report)

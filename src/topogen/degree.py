@@ -101,7 +101,7 @@ def select_at(matrix: LossMatrix, beta: float, c: int, floor: int) -> DegreeSele
 def select_constant_degree(
     matrix: LossMatrix, c: int, family: GraphFamily
 ) -> list[DegreeSelection]:
-    """Sweep the grid upward and keep the selections that set a record.
+    """Sweep the bounds upward and keep the selections that set a record.
 
     A record is a largest component bigger than every earlier bound's.
     Each bound is solved only for a selection larger than the record so

@@ -18,8 +18,6 @@ from functools import cached_property
 from .measurements import LossMatrix
 from .radio import AT86RF231
 
-MAX_GRID_STEPS = 100_000  # far past any transceiver's budget resolution
-
 
 @dataclass(frozen=True)
 class BoundedGraph:
@@ -54,39 +52,22 @@ def neighborhood_graph(matrix: LossMatrix, beta: float) -> BoundedGraph:
 
 @dataclass(frozen=True)
 class GraphFamily:
-    """A grid of bounds over one loss matrix.
+    """The bounds to sweep over one loss matrix: the budgets that some
+    AT86RF231 setting realizes, from ``beta_min`` to ``beta_max``.
 
-    Default range covers the budgets realizable with the AT86RF231; the
-    1 dB default step matches the scale of the transceiver's register
-    resolution.
+    The default window holds all 74 of them, 31 to 104 dB.
     """
 
     matrix: LossMatrix
     beta_min: float = AT86RF231.min_budget
     beta_max: float = AT86RF231.max_budget
-    step: float = 1.0
 
     def __post_init__(self):
-        for name in ("beta_min", "beta_max", "step"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, not {getattr(self, name)!r}")
-        if self.beta_min > self.beta_max:
-            raise ValueError("beta_min must not exceed beta_max")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if (self.beta_max - self.beta_min) / self.step > MAX_GRID_STEPS:
-            raise ValueError(
-                f"step {self.step!r} gives more than {MAX_GRID_STEPS} steps "
-                f"from {self.beta_min!r} to {self.beta_max!r}"
-            )
-        betas = self.betas()  # ascending, so equal floats are neighbours
-        for low, high in zip(betas, betas[1:]):
-            if low == high:
-                raise ValueError(f"step {self.step!r} gives bound {low!r} more than once")
+        if not self.betas():  # a NaN or reversed window is empty too
+            raise ValueError(f"no budget of profile {AT86RF231.name} lies in [beta_min, beta_max]")
 
     def betas(self) -> list[float]:
-        count = int(math.floor((self.beta_max - self.beta_min) / self.step + 1e-9))
-        return [self.beta_min + k * self.step for k in range(count + 1)]
+        return [beta for beta in AT86RF231.budgets if self.beta_min <= beta <= self.beta_max]
 
     def graph(self, beta: float) -> BoundedGraph:
         return neighborhood_graph(self.matrix, beta)

@@ -157,7 +157,7 @@ class LossMatrix:
 
         Only the last pair asked for stays in ``bound_masks``: a sweep asks
         for the same pair for every root, so it bisects each row twice per
-        bound, however long the grid.
+        bound, however long the sweep.
         """
         key = (beta, outer)
         masks = self.bound_masks.get(key)

@@ -12,6 +12,7 @@ with co-located experiments low.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,11 @@ class TransceiverProfile:
     @property
     def max_budget(self) -> float:
         return self.tx_levels[-1] - self.sensitivity_levels[0]
+
+    @cached_property
+    def budgets(self) -> tuple[float, ...]:
+        """Every budget some setting realizes, ascending: the bounds worth sweeping."""
+        return tuple(sorted({tx - s for tx in self.tx_levels for s in self.sensitivity_levels}))
 
 
 # Endpoints match the AT86RF231 datasheet ranges (-17..3 dBm output,

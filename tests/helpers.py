@@ -47,7 +47,7 @@ def shifted(matrix, db):
     """``matrix`` with every loss rounded to a multiple of 1/8 dB, then ``db`` dB added.
 
     For an integer ``db`` the sums are exact, so a result on this matrix
-    with the bound grid moved by ``db`` is the ``db = 0`` result with
+    with the bound window moved by ``db`` is the ``db = 0`` result with
     every bound moved by ``db``.
     """
     return LossMatrix(

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -326,7 +325,7 @@ def test_analyze_chain(tmp_path):
     assert (
         main(
             ["analyze", str(matrix), "--out", str(out),
-             "--beta-min", "40", "--beta-max", "95", "--beta-step", "5"]
+             "--beta-min", "40", "--beta-max", "95"]
         )
         == EXIT_OK
     )
@@ -369,6 +368,17 @@ def test_analyze_correlation_with_positions(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert "distance-loss correlation:" in capsys.readouterr().out
+
+
+def test_every_analyzed_bound_has_a_radio_setting(tmp_path):
+    matrix = write_chain_matrix(tmp_path)
+    out = tmp_path / "out"
+    assert main(["analyze", str(matrix), "--beta-min", "40.5", "--beta-max", "50.5",
+                 "--out", str(out)]) == EXIT_OK
+    rows = (out / "degrees.csv").read_text().splitlines()[1:]
+    betas = sorted({row.split(",")[0] for row in rows}, key=float)
+    assert betas == [str(beta) for beta in range(41, 51)]
+    assert all(main(["settings", beta]) == EXIT_OK for beta in betas)
 
 
 # case: analyze flags that fail after the matrix loads; "P" stands for positions lacking node 5
@@ -435,7 +445,7 @@ def test_degree_four_cycle(tmp_path, capsys):
     out = tmp_path / "out"
     assert (
         main(["degree", str(matrix_path), "2", "--out", str(out),
-              "--beta-min", "45", "--beta-max", "50", "--beta-step", "1"])
+              "--beta-min", "45", "--beta-max", "50"])
         == EXIT_OK
     )
     selection = io.load_selection(out / "selection.json")
@@ -446,7 +456,7 @@ def test_degree_four_cycle(tmp_path, capsys):
 def test_degree_no_selection(tmp_path, capsys):
     matrix = write_chain_matrix(tmp_path)
     code = main(["degree", str(matrix), "99", "--out", str(tmp_path / "o"),
-                 "--beta-min", "40", "--beta-max", "60", "--beta-step", "10"])
+                 "--beta-min", "40", "--beta-max", "60"])
     assert code == EXIT_OK
     assert "no nonempty selection at any beta" in capsys.readouterr().out
 
@@ -454,7 +464,7 @@ def test_degree_no_selection(tmp_path, capsys):
 def test_degree_no_selection_removes_an_earlier_selection(tmp_path):
     matrix = write_chain_matrix(tmp_path)
     out = tmp_path / "o"
-    grid = ["--beta-min", "40", "--beta-max", "60", "--beta-step", "10"]
+    grid = ["--beta-min", "40", "--beta-max", "60"]
     assert main(["degree", str(matrix), "1", "--out", str(out), *grid]) == EXIT_OK
     assert (out / "selection.json").exists() and (out / "selection.dot").exists()
     assert main(["degree", str(matrix), "99", "--out", str(out), *grid]) == EXIT_OK
@@ -468,14 +478,14 @@ def test_tree_chain(tmp_path, capsys):
     matrix = write_chain_matrix(tmp_path)
     out = tmp_path / "out"
     code = main(["tree", str(matrix), "--kappa", "const:1", "--out", str(out),
-                 "--beta-min", "40", "--beta-max", "60", "--beta-step", "5"])
+                 "--beta-min", "40", "--beta-max", "60"])
     assert code == EXIT_OK
     tree = io.load_tree(out / "tree.json")
     assert tree.depth == 5
     assert "depth 5" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("grid", [["--beta-step", "0"], ["--beta-min", "200"]])
+@pytest.mark.parametrize("grid", [["--beta-min", "60", "--beta-max", "50"], ["--beta-min", "200"]])
 def test_tree_beta_ignores_the_grid_flags(tmp_path, grid):
     matrix = write_chain_matrix(tmp_path)
     base = ["tree", str(matrix), "--kappa", "const:1", "--beta", "50"]
@@ -489,7 +499,7 @@ def test_tree_root_flag_gives_shallower_tree(tmp_path):
     matrix = write_chain_matrix(tmp_path)
     out_sweep = tmp_path / "sweep"
     out_mid = tmp_path / "mid"
-    args = ["--kappa", "const:1", "--beta-min", "40", "--beta-max", "60", "--beta-step", "5"]
+    args = ["--kappa", "const:1", "--beta-min", "40", "--beta-max", "60"]
     main(["tree", str(matrix), "--out", str(out_sweep), *args])
     main(["tree", str(matrix), "--root", "3", "--out", str(out_mid), *args])
     best = io.load_tree(out_sweep / "tree.json")
@@ -505,7 +515,7 @@ def test_tree_reduce_flag(tmp_path):
     matrix_path = tmp_path / "bushy.json"
     io.save_matrix(symmetric_matrix(losses), matrix_path)
     args = ["--kappa", "const:1", "--margin", "0",
-            "--beta-min", "50", "--beta-max", "50", "--beta-step", "1",
+            "--beta-min", "50", "--beta-max", "50",
             "--root", "0"]
     out_full = tmp_path / "full"
     out_reduced = tmp_path / "reduced"
@@ -623,7 +633,7 @@ def test_verify_pass_and_fail(tmp_path, capsys):
     matrix = write_chain_matrix(tmp_path, n=4)
     out = tmp_path / "out"
     main(["tree", str(matrix), "--kappa", "const:1", "--out", str(out),
-          "--beta-min", "50", "--beta-max", "50", "--beta-step", "1"])
+          "--beta-min", "50", "--beta-max", "50"])
     tree = out / "tree.json"
     assert main(["verify", str(tree), str(matrix), "--kappa", "const:1"]) == EXIT_OK
     assert "PASS" in capsys.readouterr().out
@@ -653,7 +663,7 @@ def test_tree_reduce_and_verify_build_one_graph(tmp_path, monkeypatch):
             monkeypatch.setattr(module, "neighborhood_graph", counted)
     matrix = write_chain_matrix(tmp_path, n=5)
     out = tmp_path / "out"
-    args = ["--kappa", "const:1", "--beta-min", "45", "--beta-max", "55", "--beta-step", "5"]
+    args = ["--kappa", "const:1", "--beta-min", "45", "--beta-max", "55"]
     assert main(["tree", str(matrix), "--reduce", "--out", str(out), *args]) == EXIT_OK
     assert main(["verify", str(out / "tree.json"), str(matrix), "--kappa", "const:1"]) == EXIT_OK
     assert len(builds) == 1
@@ -663,7 +673,7 @@ def test_verify_names_the_matrix_lacking_tree_nodes(tmp_path, capsys):
     matrix = write_chain_matrix(tmp_path, n=4)
     out = tmp_path / "out"
     main(["tree", str(matrix), "--kappa", "const:1", "--out", str(out),
-          "--beta-min", "50", "--beta-max", "50", "--beta-step", "1"])
+          "--beta-min", "50", "--beta-max", "50"])
     fresh = write_chain_matrix(tmp_path, "fresh.json", n=3)
     code = main(["verify", str(out / "tree.json"), str(fresh), "--kappa", "const:1"])
     assert code == EXIT_INPUT
@@ -682,7 +692,7 @@ def test_sweep_report(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["sweep-report", str(compact_path), str(sparse),
                  "--kappa", "const:1", "--out", str(out),
-                 "--beta-min", "45", "--beta-max", "95", "--beta-step", "5"])
+                 "--beta-min", "45", "--beta-max", "95"])
     assert code == EXIT_OK
     report = (out / "sweep_report.csv").read_text().splitlines()
     assert report[0] == "testbed,max_depth,beta_min,beta_max,note"
@@ -701,7 +711,7 @@ def test_sweep_report_names_each_matrix_by_its_path(tmp_path):
         matrices.append(str(write_chain_matrix(tmp_path / site)))
     out = tmp_path / "out"
     argv = ["sweep-report", *matrices, "--kappa", "const:1", "--out", str(out),
-            "--beta-min", "45", "--beta-max", "60", "--beta-step", "5"]
+            "--beta-min", "45", "--beta-max", "60"]
     assert main(argv) == EXIT_OK
     report = (out / "sweep_report.csv").read_text().splitlines()
     names = [row.split(",")[0] for row in report[1:]]
@@ -712,7 +722,7 @@ def test_sweep_report_quotes_a_name_that_holds_a_comma(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_chain_matrix(tmp_path, "site,a.json", n=4)
     argv = ["sweep-report", "site,a.json", "--kappa", "const:1", "--out", "out",
-            "--beta-min", "45", "--beta-max", "60", "--beta-step", "5"]
+            "--beta-min", "45", "--beta-max", "60"]
     assert main(argv) == EXIT_OK
     with open(tmp_path / "out" / "sweep_report.csv", newline="") as report:
         header, row = csv.reader(report)
@@ -724,7 +734,7 @@ def test_single_matrix_report(tmp_path):
     matrix = write_chain_matrix(tmp_path)
     out = tmp_path / "out"
     main(["sweep-report", str(matrix), "--kappa", "const:1", "--out", str(out),
-          "--beta-min", "45", "--beta-max", "60", "--beta-step", "5"])
+          "--beta-min", "45", "--beta-max", "60"])
     assert len((out / "sweep_report.csv").read_text().splitlines()) == 2
 
 
@@ -746,8 +756,31 @@ def test_empty_matrix_is_input_error(tmp_path, capsys, command):
 def test_negative_margin_is_input_error(tmp_path, capsys, command):
     matrix = write_chain_matrix(tmp_path, n=3)
     out = tmp_path / "o"
-    assert main([command, str(matrix), "--margin", "-1", "--out", str(out)]) == EXIT_INPUT
-    assert capsys.readouterr().err == "error: margin -1.0 must be >= 0\n"
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, str(matrix), "--margin", "-1", "--out", str(out)])
+    assert exit_info.value.code == EXIT_INPUT
+    assert "argument --margin: must be >= 0, not '-1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_guard_is_input_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["settings", "46", "--guard", "-1"])
+    assert exit_info.value.code == EXIT_INPUT
+    assert "argument --guard: must be >= 0, not '-1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta, error", [
+    ("62.5", "bound 62.5 not exactly realizable with profile AT86RF231"),
+    ("200", "bound 200.0 outside profile AT86RF231 budget range [31.0, 104.0]"),
+])
+def test_tree_beta_is_refused_in_the_terms_of_settings(tmp_path, capsys, beta, error):
+    matrix = write_chain_matrix(tmp_path, n=3)
+    out = tmp_path / "o"
+    assert main(["settings", beta]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert main(["tree", str(matrix), "--beta", beta, "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: --beta: {error}\n"
     assert not out.exists()
 
 
@@ -874,7 +907,7 @@ def test_malformed_file_is_input_error(tmp_path, capsys, case):
 FLOAT_FLAGS = [
     (["analyze", "M"], "--beta-min"),
     (["analyze", "M"], "--beta-max"),
-    (["degree", "M", "3"], "--beta-step"),
+    (["degree", "M", "3"], "--beta-max"),
     (["tree", "M"], "--beta"),
     (["tree", "M"], "--margin"),
     (["sweep-report", "M"], "--margin"),
@@ -915,36 +948,24 @@ def test_bad_kappa_spec_is_named(tmp_path, capsys, command, spec, detail):
     assert capsys.readouterr().err == f"error: kappa spec '{spec}': {detail}\n"
 
 
-def test_runaway_beta_step_is_input_error(tmp_path, capsys):
-    matrix = write_chain_matrix(tmp_path, n=3)
-    start = time.monotonic()
-    code = main(["analyze", str(matrix), "--beta-step", "1e-9", "--out", str(tmp_path / "o")])
-    assert code == EXIT_INPUT
-    assert time.monotonic() - start < 1.0
-    assert "error: step 1e-09 gives more than" in capsys.readouterr().err
-    # 32,769 grid points, but only 3 distinct floats
-    grid = ["--beta-min", "1e20", "--beta-max", "1.0000000000000003e20", "--beta-step", "1"]
-    code = main(["degree", str(matrix), "1", *grid, "--out", str(tmp_path / "o")])
-    assert code == EXIT_INPUT
-    assert capsys.readouterr().err == (
-        "error: step 1.0 gives bound 1e+20 more than once "
-        "(--beta-min 1e+20 --beta-max 1.0000000000000003e+20 --beta-step 1.0)\n"
-    )
-
-
 # (command, grid flags, error): the grid's own error keeps its text and is
-# followed by every grid flag with its value, defaults included
+# followed by both grid flags with their values, defaults included
+EMPTY = "no budget of profile AT86RF231 lies in [beta_min, beta_max]"
 BAD_GRIDS = [
-    ("analyze", ["--beta-step", "0"],
-     "step must be positive (--beta-min 31.0 --beta-max 104.0 --beta-step 0.0)"),
     ("degree", ["--beta-min", "60", "--beta-max", "50"],
-     "beta_min must not exceed beta_max (--beta-min 60.0 --beta-max 50.0 --beta-step 1.0)"),
+     f"{EMPTY} (--beta-min 60.0 --beta-max 50.0)"),
+    ("analyze", ["--beta-min", "62.2", "--beta-max", "62.8"],
+     f"{EMPTY} (--beta-min 62.2 --beta-max 62.8)"),
+    ("tree", ["--beta-min", "105"], f"{EMPTY} (--beta-min 105.0 --beta-max 104.0)"),
+    ("sweep-report", ["--beta-max", "30.5"], f"{EMPTY} (--beta-min 31.0 --beta-max 30.5)"),
     ("analyze", ["--beta-min", "50", "--beta-max", "50"],
-     "family grid needs at least 2 points (--beta-min 50.0 --beta-max 50.0 --beta-step 1.0)"),
+     "family grid needs at least 2 points (--beta-min 50.0 --beta-max 50.0)"),
 ]
 
 
-@pytest.mark.parametrize("command, grid, error", BAD_GRIDS, ids=[e for _, _, e in BAD_GRIDS])
+@pytest.mark.parametrize(
+    "command, grid, error", BAD_GRIDS, ids=[e.replace(EMPTY, "no budget") for _, _, e in BAD_GRIDS]
+)
 def test_grid_errors_name_their_flags(tmp_path, capsys, command, grid, error):
     matrix = write_chain_matrix(tmp_path, n=3)
     argv = [command, str(matrix), *(["1"] if command == "degree" else []), *grid]

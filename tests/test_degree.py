@@ -60,7 +60,7 @@ def test_c_must_be_positive():
 
 def test_four_cycle_selected_whole():
     matrix = symmetric_matrix({(0, 1): 45.0, (1, 2): 45.0, (2, 3): 45.0, (0, 3): 45.0})
-    family = GraphFamily(matrix, beta_min=50, beta_max=50, step=1)
+    family = GraphFamily(matrix, beta_min=50, beta_max=50)
     selections = select_constant_degree(matrix, 2, family)
     assert len(selections) == 1
     assert selections[0].beta == 50
@@ -70,7 +70,7 @@ def test_four_cycle_selected_whole():
 
 def test_oversized_degree_yields_no_selection():
     matrix = symmetric_matrix({(0, 1): 45.0, (1, 2): 45.0})
-    family = GraphFamily(matrix, beta_min=40, beta_max=60, step=5)
+    family = GraphFamily(matrix, beta_min=40, beta_max=60)
     assert select_constant_degree(matrix, 99, family) == []
 
 
@@ -79,8 +79,7 @@ def test_random_selections_regular_and_optimal():
     for _ in range(50):
         matrix = random_matrix(rng, rng.randrange(4, 11), present=0.6)
         c = rng.randrange(1, 4)
-        family = GraphFamily(matrix, beta_min=55, beta_max=85, step=15)
-        for beta in family.betas():
+        for beta in (55.0, 70.0, 85.0):
             graph = neighborhood_graph(matrix, beta)
             expected = best_regular_subset_size(graph, c)
             selection = select_at(matrix, beta, c, floor=1)
@@ -99,7 +98,7 @@ def test_sweep_solves_the_matrix_it_is_given():
     rng = random.Random(5)
     matrix = random_matrix(rng, 8, present=0.8)
     other = random_matrix(rng, 8, present=0.8)
-    grid = dict(beta_min=55, beta_max=85, step=10)
+    grid = dict(beta_min=55, beta_max=85)
     expected = select_constant_degree(matrix, 2, GraphFamily(matrix, **grid))
     assert expected
     assert select_constant_degree(matrix, 2, GraphFamily(other, **grid)) == expected
@@ -109,7 +108,7 @@ def test_components_partition_selected():
     matrix = symmetric_matrix(
         {(0, 1): 45.0, (1, 2): 45.0, (0, 2): 45.0, (5, 6): 45.0, (6, 7): 45.0, (5, 7): 45.0}
     )
-    family = GraphFamily(matrix, beta_min=50, beta_max=50, step=1)
+    family = GraphFamily(matrix, beta_min=50, beta_max=50)
     selection = select_constant_degree(matrix, 2, family)[0]
     assert selection.objective == 6
     assert len(selection.components) == 2
@@ -129,7 +128,7 @@ def two_component_selection(sizes_by_beta):
                 edges[(min(a, cycle[(i + 1) % size]), max(a, cycle[(i + 1) % size]))] = 45.0
             base += size
         matrix = symmetric_matrix(edges)
-        family = GraphFamily(matrix, beta_min=beta, beta_max=beta, step=1)
+        family = GraphFamily(matrix, beta_min=beta, beta_max=beta)
         selections.extend(select_constant_degree(matrix, 2, family))
     return selections
 
@@ -168,12 +167,12 @@ def test_record_sweep_skips_bounds_that_cannot_win():
     # a 5-cycle at 50; two 4-cycles at 60, so the optimum is 13 but the
     # largest component stays 5; another 5-cycle of smaller ids at 70
     matrix = cycles_matrix([
-        ([10, 11, 12, 13, 14], 48.0),
-        ([20, 21, 22, 23], 58.0),
-        ([24, 25, 26, 27], 58.0),
-        ([0, 1, 2, 3, 4], 68.0),
+        ([10, 11, 12, 13, 14], 50.0),
+        ([20, 21, 22, 23], 60.0),
+        ([24, 25, 26, 27], 60.0),
+        ([0, 1, 2, 3, 4], 70.0),
     ])
-    family = GraphFamily(matrix, beta_min=45, beta_max=75, step=5)
+    family = GraphFamily(matrix, beta_min=45, beta_max=75)
     at60 = select_at(matrix, 60, 2, floor=1)
     assert at60.objective == 13 and len(at60.components[0]) == 5
     at70 = select_at(matrix, 70, 2, floor=1)
@@ -214,7 +213,7 @@ def test_connected_3_regular_shape():
     ]
     triangle = [(10, 11), (11, 12), (10, 12)]
     matrix = symmetric_matrix({e: 47.0 for e in cube_edges + triangle})
-    family = GraphFamily(matrix, beta_min=47, beta_max=47, step=1)
+    family = GraphFamily(matrix, beta_min=47, beta_max=47)
     selections = select_constant_degree(matrix, 3, family)
     best = largest_component_selection(selections)
     assert best.selected == frozenset(range(8))
@@ -324,7 +323,7 @@ def test_even_c_record_may_grow_by_one_node():
         (0, 1): 40.0, (1, 2): 40.0, (2, 3): 40.0, (0, 3): 40.0,
         (2, 4): 50.0, (4, 5): 50.0, (0, 5): 50.0,
     })
-    family = GraphFamily(matrix, beta_min=40, beta_max=50, step=10)
+    family = GraphFamily(matrix, beta_min=40, beta_max=50)
     records = select_constant_degree(matrix, 2, family)
     assert [(s.beta, s.objective) for s in records] == [(40, 4), (50, 5)]
     best = largest_component_selection(records)
@@ -368,10 +367,9 @@ def test_relabeled_ids_map_the_5x5_winner():
 
 def test_shifted_losses_and_grid_map_the_5x5_winner():
     found = []
-    for db in (0, 10):
+    for db in (0, 10):  # the window moved by 10 dB still ends at the last budget, 104 dB
         m = shifted(grid_matrix(5, 1), db)
-        grid = GraphFamily(m)
-        found.append(winner(m, 3, GraphFamily(m, grid.beta_min + db, grid.beta_max + db))[1])
+        found.append(winner(m, 3, GraphFamily(m, 31 + db, 94 + db))[1])
     beta, selected, edges = found[0]
     assert len(selected) >= 3 and found[1] == (beta + 10, selected, edges)
 
@@ -392,5 +390,5 @@ def unsorted_matrices(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(unsorted_matrices(), st.integers(1, 3))
 def test_reversed_node_list_keeps_the_winner(matrix, c):
-    family = GraphFamily(matrix, beta_min=40, beta_max=60, step=5)
+    family = GraphFamily(matrix, beta_min=40, beta_max=60)
     assert winner(reversed_nodes(matrix), c, family) == winner(matrix, c, family)

@@ -6,7 +6,7 @@ here verbatim in behaviour: a scan over every directed entry per bound,
 a monitored BFS over two such graphs with sorted visiting order, and the
 tree requirement checker and DOT link listing over rebuilt graphs.
 Hypothesis draws matrices with one-way entries, NaN losses and losses
-exactly on the bound grid and on bound + margin, where ``<=`` decides.
+exactly on a budget and on a budget + margin, where ``<=`` decides.
 Node ids are drawn unsorted, sparse, negative and large, because the
 monitored BFS keys its bit masks by position in the matrix's node list.
 """
@@ -19,8 +19,7 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from topogen import io, trees
-
+from topogen import io
 from topogen.graphs import (
     BoundedGraph,
     GraphFamily,
@@ -34,13 +33,11 @@ from topogen.trees import (
     LayeredTree,
     check_tree,
     monitored_bfs,
-    rank_key,
-    sweep_trees,
 )
 
-BETA_MIN, BETA_MAX, STEP = 40.0, 60.0, 5.0
+BETA_MIN, BETA_MAX = 40.0, 60.0
 MARGINS = (0.0, 5.0, 7.5)
-# on the grid, on grid + margin, just beside both, and far outside
+# on a budget, on a budget + margin, just beside both, and far outside
 ON_GRID = [35.0 + 2.5 * k for k in range(13)]
 LOSSES = st.one_of(
     st.sampled_from(ON_GRID),
@@ -264,7 +261,7 @@ def test_checked_trees_reach_every_requirement(requirement):
 @settings(max_examples=300, deadline=None)
 @given(matrices())
 def test_family_matches_dict_scan(matrix):
-    family = GraphFamily(matrix, beta_min=BETA_MIN, beta_max=BETA_MAX, step=STEP)
+    family = GraphFamily(matrix, beta_min=BETA_MIN, beta_max=BETA_MAX)
     for beta in family.betas():
         for bound in (beta, *(beta + margin for margin in MARGINS)):
             assert neighborhood_graph(matrix, bound).edges == scan_graph(matrix, bound).edges
@@ -277,7 +274,7 @@ def test_family_matches_dict_scan(matrix):
 @given(matrices(), st.sampled_from(MARGINS), KAPPAS)
 def test_monitored_bfs_matches_graph_oracle(matrix, margin, kappa_text):
     kappa = KappaSpec.parse(kappa_text)
-    family = GraphFamily(matrix, beta_min=BETA_MIN, beta_max=BETA_MAX, step=STEP)
+    family = GraphFamily(matrix, beta_min=BETA_MIN, beta_max=BETA_MAX)
     for beta in family.betas():
         for v0 in matrix.nodes:
             expected = graph_bfs(matrix, v0, beta, margin, kappa)
@@ -288,8 +285,8 @@ def grid_matrix(rows, cols, seed):
     """Nodes on a grid with shuffled, sparse ids; links only to near spots.
 
     A loss is 30 dB plus 10 dB per unit of distance plus 0, 2.5 or 5 dB,
-    so links along grid lines fall exactly on a bound, or on bound +
-    margin, of the 2.5 dB grids below.
+    so most links along grid lines fall exactly on a budget, or on a
+    budget + margin.
     """
     rng = random.Random(seed)
     ids = rng.sample(range(-1000, 10**6), rows * cols)
@@ -312,7 +309,7 @@ def test_monitored_bfs_matches_graph_oracle_past_64_nodes():
     # follow the unsorted order of ``nodes``, which reversing must not change
     matrix = grid_matrix(9, 8, seed=5)
     reversed_matrix = LossMatrix(nodes=matrix.nodes[::-1], channel=26, entries=matrix.entries)
-    family = GraphFamily(matrix, beta_min=40.0, beta_max=70.0, step=2.5)
+    family = GraphFamily(matrix, beta_min=40.0, beta_max=70.0)
     kappa = KappaSpec.parse("const:1")
     largest = 0
     for beta in family.betas():
@@ -324,28 +321,16 @@ def test_monitored_bfs_matches_graph_oracle_past_64_nodes():
     assert largest > 64
 
 
-def test_mask_cache_stays_bounded_over_a_long_sweep(monkeypatch):
+def test_mask_cache_stays_bounded_over_a_long_sweep():
     matrix = grid_matrix(2, 3, seed=1)
-    family = GraphFamily(matrix, beta_min=30.0, beta_max=100.0, step=0.025)
     kappa = KappaSpec.parse("linear")
-    held = []
-
-    def watched(m, *args):
-        tree = monitored_bfs(m, *args)
-        held.append(len(m.bound_masks))
-        return tree
-
-    monkeypatch.setattr(trees, "monitored_bfs", watched)
-    swept = sweep_trees(matrix, kappa, 5.0, family)
-    assert len(family.betas()) > 2000
-    assert len(held) == len(family.betas()) * len(matrix.nodes)
-    assert max(held) == 1  # one (beta, beta + margin) pair
-    fresh = [
-        monitored_bfs(LossMatrix(list(matrix.nodes), 26, dict(matrix.entries)), v0, beta, 5.0, kappa)
-        for beta in family.betas()
-        for v0 in sorted(matrix.nodes)
-    ]
-    assert swept == sorted(fresh, key=rank_key)
+    # 2,801 bounds 1/40 dB apart, far more than the 74 budgets a sweep visits
+    for beta in (30.0 + 0.025 * k for k in range(2801)):
+        for v0 in sorted(matrix.nodes):
+            tree = monitored_bfs(matrix, v0, beta, 5.0, kappa)
+            assert len(matrix.bound_masks) == 1  # one (beta, beta + margin) pair
+            fresh = LossMatrix(list(matrix.nodes), 26, dict(matrix.entries))
+            assert tree == monitored_bfs(fresh, v0, beta, 5.0, kappa)
 
 
 def test_rows_skip_nan_in_either_direction():

@@ -66,7 +66,7 @@ GOLDEN = {
     "file:ingest/matrix.json": "fea53fdf090f5ff5f35669b6257c7e44c207ddd0668d7e9960f0732d4f28e5f8",
     "file:ingest-median/manifest.json": "645fc063ef3cf2f8c432f3a81e271056449bee7ecabe58df318a5cb536fafb7c",
     "file:ingest-median/matrix.json": "561a31de3bccb60875870b1b73434dda6230c61820774807485f22220d6fe12d",
-    "stdout:pipeline": "8a376c22485e7795e532106e7023e02eed3293c64b992dc1f936834664442611",
+    "stdout:pipeline": "0f6cb6f5794558dd8eeac18cbd777539cececff0f738cfc5d9a2d375431913d0",
     "exit:tree-reduce": 0,
     "stdout:tree-reduce": "f37cd0efa7447999e2e5f41d9a09a0f5bae62b46bbf18a7ab875cd4b3b80b5e4",
     "exit:tree-root": 0,
@@ -83,35 +83,35 @@ GOLDEN = {
     "stdout:tree6-reduce": "01ce2f8738dfd0bdcd46a5be67cef159e24bfe5341fae34cd55dff9563a71d8d",
     "exit:sweep-report6": 0,
     "stdout:sweep-report6": "bbf9165bec3eaaa7d0698b09edbea6a3dbe191147195a78a28cfa4024f585667",
-    "file:degree/manifest.json": "df9990764e1b69d05dd508157309ecbfcf2e8f7712c09ca05f95e570d7d05fb7",
+    "file:degree/manifest.json": "27343265f92ddd89a69fed1e75c6eb2b851c54394cfb359303db32717ae72fbf",
     "file:degree/selection.dot": "efa8e8af61ae1fb8a2ef532a5844782784939b70644908e361f6650b37efddfe",
     "file:degree/selection.json": "a6dbe1f118fb5acc3ea73a6f488e9346190d002e863a981adf84e3077f19dc1f",
     "file:grid.json": "d13f6263b1f2b4f88c3743d9172155c3702aea7a7963479f8dc4a78ec5cea99a",
     "file:grid6.json": "afcfdcda79bed968697d3bdf7810c1cd1393494cbe19f96c16693b44887b59a5",
-    "file:pipeline/analyze/degrees.csv": "3627631db4b9f716eb420d698ddc0483d88a1d09e881daf4d0e037f2de1f2fcc",
-    "file:pipeline/analyze/manifest.json": "7a5199078aa4b2dd870b2c30f0fd894faa611120ef1cc1f8f5abf05102e6b321",
-    "file:pipeline/analyze/monotonicity.txt": "002aa1627555cf1e730bf28fd4c3e3ee31acfa91ab6a9976191b7bccc5e98315",
-    "file:pipeline/degree/manifest.json": "f025698190208243988e500560b8d7fe8fa81bf1afe6702da64f6748e5c9a440",
-    "file:pipeline/degree/selection.dot": "a7780eb2162704aebc22c37f03bf1e050f00018c12b4f8643b480f7cbce47152",
-    "file:pipeline/degree/selection.json": "3427c48b164d3f5cdd314564dd568c50cd6dfd1c8767517c6c6e5c5bbfe8e400",
+    "file:pipeline/analyze/degrees.csv": "69af2a754f067333fd3899deb76d6df1cabdd57b0b1d0eb35002c57375ab2d39",
+    "file:pipeline/analyze/manifest.json": "f02444b2519ab37476c0c10b9607456acf845cfd618653040fe0acc462b5959c",
+    "file:pipeline/analyze/monotonicity.txt": "51f59bb3b3cccbbdff6880639800212fd201a18e8a42a9a511eef86b1cbda2f5",
+    "file:pipeline/degree/manifest.json": "5bd2c98cfbde9cbd2351c1346452f60953c72d5953234a3c0930db8e3845eebc",
+    "file:pipeline/degree/selection.dot": "d3535670d1b98223cd75597aa243b3972eaa881b8d88c203980c727a3a6c94b4",
+    "file:pipeline/degree/selection.json": "2cc739f48218b093420e892f4729d8550f7a20a44e26221cb13884075a07040a",
     "file:pipeline/manifest.json": "9e426b707d55672ef2c7738903737b53b367e9b35f4c421a80a95ec6c497e7fe",
     "file:pipeline/matrix.json": "c865d08d9bded7446f3e0b68e1cf1bc67aa62ca895663c07390518c569bc3973",
     "file:pipeline/positions.json": "f9a8b9db8df2dcd78b73bfce5742965e736415e265db8abd9d8740c5bd8e77c4",
-    "file:pipeline/report/manifest.json": "d105087dc5b2c854741def7ee1d3696d42760642c40bcba0705214562c76f95a",
+    "file:pipeline/report/manifest.json": "54f7dad74ec98b38aa9b8207e835a39ef12698b407c774a2324cecf02bbe955a",
     "file:pipeline/report/sweep_report.csv": "3e1f354176dd84537c142b238d6b04659cc0cc62be5a5419418122a36def142c",
     "file:pipeline/scenario.json": "85a58558257edb3414e1d55b454013cd5ff495cf14cb29398e1f398daddf2d32",
-    "file:pipeline/tree/manifest.json": "189d28824d21581aa12624569c91420204cf11319e4aeb6a2b38a1170ca58731",
+    "file:pipeline/tree/manifest.json": "5e6fc4fd9a01c622cddd845690da4fc3188730da902dd62de946377aa5743343",
     "file:pipeline/tree/tree.dot": "6ef8f22758a1b0edd034ed6afc412b01fff36ebabb13b13a509d348ffada9c31",
     "file:pipeline/tree/tree.json": "bdf75291a250157a662d37c3248993f2d11cef4d5e1e8e48e89cb8d9b800ba6c",
-    "file:sweep-report6/manifest.json": "211e083193376ed09ae699215503d6e56a9ab0579ad14a7772ab6a9c1d710bec",
+    "file:sweep-report6/manifest.json": "39ba77ddd35391d062131439f2ae60ea7e6cc51a7f837c47b417046d01de6dbf",
     "file:sweep-report6/sweep_report.csv": "b073b6ecd3c065f3f92d7be4f01474d339cfa68a97db6d9dd84efab691bb8a27",
-    "file:tree-reduce/manifest.json": "df39ef3e53c6d390a94341cd58b6a08c3b8b42fe57531d2d4ffa760f51ae8cfc",
+    "file:tree-reduce/manifest.json": "0f0ea61aafe8f909157b6e53c0cc30a2464640099e93dbcaba894afa7aef97cf",
     "file:tree-reduce/tree.dot": "72975410cadbdf1a9393bc3e97670decfbf0b79a284b516eaf8538db33d86b7f",
     "file:tree-reduce/tree.json": "b24f79e3946cc1f56c78d3c437a70b374f4c84f1e551dfbe5e2f1ad03d91ad42",
-    "file:tree-root/manifest.json": "f8542b1a53694e6daa1f4fab54a6e6645e6207e0178e4e03d8bcffa6b113356a",
+    "file:tree-root/manifest.json": "74533acdacb35f729741dd6f557c411252aff4dbd731a8ba84f7db893a405703",
     "file:tree-root/tree.dot": "ae65134d2ddf3158ae5116b298caa1f5b3fe1d9569e130b0a6b960f32e08aaad",
     "file:tree-root/tree.json": "991e2bde975f77e1a1672bba5b5354aba735b317bf01b3956e8d580d0e63f4d3",
-    "file:tree6-reduce/manifest.json": "8616cbe22c4246c39580785d3ff6fd15ce88992a66c50430e278b89bf81e9415",
+    "file:tree6-reduce/manifest.json": "8a32fc8d6c5742900d1ea84c10ac563de5a96a4f751eae4a05d7d2f0961fcf9e",
     "file:tree6-reduce/tree.dot": "551aa25ff9a9d68a73282050da5cb2f6936880d769c39ac06924edf254f601ce",
     "file:tree6-reduce/tree.json": "a36bf62c06a35499d06f13f440f2bf079b1b6a04d8647d5bcdd6fce96a0bd571",
 }

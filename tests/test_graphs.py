@@ -5,13 +5,13 @@ import pytest
 
 from helpers import matrix_from_losses, random_matrix, symmetric_matrix
 from topogen.graphs import (
-    MAX_GRID_STEPS,
     GraphFamily,
     connected_components,
     degree_distribution,
     monotonicity_report,
     neighborhood_graph,
 )
+from topogen.radio import settings_for_bound
 
 
 def test_asymmetric_link_excluded():
@@ -48,7 +48,7 @@ def test_degree_distribution_extremes():
     matrix = symmetric_matrix(
         {(a, b): 60.0 for a in range(4) for b in range(a + 1, 4)}
     )
-    family = GraphFamily(matrix, beta_min=50, beta_max=70, step=10)
+    family = GraphFamily(matrix, beta_min=50, beta_max=70)
     distribution = degree_distribution(matrix, family.betas())
     assert distribution[50] == (0, 0, 0, 0)
     assert distribution[60] == (3, 3, 3, 3)
@@ -76,7 +76,7 @@ def test_degree_distribution_compact_testbed_fixture():
     degrees = [1, 2, 2, 2, 2, 2, 3, 3, 4, 4, 5, 6]
     edges = havel_hakimi_edges(degrees)
     matrix = symmetric_matrix({e: 45.0 for e in edges}, nodes=range(12))
-    family = GraphFamily(matrix, beta_min=46, beta_max=46, step=1)
+    family = GraphFamily(matrix, beta_min=46, beta_max=46)
     observed = degree_distribution(matrix, family.betas())[46]
     assert sorted(observed) == degrees
     assert sum(1 for d in observed if d == 1) == 1
@@ -140,7 +140,7 @@ def test_components_partition_properties():
 
 def test_monotonicity_report_two_losses():
     matrix = symmetric_matrix({(1, 2): 40.0, (3, 4): 50.0})
-    family = GraphFamily(matrix, beta_min=39, beta_max=51, step=1)
+    family = GraphFamily(matrix, beta_min=39, beta_max=51)
     report = monotonicity_report(degree_distribution(matrix, family.betas()))
     deltas = {(b1, b2): delta for b1, b2, delta in report}
     assert deltas[(39, 40)] == 1
@@ -150,7 +150,7 @@ def test_monotonicity_report_two_losses():
 
 def test_monotonicity_report_constant_matrix():
     matrix = symmetric_matrix({(a, b): 60.0 for a in range(4) for b in range(a + 1, 4)})
-    family = GraphFamily(matrix, beta_min=59, beta_max=61, step=1)
+    family = GraphFamily(matrix, beta_min=59, beta_max=61)
     report = monotonicity_report(degree_distribution(matrix, family.betas()))
     assert [delta for _, _, delta in report] == [6, 0]
 
@@ -165,7 +165,7 @@ def test_monotonicity_deltas_never_negative():
     rng = random.Random(9)
     for _ in range(20):
         matrix = random_matrix(rng, rng.randrange(3, 12))
-        family = GraphFamily(matrix, beta_min=31, beta_max=104, step=7)
+        family = GraphFamily(matrix)
         # independent recount at each bound
         betas = family.betas()
         counts = [len(neighborhood_graph(matrix, b).edges) for b in betas]
@@ -180,7 +180,7 @@ def test_edge_monotonicity_property():
     for _ in range(50):
         matrix = random_matrix(rng, rng.randrange(2, 15))
         previous = None
-        for beta in GraphFamily(matrix, step=6.0).betas():
+        for beta in GraphFamily(matrix).betas():
             edges = neighborhood_graph(matrix, beta).edges
             if previous is not None:
                 assert previous <= edges
@@ -189,31 +189,28 @@ def test_edge_monotonicity_property():
 
 def test_family_validation():
     matrix = symmetric_matrix({(1, 2): 40.0})
-    with pytest.raises(ValueError):
-        GraphFamily(matrix, beta_min=50, beta_max=40)
-    with pytest.raises(ValueError):
-        GraphFamily(matrix, step=0)
-    assert GraphFamily(matrix).betas()[0] == 31
-    assert GraphFamily(matrix).betas()[-1] == 104
-    assert len(GraphFamily(matrix).betas()) == 74
+    assert GraphFamily(matrix).betas() == [31.0 + k for k in range(74)]
+    assert GraphFamily(matrix, 40.5, 44.5).betas() == [41.0, 42.0, 43.0, 44.0]
 
 
-@pytest.mark.parametrize(
-    "fields, named",
-    [
-        ({"beta_min": float("nan")}, "beta_min"),
-        ({"beta_max": float("inf")}, "beta_max"),
-        ({"step": float("nan")}, "step"),
-        ({"step": 1e-9}, "step 1e-09"),
-        ({"step": 5e-324}, "step 5e-324"),  # the span overflows to inf
-        ({"beta_min": 0.0, "beta_max": 100_001.0}, "step 1.0"),
-        # 32,769 points, but only 3 distinct floats
-        ({"beta_min": 1e20, "beta_max": 1.0000000000000003e20}, "step 1.0 gives bound 1e"),
-    ],
-)
-def test_family_rejects_non_finite_and_runaway_grids(fields, named):
+WINDOWS_WITHOUT_A_BUDGET = {
+    "NaN beta_min": (float("nan"), 104.0),
+    "NaN beta_max": (31.0, float("nan")),
+    "reversed": (50.0, 40.0),
+    "between two budgets": (62.2, 62.8),
+    "above every budget": (104.5, 200.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WINDOWS_WITHOUT_A_BUDGET))
+def test_family_rejects_a_window_without_a_budget(case):
     matrix = symmetric_matrix({(1, 2): 40.0})
-    with pytest.raises(ValueError, match=named):
-        GraphFamily(matrix, **fields)
-    widest = GraphFamily(matrix, beta_min=0.0, beta_max=float(MAX_GRID_STEPS))
-    assert len(widest.betas()) == MAX_GRID_STEPS + 1
+    with pytest.raises(ValueError, match=r"no budget of profile AT86RF231 lies in \[beta_min"):
+        GraphFamily(matrix, *WINDOWS_WITHOUT_A_BUDGET[case])
+
+
+@pytest.mark.parametrize("window", [(31, 104), (40, 80), (45.5, 50.5), (62, 62), (-1e9, 1e9)])
+def test_every_swept_bound_has_a_radio_setting(window):
+    matrix = symmetric_matrix({(1, 2): 40.0})
+    for beta in GraphFamily(matrix, *window).betas():
+        assert settings_for_bound(beta)

@@ -49,7 +49,7 @@ def test_tree_round_trip(tmp_path):
 
 def test_selection_round_trip(tmp_path):
     matrix = symmetric_matrix({(0, 1): 45.0, (1, 2): 45.0, (2, 3): 45.0, (0, 3): 45.0})
-    family = GraphFamily(matrix, beta_min=50, beta_max=50, step=1)
+    family = GraphFamily(matrix, beta_min=50, beta_max=50)
     [selection] = select_constant_degree(matrix, 2, family)
     path = tmp_path / "selection.json"
     io.save_selection(selection, path)
@@ -92,7 +92,7 @@ BAD_SELECTIONS = {
 @pytest.mark.parametrize("case", sorted(BAD_SELECTIONS))
 def test_malformed_selection_names_the_field(tmp_path, case):
     matrix = symmetric_matrix({(0, 1): 45.0, (1, 2): 45.0, (2, 3): 45.0, (0, 3): 45.0})
-    [selection] = select_constant_degree(matrix, 2, GraphFamily(matrix, 50, 50, 1))
+    [selection] = select_constant_degree(matrix, 2, GraphFamily(matrix, 50, 50))
     path = tmp_path / "selection.json"
     io.save_selection(selection, path)
     change, detail = BAD_SELECTIONS[case]

@@ -193,14 +193,14 @@ def test_sweep_fully_meshed():
     matrix = symmetric_matrix(
         {(a, b): 50.0 for a in range(5) for b in range(a + 1, 5)}
     )
-    family = GraphFamily(matrix, beta_min=45, beta_max=55, step=5)
+    family = GraphFamily(matrix, beta_min=45, beta_max=55)
     for tree in sweep_trees(matrix, LINEAR, 15, family):
         assert tree.depth <= 1
 
 
 def test_sweep_finds_chain():
     matrix = chain_scenario(6, 45, 90)
-    family = GraphFamily(matrix, beta_min=40, beta_max=60, step=5)
+    family = GraphFamily(matrix, beta_min=40, beta_max=60)
     swept = sweep_trees(matrix, ONE, 15, family)
     best = swept[0]
     assert best.depth == 5
@@ -348,10 +348,9 @@ def test_shifted_losses_and_grid_map_the_8x8_winner_and_its_reduction():
         asymmetry_sigma=1.0, seed=1,
     )
     found = []
-    for db in (0, 10):
+    for db in (0, 10):  # the window moved by 10 dB still ends at the last budget, 104 dB
         m = shifted(matrix, db)
-        grid = GraphFamily(m)
-        family = GraphFamily(m, grid.beta_min + db, grid.beta_max + db)
+        family = GraphFamily(m, 31 + db, 94 + db)
         best = sweep_trees(m, LINEAR, 15, family)[0]
         found.append((best, reduce_tree(best, m, LINEAR)))
     assert found[0][1].total_nodes < found[0][0].total_nodes
