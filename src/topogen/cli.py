@@ -199,14 +199,7 @@ def cmd_degree(args) -> tuple[int, list[str]]:
 def cmd_tree(args) -> tuple[int, list[str]]:
     kappa = trees.KappaSpec.parse(args.kappa)
     matrix = _tree_matrix(args.matrix)
-    if args.beta is None:
-        family = _family(matrix, args)
-    else:
-        try:  # a bound no radio setting realizes, refused in the terms of `settings`
-            radio.settings_for_bound(args.beta)
-        except ValueError as exc:
-            raise ValueError(f"--beta: {exc}") from None
-        family = graphs.GraphFamily(matrix, args.beta, args.beta)
+    family = _family(matrix, args)
     if args.root is not None and args.root not in matrix.nodes:
         raise ValueError(f"--root: unknown root {args.root}, not a node of {args.matrix}")
     roots = None if args.root is None else [args.root]
@@ -319,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin", type=_nonnegative_float, default=15.0)
     p.add_argument("--reduce", action="store_true", help="minimize node count")
     p.add_argument("--root", type=int, help="fix the root instead of sweeping")
-    p.add_argument("--beta", type=_finite_float, help="fix the bound instead of sweeping")
     _add_grid_flags(p)
     _add_out_flag(p)
     p.set_defaults(func=cmd_tree)

@@ -84,9 +84,7 @@ def load_matrix(path: Path | str) -> LossMatrix:
         nodes = [
             _node_id(n, f"nodes[{i}]") for i, n in enumerate(_list(document["nodes"], "nodes"))
         ]
-        known = set(nodes)
-        if len(known) != len(nodes):
-            raise ValueError("nodes: duplicate node ids")
+        known = _distinct(nodes, "nodes", "node")
         entries = {}
         for i, item in enumerate(_list(document["entries"], "entries")):
             item = _object(item, f"entries[{i}]")
@@ -175,7 +173,16 @@ def load_tree(path: Path | str) -> LayeredTree:
 
 
 def _level(level, where: str) -> frozenset[int]:
-    return frozenset(_node_id(n, where) for n in _list(level, where))
+    return _distinct([_node_id(n, where) for n in _list(level, where)], where, "node")
+
+
+def _distinct(items: list, where: str, kind: str) -> frozenset:
+    """``items`` as a set; an item listed twice is an error naming ``where``."""
+    members = frozenset(items)
+    if len(members) != len(items):
+        repeat = next(item for i, item in enumerate(items) if item in items[:i])
+        raise ValueError(f"{where}: {kind} {repeat!r} repeats")
+    return members
 
 
 def _list(value, where: str) -> list:
@@ -216,11 +223,12 @@ def load_selection(path: Path | str) -> DegreeSelection:
                 f"objective {objective!r} is not the {len(selected)} selected nodes"
             )
         edges = _list(document["edges"], "edges")
+        edges = [_edge(e, f"edges[{i}]", selected) for i, e in enumerate(edges)]
         selection = DegreeSelection(
             beta=finite(document["beta"], "beta"),
             c=c,
             selected=selected,
-            edges=frozenset(_edge(e, f"edges[{i}]", selected) for i, e in enumerate(edges)),
+            edges=_distinct(edges, "edges", "pair"),
         )
         components = _list(document["components"], "components")
         stored = tuple(_level(p, f"components[{i}]") for i, p in enumerate(components))

@@ -15,6 +15,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 
+def _budget_key(budget: float) -> float:
+    """``budget`` to 1e-9 dB: typed 65.26 meets 1.4 - -63.86 = 65.26000000000001."""
+    return round(budget, 9)
+
+
 @dataclass(frozen=True)
 class TransceiverProfile:
     """Discrete transmit-power and sensitivity levels of a radio, in dBm."""
@@ -33,18 +38,27 @@ class TransceiverProfile:
             if any(a >= b for a, b in zip(levels, levels[1:])):
                 raise ValueError(f"{label} levels must be strictly ascending")
 
-    @property
-    def min_budget(self) -> float:
-        return self.tx_levels[0] - self.sensitivity_levels[-1]
-
-    @property
-    def max_budget(self) -> float:
-        return self.tx_levels[-1] - self.sensitivity_levels[0]
+    @cached_property
+    def settings(self) -> dict[float, list[tuple[float, float]]]:
+        """Each realizable budget's ``_budget_key`` to its (tx, s) pairs, least power first."""
+        table = {}
+        for tx in self.tx_levels:
+            for s in self.sensitivity_levels:
+                table.setdefault(_budget_key(tx - s), []).append((tx, s))
+        return table
 
     @cached_property
     def budgets(self) -> tuple[float, ...]:
         """Every budget some setting realizes, ascending: the bounds worth sweeping."""
-        return tuple(sorted({tx - s for tx in self.tx_levels for s in self.sensitivity_levels}))
+        return tuple(sorted(self.settings))
+
+    @property
+    def min_budget(self) -> float:
+        return self.budgets[0]
+
+    @property
+    def max_budget(self) -> float:
+        return self.budgets[-1]
 
 
 # Endpoints match the AT86RF231 datasheet ranges (-17..3 dBm output,
@@ -80,13 +94,8 @@ def settings_for_bound(
     profile: TransceiverProfile = AT86RF231,
     guard: float = 3.0,
 ) -> list[GuardedSetting]:
-    """All settings realizing the bound exactly, lowest transmit power first.
-
-    Each base pair carries its guarded variant: the least-power setting
-    of budget ``base.budget + guard`` with transmit power and sensitivity
-    no worse than the base's, or None when the profile has no headroom
-    left.
-    """
+    """All settings realizing the bound exactly, lowest transmit power first,
+    each with its guarded variant (see the module docstring) or None."""
     if guard < 0:
         raise ValueError("guard must be >= 0")
     if not profile.min_budget <= beta <= profile.max_budget:
@@ -94,23 +103,13 @@ def settings_for_bound(
             f"bound {beta} outside profile {profile.name} budget range "
             f"[{profile.min_budget}, {profile.max_budget}]"
         )
-    sens_set = set(profile.sensitivity_levels)
-
-    def exact(budget: float) -> list[RadioSetting]:
-        """Settings of exactly ``budget``, least power first (tx levels ascend)."""
-        return [
-            RadioSetting(tx, tx - budget) for tx in profile.tx_levels if tx - budget in sens_set
-        ]
-
-    results = []
-    for base in exact(beta):
-        guarded = [
-            s for s in exact(base.budget + guard)
-            if s.tx_power >= base.tx_power and s.sensitivity <= base.sensitivity
-        ]
-        results.append(GuardedSetting(base, guarded[0] if guarded else None))
-    if not results:
-        raise ValueError(
-            f"bound {beta} not exactly realizable with profile {profile.name}"
-        )
-    return results
+    key = _budget_key(beta)
+    bases = profile.settings.get(key)
+    if not bases:
+        raise ValueError(f"bound {beta} not exactly realizable with profile {profile.name}")
+    raised = profile.settings.get(_budget_key(key + guard), [])
+    return [
+        GuardedSetting(RadioSetting(tx, s), next(
+            (RadioSetting(*g) for g in raised if g[0] >= tx and g[1] <= s), None))
+        for tx, s in bases
+    ]

@@ -10,7 +10,7 @@ import pytest
 from helpers import save_profile
 from topogen import degree, graphs, io, trees
 from topogen.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
-from topogen.radio import AT86RF231
+from topogen.radio import AT86RF231, TransceiverProfile
 from topogen.synth import chain_scenario
 from topogen.trees import KappaSpec, monitored_bfs
 
@@ -485,16 +485,6 @@ def test_tree_chain(tmp_path, capsys):
     assert "depth 5" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("grid", [["--beta-min", "60", "--beta-max", "50"], ["--beta-min", "200"]])
-def test_tree_beta_ignores_the_grid_flags(tmp_path, grid):
-    matrix = write_chain_matrix(tmp_path)
-    base = ["tree", str(matrix), "--kappa", "const:1", "--beta", "50"]
-    assert main([*base, "--out", str(tmp_path / "one")]) == EXIT_OK
-    assert main([*base, *grid, "--out", str(tmp_path / "grid")]) == EXIT_OK
-    for name in ("tree.json", "tree.dot"):
-        assert (tmp_path / "grid" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
-
-
 def test_tree_root_flag_gives_shallower_tree(tmp_path):
     matrix = write_chain_matrix(tmp_path)
     out_sweep = tmp_path / "sweep"
@@ -539,7 +529,8 @@ def test_tree_checks_the_swept_and_the_reduced_tree(tmp_path, monkeypatch):
     monkeypatch.setattr(trees, "check_tree", recording)
     matrix = tmp_path / "bushy.json"
     io.save_matrix(symmetric_matrix({(0, 1): 45.0, (0, 2): 45.0, (1, 3): 45.0}), matrix)
-    args = [str(matrix), "--kappa", "const:1", "--beta", "50", "--root", "0"]
+    args = [str(matrix), "--kappa", "const:1", "--beta-min", "50", "--beta-max", "50",
+            "--root", "0"]
     assert main(["tree", *args, "--out", str(tmp_path / "swept")]) == EXIT_OK
     assert main(["tree", *args, "--reduce", "--out", str(tmp_path / "reduced")]) == EXIT_OK
     swept = io.load_tree(tmp_path / "swept" / "tree.json")
@@ -770,6 +761,18 @@ def test_negative_guard_is_input_error(capsys):
     assert "argument --guard: must be >= 0, not '-1'" in capsys.readouterr().err
 
 
+def test_settings_finds_a_decimal_budget_typed_as_its_text(tmp_path, capsys):
+    profile = tmp_path / "dec.json"
+    save_profile(TransceiverProfile(
+        "dec",
+        (-5.39, -3.0, -2.53, -2.2, 1.4, 4.1),
+        (-103.69, -99.2, -86.5, -78.3, -73.67, -63.86),
+    ), profile)
+    # 1.4 - -63.86 is 65.26000000000001 as a float
+    assert main(["settings", "65.26", "--profile", str(profile), "--guard", "0"]) == EXIT_OK
+    assert capsys.readouterr().out == "1.4/-63.86 (65.26 dB)\n"
+
+
 @pytest.mark.parametrize("beta, error", [
     ("62.5", "bound 62.5 not exactly realizable with profile AT86RF231"),
     ("200", "bound 200.0 outside profile AT86RF231 budget range [31.0, 104.0]"),
@@ -779,8 +782,21 @@ def test_tree_beta_is_refused_in_the_terms_of_settings(tmp_path, capsys, beta, e
     out = tmp_path / "o"
     assert main(["settings", beta]) == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {error}\n"
-    assert main(["tree", str(matrix), "--beta", beta, "--out", str(out)]) == EXIT_INPUT
-    assert capsys.readouterr().err == f"error: --beta: {error}\n"
+    window = ["--beta-min", beta, "--beta-max", beta]
+    assert main(["tree", str(matrix), *window, "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: {EMPTY} (--beta-min {float(beta)!r} --beta-max {float(beta)!r})\n"
+    )
+    assert not out.exists()
+
+
+def test_tree_no_longer_takes_a_fixed_beta(tmp_path, capsys):
+    matrix = write_chain_matrix(tmp_path, n=3)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["tree", str(matrix), "--beta", "50", "--out", str(out)])
+    assert exit_info.value.code == EXIT_INPUT
+    assert "ambiguous option: --beta could match --beta-min, --beta-max" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -813,7 +829,7 @@ MALFORMED = {
     "boolean loss": ("matrix", _first_entry(mean_loss=True), "entries[0].mean_loss True"),
     "string loss": ("matrix", _first_entry(mean_loss="x"), "entries[0].mean_loss 'x'"),
     "duplicate node id": (
-        "matrix", lambda d: {**d, "nodes": d["nodes"] + d["nodes"][:1]}, "duplicate node ids"),
+        "matrix", lambda d: {**d, "nodes": d["nodes"] + d["nodes"][:1]}, "nodes: node 0 repeats"),
     "duplicate entry": (
         "matrix", lambda d: {**d, "entries": d["entries"] + d["entries"][:1]},
         "duplicate entry"),
@@ -873,6 +889,8 @@ MALFORMED = {
     "scalar position": (
         "positions", lambda d: {**d, "positions": [*d["positions"][:-1], 5]},
         "positions[2]: expected an object"),
+    "repeated level node": (
+        "tree", lambda d: {**d, "levels": [[0], [1, 1], [2]]}, "levels[1]: node 1 repeats"),
     "tree depth off its levels": (
         "tree", lambda d: {**d, "depth": d["depth"] + 1},
         "depth 3 is not the 2 levels below the root"),
@@ -908,7 +926,7 @@ FLOAT_FLAGS = [
     (["analyze", "M"], "--beta-min"),
     (["analyze", "M"], "--beta-max"),
     (["degree", "M", "3"], "--beta-max"),
-    (["tree", "M"], "--beta"),
+    (["tree", "M"], "--beta-min"),
     (["tree", "M"], "--margin"),
     (["sweep-report", "M"], "--margin"),
     (["settings", "46"], "--guard"),

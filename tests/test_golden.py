@@ -100,18 +100,18 @@ GOLDEN = {
     "file:pipeline/report/manifest.json": "54f7dad74ec98b38aa9b8207e835a39ef12698b407c774a2324cecf02bbe955a",
     "file:pipeline/report/sweep_report.csv": "3e1f354176dd84537c142b238d6b04659cc0cc62be5a5419418122a36def142c",
     "file:pipeline/scenario.json": "85a58558257edb3414e1d55b454013cd5ff495cf14cb29398e1f398daddf2d32",
-    "file:pipeline/tree/manifest.json": "5e6fc4fd9a01c622cddd845690da4fc3188730da902dd62de946377aa5743343",
+    "file:pipeline/tree/manifest.json": "70826004370e6fc5beb8ee64ca8e8845796e8d6173790d1cca3811e4b0cf6c8c",
     "file:pipeline/tree/tree.dot": "6ef8f22758a1b0edd034ed6afc412b01fff36ebabb13b13a509d348ffada9c31",
     "file:pipeline/tree/tree.json": "bdf75291a250157a662d37c3248993f2d11cef4d5e1e8e48e89cb8d9b800ba6c",
     "file:sweep-report6/manifest.json": "39ba77ddd35391d062131439f2ae60ea7e6cc51a7f837c47b417046d01de6dbf",
     "file:sweep-report6/sweep_report.csv": "b073b6ecd3c065f3f92d7be4f01474d339cfa68a97db6d9dd84efab691bb8a27",
-    "file:tree-reduce/manifest.json": "0f0ea61aafe8f909157b6e53c0cc30a2464640099e93dbcaba894afa7aef97cf",
+    "file:tree-reduce/manifest.json": "a51d66befe31625e5cb6e7d29af4ea35ec419891213dd8bc460bfe9c3cac38e7",
     "file:tree-reduce/tree.dot": "72975410cadbdf1a9393bc3e97670decfbf0b79a284b516eaf8538db33d86b7f",
     "file:tree-reduce/tree.json": "b24f79e3946cc1f56c78d3c437a70b374f4c84f1e551dfbe5e2f1ad03d91ad42",
-    "file:tree-root/manifest.json": "74533acdacb35f729741dd6f557c411252aff4dbd731a8ba84f7db893a405703",
+    "file:tree-root/manifest.json": "e58f40d4df9d4b9c9db0bcd2b22262cdf64dacac06a13353c9e7dcafaeb74268",
     "file:tree-root/tree.dot": "ae65134d2ddf3158ae5116b298caa1f5b3fe1d9569e130b0a6b960f32e08aaad",
     "file:tree-root/tree.json": "991e2bde975f77e1a1672bba5b5354aba735b317bf01b3956e8d580d0e63f4d3",
-    "file:tree6-reduce/manifest.json": "8a32fc8d6c5742900d1ea84c10ac563de5a96a4f751eae4a05d7d2f0961fcf9e",
+    "file:tree6-reduce/manifest.json": "56670bfcb793957fbea82a4e67d1ebc8ef955a78c133aa7a2bdcd404927789d4",
     "file:tree6-reduce/tree.dot": "551aa25ff9a9d68a73282050da5cb2f6936880d769c39ac06924edf254f601ce",
     "file:tree6-reduce/tree.json": "a36bf62c06a35499d06f13f440f2bf079b1b6a04d8647d5bcdd6fce96a0bd571",
 }

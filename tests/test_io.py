@@ -82,6 +82,11 @@ BAD_SELECTIONS = {
         {"edges": [[0, 0], [0, 1], [0, 3], [1, 2], [2, 3]]},
         "edges[0]: [0, 0] is not an ascending pair of selected nodes",
     ),
+    "repeated selected node": ({"selected": [0, 1, 2, 3, 0]}, "selected: node 0 repeats"),
+    "repeated component node": (
+        {"components": [[0, 1, 2, 3, 3]]}, "components[0]: node 3 repeats"),
+    "repeated edge": (
+        {"edges": [[0, 1], [0, 1], [0, 3], [1, 2], [2, 3]]}, "edges: pair (0, 1) repeats"),
     "components not the edges' components": (
         {"components": [[7]]},
         "components [[7]] are not those of the edges",

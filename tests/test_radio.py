@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topogen.radio import (
     AT86RF231,
@@ -130,3 +132,70 @@ def test_guard_zero_returns_the_base(profile):
     for beta in realizable_bounds(profile):
         for option in settings_for_bound(beta, profile, guard=0):
             assert option.guarded == option.base
+
+
+@st.composite
+def decimal_levels(draw):
+    """(decimals, tx levels, sensitivity levels), each level as an integer
+    count of 10**-decimals dBm, both lists strictly ascending."""
+    decimals = draw(st.sampled_from((1, 2)))
+    unit = 10**decimals
+    tx = draw(st.lists(st.integers(-30 * unit, 10 * unit), min_size=1, max_size=8, unique=True))
+    sens = draw(
+        st.lists(st.integers(-110 * unit, -40 * unit), min_size=1, max_size=12, unique=True)
+    )
+    return decimals, sorted(tx), sorted(sens)
+
+
+def as_text(count, decimals):
+    """The decimal text of ``count`` units of 10**-decimals, as an operator types it."""
+    return f"{count / 10**decimals:.{decimals}f}"
+
+
+def decimal_profile(decimals, tx, sens):
+    unit = 10**decimals
+    return TransceiverProfile("decimal", tuple(t / unit for t in tx), tuple(s / unit for s in sens))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(decimal_levels())
+def test_every_budget_of_a_decimal_profile_is_accepted(levels):
+    profile = decimal_profile(*levels)
+    for beta in profile.budgets:
+        assert settings_for_bound(beta, profile, guard=0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(decimal_levels())
+def test_every_decimal_setting_is_found_by_its_typed_budget(levels):
+    decimals, tx, sens = levels
+    profile = decimal_profile(*levels)
+    for t in tx:
+        for s in sens:
+            beta = float(as_text(t - s, decimals))
+            bases = [option.base for option in settings_for_bound(beta, profile, guard=0)]
+            assert RadioSetting(t / 10**decimals, s / 10**decimals) in bases
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(decimal_levels(), st.data())
+def test_a_typed_decimal_guard_finds_its_guarded_pair(levels, data):
+    decimals, tx, sens = levels
+    unit = 10**decimals
+    profile = decimal_profile(*levels)
+    # a base pair and a different pair no worse than it, so of a larger budget
+    i = data.draw(st.integers(0, len(tx) - 1))
+    j = data.draw(st.integers(0, len(sens) - 1))
+    g_i = data.draw(st.integers(i, len(tx) - 1))
+    g_j = data.draw(st.integers(0, j))
+    if (g_i, g_j) == (i, j):
+        return
+    budget, raised = tx[i] - sens[j], tx[g_i] - sens[g_j]
+    beta = float(as_text(budget, decimals))
+    guard = float(as_text(raised - budget, decimals))
+    [option] = [
+        o for o in settings_for_bound(beta, profile, guard=guard)
+        if o.base == RadioSetting(tx[i] / unit, sens[j] / unit)
+    ]
+    least = min(t for t in tx[i:] for s in sens[: j + 1] if t - s == raised)
+    assert option.guarded == RadioSetting(least / unit, (least - raised) / unit)
