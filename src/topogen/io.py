@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from contextlib import contextmanager
+from operator import itemgetter, ne
 from pathlib import Path
 
 from . import __version__
@@ -28,10 +30,12 @@ PROFILE_FORMAT = "radio-profile/1"
 SCENARIO_FORMAT = "synth-scenario/1"
 
 
+def _text(document: dict) -> str:
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
 def _dump(document: dict, path: Path | str):
-    Path(path).write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(_text(document), encoding="utf-8")
 
 
 @contextmanager
@@ -58,24 +62,44 @@ def _node_id(value, where: str) -> int:
 
 
 def save_matrix(matrix: LossMatrix, path: Path | str):
+    """Write the bytes ``_dump`` would, without ``json``'s pure-Python encoder for the entries.
+
+    The document is dumped with no entries, and each entry is spliced in
+    as one string, keys in sorted order.
+    """
     document = {
         "format": MATRIX_FORMAT,
         "channel": matrix.channel,
         "nodes": sorted(matrix.nodes),
-        "entries": [
-            {
-                "tx": tx,
-                "rx": rx,
-                "mean_loss": entry.mean_loss,
-                "stddev": entry.stddev,
-                "count": entry.count,
-            }
-            for (tx, rx), entry in sorted(matrix.entries.items())
-        ],
+        "entries": [],
     }
     if matrix.meta:
         document["meta"] = matrix.meta
-    _dump(document, path)
+    text = _text(document)
+    split = text.index('\n  "entries": []') + len('\n  "entries": [')
+    entries = sorted(matrix.entries.items())
+    rows = [(e.count, e.mean_loss, rx, e.stddev, tx) for (tx, rx), e in entries]
+    items = [
+        f'\n    {{\n      "count": {count},\n      "mean_loss": {loss},\n      "rx": {rx},'
+        f'\n      "stddev": {stddev},\n      "tx": {tx}\n    }}'
+        for count, loss, rx, stddev, tx in zip(*map(_json_numbers, zip(*rows)))
+    ]
+    with open(path, "w", encoding="utf-8") as stream:
+        stream.write(text[:split])
+        stream.write(",".join(items))
+        stream.write("\n  " if items else "")
+        stream.write(text[split:])
+
+
+def _json_numbers(values: list) -> list[str]:
+    """Each value as ``json.dumps`` writes it: ``repr`` for an int or a finite float."""
+    return [
+        repr(v) if type(v) is int or type(v) is float and math.isfinite(v) else json.dumps(v)
+        for v in values
+    ]
+
+
+ENTRY_FIELDS = ("tx", "rx", "mean_loss", "stddev", "count")
 
 
 def load_matrix(path: Path | str) -> LossMatrix:
@@ -85,33 +109,71 @@ def load_matrix(path: Path | str) -> LossMatrix:
             _node_id(n, f"nodes[{i}]") for i, n in enumerate(_list(document["nodes"], "nodes"))
         ]
         known = _distinct(nodes, "nodes", "node")
-        entries = {}
-        for i, item in enumerate(_list(document["entries"], "entries")):
-            item = _object(item, f"entries[{i}]")
-            pair = (
-                _node_id(item["tx"], f"entries[{i}].tx"),
-                _node_id(item["rx"], f"entries[{i}].rx"),
-            )
-            if not known.issuperset(pair):
-                raise ValueError(f"entries[{i}]: node of {pair} not in nodes")
-            if pair[0] == pair[1]:
-                raise ValueError(f"entries[{i}].rx: node {pair[1]} equals tx, a self pair")
-            if pair in entries:
-                raise ValueError(f"entries[{i}]: duplicate entry {pair}")
-            loss, stddev, count = item["mean_loss"], item["stddev"], item["count"]
-            if finite(loss, f"entries[{i}].mean_loss") < 0:
-                raise ValueError(f"entries[{i}].mean_loss {loss!r} is negative")
-            if finite(stddev, f"entries[{i}].stddev") < 0:
-                raise ValueError(f"entries[{i}].stddev {stddev!r} is negative")
-            if type(count) is not int or count < 1:
-                raise ValueError(f"entries[{i}].count {count!r} is not an integer >= 1")
-            entries[pair] = MatrixEntry(mean_loss=loss, stddev=stddev, count=count)
+        items = _list(document["entries"], "entries")
+        entries = _entry_columns(items, known)
+        if entries is None:
+            entries = _entry_loop(items, known)
         return LossMatrix(
             nodes=nodes,
             channel=None if channel is None and not entries else check_channel(channel),
             entries=entries,
             meta=_object(document.get("meta", {}), "meta"),
         )
+
+
+def _entry_columns(items: list, known: frozenset[int]) -> dict | None:
+    """The entries, checked a field at a time over every item; None if any check fails.
+
+    Passing here means ``_entry_loop`` would pass with the same entries,
+    which words the error for the first bad item otherwise.
+    """
+    try:
+        tx, rx, loss, stddev, count = (list(map(itemgetter(f), items)) for f in ENTRY_FIELDS)
+        valid = (
+            set(map(type, tx)) | set(map(type, rx)) == {int}
+            and known.issuperset(tx)
+            and known.issuperset(rx)
+            and all(map(ne, tx, rx))
+            and set(map(type, loss)) | set(map(type, stddev)) <= {int, float}
+            and all(map(math.isfinite, loss))
+            and all(map(math.isfinite, stddev))
+            and min(loss) >= 0
+            and min(stddev) >= 0
+            and set(map(type, count)) == {int}
+            and min(count) >= 1
+        )
+    except (KeyError, TypeError, OverflowError):  # no object, a missing field, a huge int
+        return None
+    if not valid:
+        return None
+    entries = dict(zip(zip(tx, rx), map(MatrixEntry, loss, stddev, count)))
+    return entries if len(entries) == len(items) else None
+
+
+def _entry_loop(items: list, known: frozenset[int]) -> dict:
+    """The entries, checked item by item; each error names the item and field."""
+    entries = {}
+    for i, item in enumerate(items):
+        item = _object(item, f"entries[{i}]")
+        pair = (
+            _node_id(item["tx"], f"entries[{i}].tx"),
+            _node_id(item["rx"], f"entries[{i}].rx"),
+        )
+        if not known.issuperset(pair):
+            raise ValueError(f"entries[{i}]: node of {pair} not in nodes")
+        if pair[0] == pair[1]:
+            raise ValueError(f"entries[{i}].rx: node {pair[1]} equals tx, a self pair")
+        if pair in entries:
+            raise ValueError(f"entries[{i}]: duplicate entry {pair}")
+        loss, stddev, count = item["mean_loss"], item["stddev"], item["count"]
+        if finite(loss, f"entries[{i}].mean_loss") < 0:
+            raise ValueError(f"entries[{i}].mean_loss {loss!r} is negative")
+        if finite(stddev, f"entries[{i}].stddev") < 0:
+            raise ValueError(f"entries[{i}].stddev {stddev!r} is negative")
+        if type(count) is not int or count < 1:
+            raise ValueError(f"entries[{i}].count {count!r} is not an integer >= 1")
+        entries[pair] = MatrixEntry(mean_loss=loss, stddev=stddev, count=count)
+    return entries
 
 
 def save_positions(positions: NodePositions, path: Path | str):

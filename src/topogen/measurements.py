@@ -113,6 +113,11 @@ class LossMatrix:
     )
 
     @cached_property
+    def position(self) -> dict[int, int]:
+        """Each node's position in ``nodes``: its bit in every mask."""
+        return {node: i for i, node in enumerate(self.nodes)}
+
+    @cached_property
     def edge_births(self) -> dict[int, tuple[list[float], list[int], list[int]]]:
         """Per node, its neighbours in the order their edges are born.
 
@@ -138,7 +143,7 @@ class LossMatrix:
             birth = max(forward, backward)
             rows[a].append((birth, b))
             rows[b].append((birth, a))
-        bit = {node: 1 << i for i, node in enumerate(self.nodes)}
+        bit = {node: 1 << i for node, i in self.position.items()}
         result = {}
         for node, row in rows.items():
             row.sort()

@@ -12,6 +12,7 @@ sustain the breadth requirements and parent connectivity.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import ilp
@@ -118,16 +119,23 @@ def monitored_bfs(
     freshly built level has fewer than kappa(depth) nodes; that partial
     level is discarded.
     """
-    if v0 not in matrix.nodes:
+    root = matrix.position.get(v0)
+    if root is None:
         raise ValueError(f"unknown root {v0}")
     near, far = matrix.masks_within(beta, beta + margin)
 
-    levels = [frozenset({v0})]
-    frontier = [matrix.nodes.index(v0)]
-    placed = 1 << frontier[0]
+    # Level 1 is the root's neighbours, a prefix of its birth-ordered row,
+    # so it is never decoded from a mask.
+    births, neighbors, _ = matrix.edge_births[v0]
+    first = neighbors[: bisect_right(births, beta)]
+    if len(first) < kappa(1):
+        return LayeredTree(root=v0, beta=beta, margin=margin, levels=(frozenset({v0}),))
+    levels = [frozenset({v0}), frozenset(first)]
+    frontier = list(map(matrix.position.__getitem__, first))
+    placed = near[root] | 1 << root
     # Nodes with a strong link into a level strictly above the frontier.
     # Links are symmetric, so these are the levels' own strong neighbours.
-    blocked = 0
+    blocked = far[root]
     while True:
         reached = strong = 0
         for i in frontier:

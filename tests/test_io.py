@@ -1,13 +1,18 @@
+import copy
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import save_profile, symmetric_matrix
 from topogen import io
 from topogen.degree import select_constant_degree
 from topogen.graphs import GraphFamily, neighborhood_graph
+from topogen.measurements import LossMatrix, MatrixEntry
 from topogen.radio import AT86RF231
-from topogen.synth import chain_scenario, grid_scenario
+from topogen.synth import chain_scenario, finite, grid_scenario
 from topogen.trees import KappaSpec, monitored_bfs
 
 
@@ -23,6 +28,179 @@ def test_matrix_write_is_deterministic(tmp_path):
     io.save_matrix(matrix, tmp_path / "a.json")
     io.save_matrix(matrix, tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def dumped_matrix(matrix):
+    """Oracle: the matrix document as ``json.dumps`` writes it with ``_dump``'s settings."""
+    document = {
+        "format": io.MATRIX_FORMAT,
+        "channel": matrix.channel,
+        "nodes": sorted(matrix.nodes),
+        "entries": [
+            {"tx": tx, "rx": rx, "mean_loss": e.mean_loss, "stddev": e.stddev, "count": e.count}
+            for (tx, rx), e in sorted(matrix.entries.items())
+        ],
+    }
+    if matrix.meta:
+        document["meta"] = matrix.meta
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def entry(loss, stddev=0.5, count=100):
+    return MatrixEntry(mean_loss=loss, stddev=stddev, count=count)
+
+
+EMITTED_MATRICES = {
+    "with meta": LossMatrix(
+        nodes=[3, 1, 2],
+        channel=26,
+        entries={(1, 2): entry(61.25), (2, 1): entry(-0.0, 1e-7), (3, 1): entry(1e16, 0.1)},
+        # a nested "entries" key must not be taken for the matrix's own
+        meta={"source": "a \"quoted\" name", "entries": [], "runs": {"entries": [1, 2.5]}},
+    ),
+    "without meta": LossMatrix(
+        nodes=[1, 2], channel=11, entries={(2, 1): entry(45.0, 0.0, 2**53 + 1)}
+    ),
+    "no entries": LossMatrix(nodes=[4, 1], channel=None, entries={}),
+    "no entries, with meta": LossMatrix(nodes=[], channel=None, entries={}, meta={"k": 1}),
+    "int losses": LossMatrix(
+        nodes=[1, 2, 3],
+        channel=26,
+        entries={(1, 2): entry(70, 0), (2, 1): entry(70, 1.5), (1, 3): entry(80.5, 2)},
+    ),
+    "NaN and infinite losses": LossMatrix(
+        nodes=[1, 2, 3],
+        channel=26,
+        entries={(1, 2): entry(math.nan), (2, 1): entry(60.0, math.inf), (3, 2): entry(-math.inf)},
+    ),
+    "bool count": LossMatrix(nodes=[1, 2], channel=26, entries={(1, 2): entry(50.0, 0.0, True)}),
+}
+
+
+@pytest.mark.parametrize("case", EMITTED_MATRICES)
+def test_save_matrix_writes_the_bytes_of_json_dumps(tmp_path, case):
+    matrix = EMITTED_MATRICES[case]
+    path = tmp_path / "matrix.json"
+    io.save_matrix(matrix, path)
+    assert path.read_text(encoding="utf-8") == dumped_matrix(matrix)
+
+
+def entry_loop(items, known):
+    """Oracle: the per-entry loop with which ``load_matrix`` checked every file before."""
+    entries = {}
+    for i, item in enumerate(items):
+        item = io._object(item, f"entries[{i}]")
+        pair = (
+            io._node_id(item["tx"], f"entries[{i}].tx"),
+            io._node_id(item["rx"], f"entries[{i}].rx"),
+        )
+        if not known.issuperset(pair):
+            raise ValueError(f"entries[{i}]: node of {pair} not in nodes")
+        if pair[0] == pair[1]:
+            raise ValueError(f"entries[{i}].rx: node {pair[1]} equals tx, a self pair")
+        if pair in entries:
+            raise ValueError(f"entries[{i}]: duplicate entry {pair}")
+        loss, stddev, count = item["mean_loss"], item["stddev"], item["count"]
+        if finite(loss, f"entries[{i}].mean_loss") < 0:
+            raise ValueError(f"entries[{i}].mean_loss {loss!r} is negative")
+        if finite(stddev, f"entries[{i}].stddev") < 0:
+            raise ValueError(f"entries[{i}].stddev {stddev!r} is negative")
+        if type(count) is not int or count < 1:
+            raise ValueError(f"entries[{i}].count {count!r} is not an integer >= 1")
+        entries[pair] = MatrixEntry(mean_loss=loss, stddev=stddev, count=count)
+    return entries
+
+
+_GRID3 = grid_scenario(3, 3, 3.0, shadowing_sigma=4.0, asymmetry_sigma=1.0, seed=2)
+# node 1 has no entry, so an id True or 1.0 makes a new pair, not a duplicate
+GRID3 = LossMatrix(
+    nodes=_GRID3.nodes,
+    channel=_GRID3.channel,
+    entries={pair: e for pair, e in _GRID3.entries.items() if 1 not in pair},
+)
+ENTRY_COUNT = len(GRID3.entries)
+LOSS_FIELDS = ("mean_loss", "stddev")
+# kind -> (fields, values) it may set; "drop" deletes the field, and the last
+# three kinds set no value. Values at the edge may load.
+MUTATIONS = {
+    "drop": (io.ENTRY_FIELDS, [None]),
+    "node id": (("tx", "rx"), [True, "1", None, 1.0]),
+    "unknown node": (("tx", "rx"), [99, -1]),
+    "not finite": (LOSS_FIELDS, [math.nan, math.inf, -math.inf, 10**400]),
+    "negative": (LOSS_FIELDS, [-1.0, -1, -5e-324]),
+    "not a number": (LOSS_FIELDS, [True, "1", None]),
+    "count": (("count",), [0, -2, 1.5, True, None]),
+    "at the edge": (LOSS_FIELDS + ("count",), [-0.0, 0, 70, 2**60]),
+    "self": (("rx",), [None]),
+    "duplicate": ((None,), [None]),
+    "list": ((None,), [None]),
+}
+# each kind is drawn as often, however many changes it lists
+MUTATION = st.sampled_from(list(MUTATIONS)).flatmap(
+    lambda kind: st.tuples(
+        st.just(kind), st.sampled_from(MUTATIONS[kind][0]), st.sampled_from(MUTATIONS[kind][1])
+    )
+)
+
+
+def mutate(entries, mutation, i, j):
+    kind, field, value = mutation
+    item, other = entries[i], entries[j]
+    if not isinstance(item, dict):
+        return  # an entry turned into a list stays one
+    if kind == "drop":
+        item.pop(field, None)
+    elif kind == "self":
+        item["rx"] = item.get("tx")
+    elif kind == "duplicate":
+        if isinstance(other, dict):
+            item.update(tx=other.get("tx"), rx=other.get("rx"))
+    elif kind == "list":
+        entries[i] = list(item.values())
+    else:
+        item[field] = value
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.tuples(
+            MUTATION, st.integers(0, ENTRY_COUNT - 1), st.integers(0, ENTRY_COUNT - 1)
+        ),
+        min_size=1,
+        max_size=2,
+    )
+)
+# bad in the last field checked of entry 0 and the first of entry 1: entry 0 is named
+@example([(("count", "count", 0), 0, 0), (("node id", "tx", True), 1, 0)])
+@example([(("negative", "stddev", -1.0), 3, 0), (("drop", "tx", None), 5, 0)])
+@example([(("node id", "rx", 1.0), 7, 0)])  # equal to node 1, but no integer
+def test_matrix_loader_names_the_first_bad_entry(tmp_path_factory, mutations):
+    saved = tmp_path_factory.getbasetemp() / "grid3.json"
+    if not saved.exists():
+        io.save_matrix(GRID3, saved)
+    document = json.loads(saved.read_text(encoding="utf-8"))
+    entries = copy.deepcopy(document["entries"])
+    for mutation, i, j in mutations:
+        mutate(entries, mutation, i, j)
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps({**document, "entries": entries}), encoding="utf-8")
+    try:
+        expected = entry_loop(entries, frozenset(document["nodes"]))
+    except KeyError as exc:
+        error = ValueError(f"{path}: missing field {exc.args[0]!r}")
+    except ValueError as exc:
+        error = ValueError(f"{path}: {exc}")
+    except OverflowError as exc:  # ``finite`` on an int past the float range
+        error = exc
+    else:
+        assert io.load_matrix(path) == LossMatrix(
+            nodes=GRID3.nodes, channel=GRID3.channel, entries=expected, meta=GRID3.meta
+        )
+        return
+    with pytest.raises(type(error)) as raised:
+        io.load_matrix(path)
+    assert str(raised.value) == str(error)
 
 
 def test_wrong_format_tag(tmp_path):

@@ -13,6 +13,7 @@ from helpers import (
     shifted,
     symmetric_matrix,
 )
+from test_edge_births import graph_bfs
 from topogen import ilp
 from topogen.graphs import GraphFamily, neighborhood_graph
 from topogen.measurements import LossMatrix, MatrixEntry
@@ -72,6 +73,50 @@ def test_chain_hand_simulation():
 def test_unknown_root():
     with pytest.raises(ValueError, match="unknown root"):
         monitored_bfs(chain_scenario(3, 45, 90), 99, 50, 15, ONE)
+
+
+# unsorted and sparse, so no node's position in the list is its id
+STAR_NODES = [907, -3, 42, 15, 600, 8, 77, 1000003, 5]
+STAR_ROOT = 42
+
+
+def star_matrix(degree):
+    """The root links at 50 dB to ``degree`` leaves, each leaf to a node of its own.
+
+    The first two leaves link to each other, which keeps neither out of
+    level 1. One node links to the root at 62 dB, above a bound of 55 but
+    within 55 + 10, so it may join no level; the first leaf links to it too.
+    """
+    others = [n for n in STAR_NODES if n != STAR_ROOT]
+    leaves, rest = others[:degree], others[degree:]
+    links = {(STAR_ROOT, leaf): 50.0 for leaf in leaves}
+    links[STAR_ROOT, rest[0]] = 62.0
+    links.update({(leaf, far): 50.0 for leaf, far in zip(leaves, rest[1:])})
+    if leaves:
+        links[leaves[0], rest[0]] = 50.0
+    if len(leaves) > 1:
+        links[leaves[0], leaves[1]] = 50.0
+    entries = {}
+    for (a, b), loss in links.items():
+        entries[a, b] = entries[b, a] = MatrixEntry(mean_loss=loss, stddev=0.0, count=1)
+    return LossMatrix(nodes=STAR_NODES, channel=26, entries=entries)
+
+
+@pytest.mark.parametrize("form", ["const:{}", "table:1={}"])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+def test_level_one_at_the_breadth_boundary(form, k, offset):
+    # the root's degree at the bound is k - 1, k or k + 1, or it has no neighbour
+    degree = 0 if offset is None else k + offset
+    matrix = star_matrix(degree)
+    kappa = KappaSpec.parse(form.format(k))
+    tree = monitored_bfs(matrix, STAR_ROOT, 55.0, 10.0, kappa)
+    assert tree == graph_bfs(matrix, STAR_ROOT, 55.0, 10.0, kappa)
+    leaves = frozenset(matrix.neighbors_within(STAR_ROOT, 55.0))
+    assert len(leaves) == degree
+    assert tree.levels[1:2] == ((leaves,) if degree >= k else ())
+    with pytest.raises(ValueError, match="unknown root 3"):
+        monitored_bfs(matrix, 3, 55.0, 10.0, kappa)  # 3 is a position, not a node
 
 
 def test_full_mesh_caps_at_depth_one():
