@@ -67,16 +67,13 @@ def _add_out_flag(parser: argparse.ArgumentParser):
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
 
-def _grid_error(args, exc: ValueError) -> ValueError:
-    """``exc``, a bound grid's error, followed by the grid flags and their values."""
-    return ValueError(f"{exc} (--beta-min {args.beta_min!r} --beta-max {args.beta_max!r})")
-
-
 def _family(matrix, args) -> graphs.GraphFamily:
+    """The family of the budget window; its error is followed by the two flags and their values."""
     try:
         return graphs.GraphFamily(matrix, args.beta_min, args.beta_max)
     except ValueError as exc:
-        raise _grid_error(args, exc) from None
+        grid = f"(--beta-min {args.beta_min!r} --beta-max {args.beta_max!r})"
+        raise ValueError(f"{exc} {grid}") from None
 
 
 def _tree_matrix(path) -> measurements.LossMatrix:
@@ -159,13 +156,10 @@ def cmd_analyze(args) -> tuple[int, list[str]]:
     matrix = io.load_matrix(args.matrix)
     distribution = graphs.degree_distribution(matrix, _family(matrix, args).betas())
     degrees_csv = io.degree_distribution_csv(distribution)
-    try:
-        report = graphs.monotonicity_report(distribution)
-    except ValueError as exc:
-        raise _grid_error(args, exc) from None
-    monotonicity = "\n".join(
-        f"{b1:g} -> {b2:g}: +{delta} edges" for b1, b2, delta in report
-    ) + "\n"
+    monotonicity = "".join(
+        f"{b1:g} -> {b2:g}: +{delta} edges\n"
+        for b1, b2, delta in graphs.monotonicity_report(distribution)
+    )
     inputs, lines = [args.matrix], []
     if args.correlation:
         positions = io.load_positions(args.positions)

@@ -106,11 +106,10 @@ def monotonicity_report(
 ) -> list[tuple[float, float, int]]:
     """Edge-count deltas between consecutive bounds of a degree distribution.
 
-    Deltas are never negative: raising the bound can only add edges.
+    Deltas are never negative: raising the bound can only add edges. A
+    single bound has no delta.
     """
     betas = sorted(distribution)
-    if len(betas) < 2:
-        raise ValueError("family grid needs at least 2 points")
     counts = [sum(distribution[beta]) // 2 for beta in betas]
     return [
         (betas[i], betas[i + 1], counts[i + 1] - counts[i])

@@ -191,16 +191,21 @@ def save_positions(positions: NodePositions, path: Path | str):
 
 def load_positions(path: Path | str) -> NodePositions:
     with _load(path, POSITIONS_FORMAT) as document:
-        positions: NodePositions = {}
-        first: dict[int, str] = {}  # node id -> the item that placed it
-        for i, item in enumerate(_list(document["positions"], "positions")):
-            where = f"positions[{i}]"
-            node = _node_id(_object(item, where)["node"], f"{where}.node")
-            if node in first:
-                raise ValueError(f"{where}.node: node {node} repeats {first[node]}")
-            first[node] = where
-            positions[node] = tuple(finite(item[axis], f"{where}.{axis}") for axis in "xyz")
-        return positions
+        return _positions(document["positions"])
+
+
+def _positions(items) -> NodePositions:
+    """The ``{node, x, y, z}`` items of a positions file or a ``log-distance`` scenario."""
+    positions: NodePositions = {}
+    first: dict[int, str] = {}  # node id -> the item that placed it
+    for i, item in enumerate(_list(items, "positions")):
+        where = f"positions[{i}]"
+        node = _node_id(_object(item, where)["node"], f"{where}.node")
+        if node in first:
+            raise ValueError(f"{where}.node: node {node} repeats {first[node]}")
+        first[node] = where
+        positions[node] = tuple(finite(item[axis], f"{where}.{axis}") for axis in "xyz")
+    return positions
 
 
 def save_tree(tree: LayeredTree, path: Path | str):
@@ -322,7 +327,8 @@ def load_profile(path: Path | str) -> TransceiverProfile:
 def load_scenario_matrix(path: Path | str, seed: int | None = None) -> LossMatrix:
     """Read a scenario file and generate its loss matrix.
 
-    Kinds: ``log-distance`` (explicit positions), ``grid`` and ``chain``.
+    Kinds: ``log-distance`` (a ``positions`` list, as in a positions
+    file), ``grid`` and ``chain``.
     Every other field is passed by name to the kind's generator, so an
     unknown field is an error. A non-None ``seed``, the ``--seed`` flag,
     overrides the scenario's own seed; its errors name the flag, and a
@@ -342,23 +348,9 @@ def load_scenario_matrix(path: Path | str, seed: int | None = None) -> LossMatri
         if kind == "grid":
             return grid_scenario(**document)
         if kind == "log-distance":
-            document["positions"] = _position_ids(document["positions"])
+            document["positions"] = _positions(document["positions"])
             return generate(**document)
         raise ValueError(f"unknown scenario kind {kind!r}")
-
-
-def _position_ids(positions) -> NodePositions:
-    """A scenario's ``positions`` object, keyed by integer node id."""
-    by_id: NodePositions = {}
-    for key, position in _object(positions, "positions").items():
-        try:
-            node = int(key)
-        except ValueError:
-            raise ValueError(f"positions: node id {key!r} is not an integer") from None
-        if node in by_id:
-            raise ValueError(f"positions: node id {key!r} repeats node {node}")
-        by_id[node] = position
-    return by_id
 
 
 def graph_to_dot(nodes, edges) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from statistics import NormalDist
 
 from .measurements import LossMatrix, MatrixEntry, NodePositions, check_channel
@@ -21,8 +22,12 @@ SYNTH_COUNT = 250  # nominal campaign size recorded for generated entries
 
 
 def finite(value, where: str) -> float:
-    """``value`` if it is a finite int or float; any other type, bool included, is refused."""
-    if type(value) not in (int, float) or not math.isfinite(value):
+    """``value`` if it is an int or float within the float range.
+
+    Any other type, bool included, is refused; so are NaN, the infinities
+    and an int too large for a float, which all fail the comparison.
+    """
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
         raise ValueError(f"{where} {value!r} is not a finite number")
     return value
 
@@ -75,14 +80,9 @@ def generate(
         raise ValueError("sigmas must be >= 0")
     if len(positions) < 2:
         raise ValueError("need at least 2 positioned nodes")
-    for node, position in sorted(positions.items()):
-        if node < 0:
-            raise ValueError(f"positions: node id {node} is negative")
-        if type(position) not in (list, tuple) or len(position) != 3:
-            raise ValueError(f"positions[{node}] {position!r} is not [x, y, z]")
-        for axis, value in zip("xyz", position):
-            finite(value, f"positions[{node}].{axis}")
     nodes = sorted(positions)
+    if nodes[0] < 0:
+        raise ValueError(f"positions: node id {nodes[0]} is negative")
     entries: dict[tuple[int, int], MatrixEntry] = {}
     for i, a in enumerate(nodes):
         for b in nodes[i + 1:]:
@@ -157,8 +157,8 @@ def grid_positions(rows: int, cols: int, spacing: float) -> NodePositions:
 
 def grid_scenario(rows: int, cols: int, spacing: float, **params) -> LossMatrix:
     """Regular grid layout fed through the log-distance generator."""
-    if integer(rows, "rows") * integer(cols, "cols") < 2:
-        raise ValueError("grid needs at least 2 nodes")
+    integer(rows, "rows")
+    integer(cols, "cols")
     finite(spacing, "spacing")
     if spacing <= 0:
         raise ValueError("spacing must be positive")

@@ -128,24 +128,26 @@ def monitored_bfs(
     # so it is never decoded from a mask.
     births, neighbors, _ = matrix.edge_births[v0]
     first = neighbors[: bisect_right(births, beta)]
-    if len(first) < kappa(1):
+    # A negative or NaN margin, which LayeredTree refuses, stops here too:
+    # the loop below needs ``far`` to cover ``near``.
+    if len(first) < kappa(1) or not beta + margin >= beta:
         return LayeredTree(root=v0, beta=beta, margin=margin, levels=(frozenset({v0}),))
     levels = [frozenset({v0}), frozenset(first)]
     frontier = list(map(matrix.position.__getitem__, first))
-    placed = near[root] | 1 << root
     # Nodes with a strong link into a level strictly above the frontier.
     # Links are symmetric, so these are the levels' own strong neighbours.
-    blocked = far[root]
+    # Every placed node is in it too: each level lies in ``near``, so in
+    # ``far``, of the level above, and only the root needs adding.
+    blocked = far[root] | 1 << root
     while True:
         reached = strong = 0
         for i in frontier:
             reached |= near[i]
             strong |= far[i]
-        nxt = reached & ~placed & ~blocked
+        nxt = reached & ~blocked
         blocked |= strong
         if nxt.bit_count() < kappa(len(levels)):
             break  # the partial level is dropped without being decoded
-        placed |= nxt
         frontier = _positions(nxt)
         levels.append(frozenset(map(matrix.nodes.__getitem__, frontier)))
     return LayeredTree(root=v0, beta=beta, margin=margin, levels=tuple(levels))

@@ -73,6 +73,16 @@ def test_synth_seed_flag_errors_name_the_flag(tmp_path, capsys, fields, seed, er
 
 
 NAN = float("nan")
+
+
+def placed(*coordinates, nodes=None):
+    """A scenario's ``positions`` list: node i, or ``nodes[i]``, at ``coordinates[i]``."""
+    return [
+        {"node": i if nodes is None else nodes[i], "x": x, "y": y, "z": z}
+        for i, (x, y, z) in enumerate(coordinates)
+    ]
+
+
 # case: (scenario fields, start of the error after the path)
 BAD_SCENARIOS = {
     "NaN spacing": ({"kind": "grid", "rows": 2, "cols": 2, "spacing": NAN}, "spacing nan"),
@@ -86,10 +96,10 @@ BAD_SCENARIOS = {
         {"kind": "grid", "rows": 2, "cols": 2, "spacing": 1.0, "shadowing_sigma": float("inf")},
         "shadowing_sigma inf"),
     "NaN position": (
-        {"kind": "log-distance", "positions": {"0": [0, 0, 0], "1": [NAN, 1, 0]}},
+        {"kind": "log-distance", "positions": placed((0, 0, 0), (NAN, 1, 0))},
         "positions[1].x nan"),
     "overflowing distance": (
-        {"kind": "log-distance", "positions": {"0": [-1e308, 0, 0], "1": [1e308, 0, 0]}},
+        {"kind": "log-distance", "positions": placed((-1e308, 0, 0), (1e308, 0, 0))},
         "loss 0 -> 1 inf"),
     "negative chain loss": (
         {"kind": "chain", "n": 3, "on_loss": -5, "off_loss": 90}, "on_loss -5 is a negative loss"),
@@ -98,12 +108,15 @@ BAD_SCENARIOS = {
     "misspelt field": (
         {"kind": "grid", "rows": 2, "cols": 2, "spacing": 1.0, "shadowing_sgima": 4.0},
         "generate() got an unexpected keyword argument 'shadowing_sgima'"),
+    "positions as an object": (
+        {"kind": "log-distance", "positions": {"0": [0, 0, 0], "1": [1, 0, 0]}},
+        "positions: expected a list, found {'0': [0, 0, 0], '1': [1, 0, 0]}"),
     "positions as a list": (
         {"kind": "log-distance", "positions": [[0, 0, 0], [1, 0, 0]]},
-        "positions: expected an object, found list"),
+        "positions[0]: expected an object, found list"),
     "repeated position id": (
-        {"kind": "log-distance", "positions": {"0": [0, 0, 0], "00": [1, 0, 0]}},
-        "positions: node id '00' repeats node 0"),
+        {"kind": "log-distance", "positions": placed((0, 0, 0), (1, 0, 0), nodes=[0, 0])},
+        "positions[1].node: node 0 repeats positions[0]"),
     "seed on a chain": (
         {"kind": "chain", "n": 3, "on_loss": 45, "off_loss": 90, "seed": 1},
         "chain_scenario() got an unexpected keyword argument 'seed'"),
@@ -142,23 +155,21 @@ BAD_SCENARIOS = {
         {"kind": "chain", "n": "3", "on_loss": 45, "off_loss": 90},
         "n '3' is not a non-negative integer"),
     "position as a number": (
-        {"kind": "log-distance", "positions": {"0": [0, 0, 0], "1": 5}},
-        "positions[1] 5 is not [x, y, z]"),
+        {"kind": "log-distance", "positions": [*placed((0, 0, 0)), 5]},
+        "positions[1]: expected an object, found int"),
     "two-dimensional positions": (
-        {"kind": "log-distance", "positions": {"0": [0, 0], "1": [1, 0]}},
-        "positions[0] [0, 0] is not [x, y, z]"),
+        {"kind": "log-distance", "positions": [{"node": 0, "x": 0, "y": 0}]},
+        "missing field 'z'"),
     "mixed-length positions": (
-        {"kind": "log-distance", "positions": {"0": [0, 0, 0], "1": [1, 0]}},
-        "positions[1] [1, 0] is not [x, y, z]"),
-    "four-dimensional position": (
-        {"kind": "log-distance", "positions": {"0": [0, 0, 0, 0], "1": [1, 0, 0]}},
-        "positions[0] [0, 0, 0, 0] is not [x, y, z]"),
+        {"kind": "log-distance", "positions": [*placed((0, 0, 0)), {"node": 1, "x": 1, "y": 0}]},
+        "missing field 'z'"),
     "one-node grid": (
-        {"kind": "grid", "rows": 1, "cols": 1, "spacing": 1.0}, "grid needs at least 2 nodes"),
+        {"kind": "grid", "rows": 1, "cols": 1, "spacing": 1.0},
+        "need at least 2 positioned nodes"),
     "zero spacing": (
         {"kind": "grid", "rows": 2, "cols": 2, "spacing": 0}, "spacing must be positive"),
     "negative position id": (
-        {"kind": "log-distance", "positions": {"-1": [0, 0, 0], "1": [1, 0, 0]}},
+        {"kind": "log-distance", "positions": placed((0, 0, 0), (1, 0, 0), nodes=[-1, 1])},
         "positions: node id -1 is negative"),
 }
 
@@ -381,11 +392,19 @@ def test_every_analyzed_bound_has_a_radio_setting(tmp_path):
     assert all(main(["settings", beta]) == EXIT_OK for beta in betas)
 
 
+def test_analyze_of_one_budget_has_no_monotonicity_delta(tmp_path):
+    matrix = write_chain_matrix(tmp_path)
+    out = tmp_path / "out"
+    assert main(["analyze", str(matrix), "--beta-min", "50", "--beta-max", "50",
+                 "--out", str(out)]) == EXIT_OK
+    assert (out / "degrees.csv").read_text() == "beta,degree,count\n50,1,2\n50,2,4\n"
+    assert (out / "monotonicity.txt").read_bytes() == b""
+
+
 # case: analyze flags that fail after the matrix loads; "P" stands for positions lacking node 5
 ANALYZE_FAILURES = {
     "positions lacking a node": ["--beta-min", "40", "--beta-max", "50", "--correlation",
                                  "--positions", "P"],
-    "one-bound grid": ["--beta-min", "50", "--beta-max", "50"],
 }
 
 
@@ -844,6 +863,9 @@ MALFORMED = {
     "float entry node id": (
         "matrix", _first_entry(tx=1.0, rx=1), "entries[0].tx: node id 1.0"),
     "self-pair entry": ("matrix", _first_entry(tx=1, rx=1), "entries[0].rx: node 1"),
+    "loss past the float range": (
+        "matrix", _first_entry(mean_loss=10**400), "entries[0].mean_loss 1000"),
+    "tree bound past the float range": ("tree", lambda d: {**d, "beta": 10**400}, "beta 1000"),
     "NaN position": ("positions", _last_position(z=float("nan")), "positions[2].z nan"),
     "infinite position": ("positions", _last_position(x=float("-inf")), "positions[2].x -inf"),
     "boolean position": ("positions", _last_position(y=True), "positions[2].y True"),
@@ -976,8 +998,6 @@ BAD_GRIDS = [
      f"{EMPTY} (--beta-min 62.2 --beta-max 62.8)"),
     ("tree", ["--beta-min", "105"], f"{EMPTY} (--beta-min 105.0 --beta-max 104.0)"),
     ("sweep-report", ["--beta-max", "30.5"], f"{EMPTY} (--beta-min 31.0 --beta-max 30.5)"),
-    ("analyze", ["--beta-min", "50", "--beta-max", "50"],
-     "family grid needs at least 2 points (--beta-min 50.0 --beta-max 50.0)"),
 ]
 
 

@@ -155,10 +155,9 @@ def test_monotonicity_report_constant_matrix():
     assert [delta for _, _, delta in report] == [6, 0]
 
 
-def test_monotonicity_report_requires_grid():
+def test_monotonicity_report_of_one_budget_is_empty():
     matrix = symmetric_matrix({(1, 2): 40.0})
-    with pytest.raises(ValueError, match="at least 2"):
-        monotonicity_report(degree_distribution(matrix, [40.0]))
+    assert monotonicity_report(degree_distribution(matrix, [40.0])) == []
 
 
 def test_monotonicity_deltas_never_negative():

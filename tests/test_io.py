@@ -175,6 +175,7 @@ def mutate(entries, mutation, i, j):
 @example([(("count", "count", 0), 0, 0), (("node id", "tx", True), 1, 0)])
 @example([(("negative", "stddev", -1.0), 3, 0), (("drop", "tx", None), 5, 0)])
 @example([(("node id", "rx", 1.0), 7, 0)])  # equal to node 1, but no integer
+@example([(("not finite", "mean_loss", 10**400), 2, 0)])  # an int past the float range
 def test_matrix_loader_names_the_first_bad_entry(tmp_path_factory, mutations):
     saved = tmp_path_factory.getbasetemp() / "grid3.json"
     if not saved.exists():
@@ -191,8 +192,6 @@ def test_matrix_loader_names_the_first_bad_entry(tmp_path_factory, mutations):
         error = ValueError(f"{path}: missing field {exc.args[0]!r}")
     except ValueError as exc:
         error = ValueError(f"{path}: {exc}")
-    except OverflowError as exc:  # ``finite`` on an int past the float range
-        error = exc
     else:
         assert io.load_matrix(path) == LossMatrix(
             nodes=GRID3.nodes, channel=GRID3.channel, entries=expected, meta=GRID3.meta
@@ -215,6 +214,20 @@ def test_positions_round_trip(tmp_path):
     path = tmp_path / "positions.json"
     io.save_positions(positions, path)
     assert io.load_positions(path) == positions
+
+
+def test_scenario_positions_read_as_a_positions_file(tmp_path, monkeypatch):
+    items = [{"node": 7, "x": 0, "y": 1.5, "z": 0}, {"node": 2, "x": 3.0, "y": 0, "z": -1}]
+    path = tmp_path / "positions.json"
+    path.write_text(json.dumps({"format": io.POSITIONS_FORMAT, "positions": items}))
+    positions = io.load_positions(path)
+    assert positions == {7: (0, 1.5, 0), 2: (3.0, 0, -1)}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(
+        json.dumps({"format": io.SCENARIO_FORMAT, "kind": "log-distance", "positions": items})
+    )
+    monkeypatch.setattr(io, "generate", lambda positions: positions)
+    assert io.load_scenario_matrix(scenario) == positions
 
 
 def test_tree_round_trip(tmp_path):
@@ -321,7 +334,10 @@ def test_scenario_kinds(tmp_path):
             {
                 "format": io.SCENARIO_FORMAT,
                 "kind": "log-distance",
-                "positions": {"0": [0, 0, 0], "1": [10, 0, 0]},
+                "positions": [
+                    {"node": 0, "x": 0, "y": 0, "z": 0},
+                    {"node": 1, "x": 10, "y": 0, "z": 0},
+                ],
             }
         )
     )

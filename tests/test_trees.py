@@ -143,6 +143,14 @@ def test_margin_shortcut_excludes_node():
     assert tree.levels[2] == frozenset({2})
 
 
+@pytest.mark.parametrize("margin", [-100.0, float("nan")])
+def test_margin_below_zero_or_nan_is_refused_before_the_search(margin):
+    # with no margin band the placed levels are not blocked, so a search
+    # that ran would bounce between nodes 1 and 2 of the chain for ever
+    with pytest.raises(ValueError, match="must be >= 0|is NaN"):
+        monitored_bfs(chain_scenario(3, 45, 90), 0, 50, margin, ONE)
+
+
 def test_compact_grid_fixture_depth_two():
     # engineered 12-node fixture: a compact deployment where the linear
     # breadth requirement caps the tree at depth 2 with 6 nodes
