@@ -14,7 +14,7 @@ for deselected nodes and forces S(u) = c for selected ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import ilp
 from .graphs import BoundedGraph, GraphFamily, connected_components, neighborhood_graph
@@ -39,8 +39,12 @@ class DegreeSelection:
         return tuple(map(frozenset, connected_components(induced)))
 
 
+@lru_cache(maxsize=1)
 def build_degree_program(graph: BoundedGraph, c: int) -> ilp.BinaryProgram:
-    """Binary program selecting a maximum exactly-c-regular induced subgraph."""
+    """Binary program selecting a maximum exactly-c-regular induced subgraph.
+
+    Equal consecutive graphs, common in a sweep, share one compiled program.
+    """
     if c < 1:
         raise ValueError("target degree c must be >= 1")
     nodes = sorted(graph.nodes)

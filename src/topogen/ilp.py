@@ -4,7 +4,8 @@ Solves the one program shape the topology pipeline needs: maximize the
 number of selected (value 1) binary variables under ``<=`` constraints
 with integer coefficients. Solved by deterministic branch-and-bound with
 constraint propagation, so results are reproducible byte-for-byte
-without an external solver.
+without an external solver. A program is immutable: it is validated and
+compiled into the solver's rows once, on its first solve.
 
 Propagation: every row keeps its slack, the right-hand side minus the
 least activity the row can still reach with every free variable at its
@@ -41,9 +42,11 @@ assignment as no floor, and a floor above the optimum returns
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from operator import floordiv, sub
-from typing import Hashable
+from types import MappingProxyType
+from typing import Hashable, Mapping
 
 VarId = Hashable
 
@@ -52,18 +55,25 @@ FREE = -1  # value of a variable not yet fixed
 
 @dataclass(frozen=True)
 class Constraint:
-    """Linear constraint: sum of coefficient * variable <= rhs."""
+    """Linear constraint: sum of coefficient * variable <= rhs; coefficients kept read-only."""
 
-    coefficients: dict[VarId, int]
+    coefficients: Mapping[VarId, int]
     rhs: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "coefficients", MappingProxyType(dict(self.coefficients)))
 
-@dataclass
+
+@dataclass(frozen=True)
 class BinaryProgram:
-    """Maximize the count of variables set to 1."""
+    """Maximize the count of variables set to 1; lists passed in are stored as tuples."""
 
-    variables: list[VarId]
-    constraints: list[Constraint] = field(default_factory=list)
+    variables: tuple[VarId, ...]
+    constraints: tuple[Constraint, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "variables", tuple(self.variables))
+        object.__setattr__(self, "constraints", tuple(self.constraints))
 
     def validate(self):
         declared = set(self.variables)
@@ -80,22 +90,42 @@ class BinaryProgram:
                 if not isinstance(coef, int):
                     raise ValueError(f"constraint {i}: non-integer coefficient")
 
+    @cached_property
+    def compiled(self):
+        """The validated program as ``solve`` reads it. Per row: its terms
+        (|coef|, variable, the value a too large |coef| forces), largest first;
+        its slack over the least activity; the count and least coefficient of
+        its positive terms. Per variable and value, the rows whose activity
+        that value grows: (row, by how much, the row's largest |coef|, the
+        row's terms); per variable, the rows where its coefficient is positive.
+        """
+        self.validate()
+        index = {v: j for j, v in enumerate(self.variables)}
+        terms, slack0, count0, minpos = [], [], [], []
+        grows: list[tuple[list, list]] = [([], []) for _ in self.variables]
+        for row, constraint in enumerate(self.constraints):
+            pos, neg = [], []
+            for v, c in constraint.coefficients.items():
+                if c > 0:
+                    pos.append((c, index[v], 0))
+                elif c:
+                    neg.append((-c, index[v], 1))
+            row_terms = sorted(pos + neg, reverse=True)
+            terms.append(row_terms)
+            slack0.append(constraint.rhs + sum(c for c, _, _ in neg))
+            count0.append(len(pos))
+            minpos.append(min(pos)[0] if pos else 1)
+            for c, j, forced in row_terms:
+                grows[j][1 - forced].append((row, c, row_terms[0][0], row_terms))
+        positive = [[row for row, *_ in up] for _, up in grows]
+        return terms, slack0, count0, minpos, grows, positive
+
 
 @dataclass
 class Solution:
     status: str  # "optimal" | "infeasible"
     assignment: dict[VarId, int]
     explored: int | None = None  # B&B nodes entered, or assignments enumerated
-
-
-def force(row_terms, left: int, values: list[int], queue: list[int]):
-    """Force each free term whose ``|coef|`` exceeds ``left`` and queue it."""
-    for c, k, forced in row_terms:
-        if c <= left:
-            break
-        if values[k] == FREE:
-            values[k] = forced
-            queue.append(k)
 
 
 def solve(program: BinaryProgram, floor: int = 0) -> Solution:
@@ -105,34 +135,8 @@ def solve(program: BinaryProgram, floor: int = 0) -> Solution:
     is below ``floor`` the result is ``infeasible``, and otherwise it is
     the assignment that ``floor=0`` returns.
     """
-    program.validate()
+    terms, slack0, count0, minpos, grows, positive = program.compiled
     order = program.variables
-    n = len(order)
-    index = {v: j for j, v in enumerate(order)}
-
-    # Per row: its terms (|coef|, variable, the value a too large |coef|
-    # forces), largest first; its slack over the least activity; the count
-    # and least coefficient of its positive terms.
-    terms: list[list[tuple[int, int, int]]] = []
-    slack0: list[int] = []
-    count0: list[int] = []
-    minpos: list[int] = []
-    # Per variable and value, the rows whose activity that value grows:
-    # (row, by how much, the row's largest |coef|, the row's terms).
-    grows: list[tuple[list, list]] = [([], []) for _ in range(n)]
-    positive: list[list[int]] = [[] for _ in range(n)]
-    for constraint in program.constraints:
-        row = len(terms)
-        coefs = [(c, index[v]) for v, c in constraint.coefficients.items() if c]
-        row_terms = sorted(((abs(c), j, int(c < 0)) for c, j in coefs), reverse=True)
-        terms.append(row_terms)
-        slack0.append(constraint.rhs - sum(c for c, _ in coefs if c < 0))
-        count0.append(sum(1 for c, _ in coefs if c > 0))
-        minpos.append(min((c for c, _ in coefs if c > 0), default=1))
-        for c, j in coefs:
-            grows[j][c > 0].append((row, abs(c), row_terms[0][0], row_terms))
-            if c > 0:
-                positive[j].append(row)
 
     def propagate(values, slack, count, queue) -> bool:
         """Apply the values set for ``queue``; False on a conflict."""
@@ -144,19 +148,31 @@ def solve(program: BinaryProgram, floor: int = 0) -> Solution:
                 if left < 0:
                     return False
                 slack[row] = left
-                if left < top:
-                    force(row_terms, left, values, queue)
+                if left < top:  # force each free term whose |coef| exceeds left
+                    for size, k, forced in row_terms:
+                        if size <= left:
+                            break
+                        if values[k] == FREE:
+                            values[k] = forced
+                            queue.append(k)
         return True
 
     best = floor - 1
     best_values: list[int] | None = None
     explored = 0
-    values, queue = [FREE] * n, []
+    # The root: every row forces as propagate's rows do, at its initial slack.
+    values, queue = [FREE] * len(order), []
     for row_terms, left in zip(terms, slack0):
-        force(row_terms, left, values, queue)
+        for size, k, forced in row_terms:
+            if size <= left:
+                break
+            if values[k] == FREE:
+                values[k] = forced
+                queue.append(k)
+    slack, count = slack0.copy(), count0.copy()
     stack = []
-    if min(slack0, default=0) >= 0 and propagate(values, slack0, count0, queue):
-        stack.append((values, slack0, count0))
+    if min(slack, default=0) >= 0 and propagate(values, slack, count, queue):
+        stack.append((values, slack, count))
     # The 1-child is pushed last, so its subtree is searched in full before
     # the 0-child is popped, entered and bound-checked against the incumbent.
     while stack:

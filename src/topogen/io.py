@@ -155,17 +155,20 @@ def _entry_loop(items: list, known: frozenset[int]) -> dict:
     entries = {}
     for i, item in enumerate(items):
         item = _object(item, f"entries[{i}]")
-        pair = (
-            _node_id(item["tx"], f"entries[{i}].tx"),
-            _node_id(item["rx"], f"entries[{i}].rx"),
-        )
-        if not known.issuperset(pair):
-            raise ValueError(f"entries[{i}]: node of {pair} not in nodes")
-        if pair[0] == pair[1]:
-            raise ValueError(f"entries[{i}].rx: node {pair[1]} equals tx, a self pair")
-        if pair in entries:
-            raise ValueError(f"entries[{i}]: duplicate entry {pair}")
-        loss, stddev, count = item["mean_loss"], item["stddev"], item["count"]
+        try:
+            pair = (
+                _node_id(item["tx"], f"entries[{i}].tx"),
+                _node_id(item["rx"], f"entries[{i}].rx"),
+            )
+            if not known.issuperset(pair):
+                raise ValueError(f"entries[{i}]: node of {pair} not in nodes")
+            if pair[0] == pair[1]:
+                raise ValueError(f"entries[{i}].rx: node {pair[1]} equals tx, a self pair")
+            if pair in entries:
+                raise ValueError(f"entries[{i}]: duplicate entry {pair}")
+            loss, stddev, count = item["mean_loss"], item["stddev"], item["count"]
+        except KeyError as exc:
+            raise ValueError(f"entries[{i}]: missing field {exc.args[0]!r}") from None
         if finite(loss, f"entries[{i}].mean_loss") < 0:
             raise ValueError(f"entries[{i}].mean_loss {loss!r} is negative")
         if finite(stddev, f"entries[{i}].stddev") < 0:
@@ -200,11 +203,14 @@ def _positions(items) -> NodePositions:
     first: dict[int, str] = {}  # node id -> the item that placed it
     for i, item in enumerate(_list(items, "positions")):
         where = f"positions[{i}]"
-        node = _node_id(_object(item, where)["node"], f"{where}.node")
-        if node in first:
-            raise ValueError(f"{where}.node: node {node} repeats {first[node]}")
-        first[node] = where
-        positions[node] = tuple(finite(item[axis], f"{where}.{axis}") for axis in "xyz")
+        try:
+            node = _node_id(_object(item, where)["node"], f"{where}.node")
+            if node in first:
+                raise ValueError(f"{where}.node: node {node} repeats {first[node]}")
+            first[node] = where
+            positions[node] = tuple(finite(item[axis], f"{where}.{axis}") for axis in "xyz")
+        except KeyError as exc:
+            raise ValueError(f"{where}: missing field {exc.args[0]!r}") from None
     return positions
 
 

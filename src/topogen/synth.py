@@ -25,9 +25,12 @@ def finite(value, where: str) -> float:
     """``value`` if it is an int or float within the float range.
 
     Any other type, bool included, is refused; so are NaN, the infinities
-    and an int too large for a float, which all fail the comparison.
+    and an int too large for a float, which all fail the comparison. Such
+    an int is named by its size, not its digits.
     """
     if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        if type(value) is int:
+            raise ValueError(f"{where} is a {value.bit_length()}-bit int, outside the float range")
         raise ValueError(f"{where} {value!r} is not a finite number")
     return value
 

@@ -159,10 +159,13 @@ BAD_SCENARIOS = {
         "positions[1]: expected an object, found int"),
     "two-dimensional positions": (
         {"kind": "log-distance", "positions": [{"node": 0, "x": 0, "y": 0}]},
-        "missing field 'z'"),
+        "positions[0]: missing field 'z'"),
     "mixed-length positions": (
         {"kind": "log-distance", "positions": [*placed((0, 0, 0)), {"node": 1, "x": 1, "y": 0}]},
-        "missing field 'z'"),
+        "positions[1]: missing field 'z'"),
+    "position without a node": (
+        {"kind": "log-distance", "positions": [*placed((0, 0, 0)), {"x": 1, "y": 0, "z": 0}]},
+        "positions[1]: missing field 'node'"),
     "one-node grid": (
         {"kind": "grid", "rows": 1, "cols": 1, "spacing": 1.0},
         "need at least 2 positioned nodes"),
@@ -864,8 +867,19 @@ MALFORMED = {
         "matrix", _first_entry(tx=1.0, rx=1), "entries[0].tx: node id 1.0"),
     "self-pair entry": ("matrix", _first_entry(tx=1, rx=1), "entries[0].rx: node 1"),
     "loss past the float range": (
-        "matrix", _first_entry(mean_loss=10**400), "entries[0].mean_loss 1000"),
-    "tree bound past the float range": ("tree", lambda d: {**d, "beta": 10**400}, "beta 1000"),
+        "matrix", _first_entry(mean_loss=10**400),
+        "entries[0].mean_loss is a 1329-bit int, outside the float range\n"),
+    "tree bound past the float range": (
+        "tree", lambda d: {**d, "beta": -(10**400)}, "beta is a 1329-bit int, outside"),
+    "entry without a loss": (
+        "matrix", lambda d: {**d, "entries": [*d["entries"][:2], _without("mean_loss")(
+            d["entries"][2]), *d["entries"][3:]]}, "entries[2]: missing field 'mean_loss'"),
+    "entry without a receiver": (
+        "matrix", lambda d: {**d, "entries": [_without("rx")(d["entries"][0]), *d["entries"][1:]]},
+        "entries[0]: missing field 'rx'"),
+    "position without z": (
+        "positions", lambda d: {**d, "positions": [*d["positions"][:-1], _without("z")(
+            d["positions"][-1])]}, "positions[2]: missing field 'z'"),
     "NaN position": ("positions", _last_position(z=float("nan")), "positions[2].z nan"),
     "infinite position": ("positions", _last_position(x=float("-inf")), "positions[2].x -inf"),
     "boolean position": ("positions", _last_position(y=True), "positions[2].y True"),

@@ -392,3 +392,27 @@ def unsorted_matrices(draw):
 def test_reversed_node_list_keeps_the_winner(matrix, c):
     family = GraphFamily(matrix, beta_min=40, beta_max=60)
     assert winner(reversed_nodes(matrix), c, family) == winner(matrix, c, family)
+
+
+def test_every_solve_of_the_4x4_sweeps_pinned(monkeypatch):
+    # sha256 of each solve's floor, status, B&B node count and assignment,
+    # and of the records, over the record sweeps of 4x4 seeds 1-5 at c = 2
+    # and 3, so a faster solver must search exactly the same tree
+    lines = []
+    solve = ilp.solve
+
+    def spy(program, floor=0):
+        solution = solve(program, floor=floor)
+        values = "".join(map(str, solution.assignment.values()))
+        lines.append(f"{floor} {solution.status} {solution.explored} {values}\n")
+        return solution
+
+    monkeypatch.setattr(ilp, "solve", spy)
+    for seed in range(1, 6):
+        matrix = grid_matrix(4, seed)
+        for c in (2, 3):
+            for s in select_constant_degree(matrix, c, GraphFamily(matrix)):
+                lines.append(f"{s.beta:g} {sorted(s.selected)} {sorted(s.edges)}\n")
+    assert len(lines) == 762
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == "850f27a8c1c88bbd56380d60d7faf76f45c8cc6e68754fafa1886d7e2460aaeb"

@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -137,8 +138,35 @@ def test_satisfied_constraint_keeps_optimum():
             continue
         # a constraint the optimum already satisfies with slack
         lhs = sum(solution.assignment[v] for v in p.variables)
-        p.constraints.append(
-            Constraint({v: 1 for v in p.variables}, lhs + 1)
-        )
+        extra = Constraint({v: 1 for v in p.variables}, lhs + 1)
+        p = BinaryProgram(p.variables, p.constraints + (extra,))
         assert sum(solve(p).assignment.values()) == sum(solution.assignment.values())
         checked += 1
+
+
+def test_a_program_solved_again_equals_a_fresh_one():
+    # one program solved at several floors gives what an equal program
+    # solved once gives, B&B node count included
+    rng = random.Random(45)
+    programs = [random_program(rng, rng.randrange(4, 14)) for _ in range(40)]
+    programs.append(build_degree_program(random_graph(rng, 14, 0.5), 3))
+    for p in programs:
+        best = sum(solve(p).assignment.values())
+        for floor in (0, best, best + 1, 0):
+            fresh = BinaryProgram(p.variables, p.constraints)
+            assert solve(p, floor=floor) == solve(fresh, floor=floor)
+
+
+def test_a_program_cannot_change_after_it_is_built():
+    # a solved program keeps its compiled rows, so none of its parts may change
+    coefficients = {"a": 1, "b": 1}
+    p = BinaryProgram(["a", "b"], [Constraint(coefficients, 1)])
+    assert solve(p).assignment == {"a": 1, "b": 0}
+    coefficients["b"] = 0
+    assert solve(p).assignment == {"a": 1, "b": 0}
+    with pytest.raises(TypeError):
+        p.constraints[0].coefficients["b"] = 0
+    with pytest.raises(AttributeError):
+        p.constraints.append(Constraint({"b": 1}, 0))
+    with pytest.raises(FrozenInstanceError):
+        p.variables = ("a",)

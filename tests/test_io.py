@@ -86,20 +86,28 @@ def test_save_matrix_writes_the_bytes_of_json_dumps(tmp_path, case):
 
 
 def entry_loop(items, known):
-    """Oracle: the per-entry loop with which ``load_matrix`` checked every file before."""
+    """Oracle: the per-entry loop with which ``load_matrix`` checked every file before.
+
+    A missing field is named with its entry, at the point where the loop first reads it.
+    """
     entries = {}
     for i, item in enumerate(items):
         item = io._object(item, f"entries[{i}]")
-        pair = (
-            io._node_id(item["tx"], f"entries[{i}].tx"),
-            io._node_id(item["rx"], f"entries[{i}].rx"),
-        )
+        missing = next((f for f in io.ENTRY_FIELDS if f not in item), None)
+        pair = []
+        for field in ("tx", "rx"):
+            if field == missing:
+                raise ValueError(f"entries[{i}]: missing field {field!r}")
+            pair.append(io._node_id(item[field], f"entries[{i}].{field}"))
+        pair = tuple(pair)
         if not known.issuperset(pair):
             raise ValueError(f"entries[{i}]: node of {pair} not in nodes")
         if pair[0] == pair[1]:
             raise ValueError(f"entries[{i}].rx: node {pair[1]} equals tx, a self pair")
         if pair in entries:
             raise ValueError(f"entries[{i}]: duplicate entry {pair}")
+        if missing is not None:
+            raise ValueError(f"entries[{i}]: missing field {missing!r}")
         loss, stddev, count = item["mean_loss"], item["stddev"], item["count"]
         if finite(loss, f"entries[{i}].mean_loss") < 0:
             raise ValueError(f"entries[{i}].mean_loss {loss!r} is negative")
@@ -188,8 +196,6 @@ def test_matrix_loader_names_the_first_bad_entry(tmp_path_factory, mutations):
     path.write_text(json.dumps({**document, "entries": entries}), encoding="utf-8")
     try:
         expected = entry_loop(entries, frozenset(document["nodes"]))
-    except KeyError as exc:
-        error = ValueError(f"{path}: missing field {exc.args[0]!r}")
     except ValueError as exc:
         error = ValueError(f"{path}: {exc}")
     else:
