@@ -163,7 +163,12 @@ def cmd_analyze(args) -> tuple[int, list[str]]:
     inputs, lines = [args.matrix], []
     if args.correlation:
         positions = io.load_positions(args.positions)
-        coefficient = measurements.distance_loss_correlation(matrix, positions)
+        try:
+            coefficient = measurements.distance_loss_correlation(matrix, positions)
+        except measurements.PositionsError as exc:
+            raise ValueError(f"{args.positions}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{args.matrix}: {exc}") from None
         lines.append(f"distance-loss correlation: {coefficient:.4f}")
         inputs.append(args.positions)
     outputs = {"degrees.csv": degrees_csv, "monotonicity.txt": monotonicity}

@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 from contextlib import contextmanager
-from operator import itemgetter, ne
 from pathlib import Path
 
 from . import __version__
@@ -99,9 +98,6 @@ def _json_numbers(values: list) -> list[str]:
     ]
 
 
-ENTRY_FIELDS = ("tx", "rx", "mean_loss", "stddev", "count")
-
-
 def load_matrix(path: Path | str) -> LossMatrix:
     with _load(path, MATRIX_FORMAT) as document:
         channel = document["channel"]  # None after an ingest that accepted no sample
@@ -109,74 +105,43 @@ def load_matrix(path: Path | str) -> LossMatrix:
             _node_id(n, f"nodes[{i}]") for i, n in enumerate(_list(document["nodes"], "nodes"))
         ]
         known = _distinct(nodes, "nodes", "node")
-        items = _list(document["entries"], "entries")
-        entries = _entry_columns(items, known)
-        if entries is None:
-            entries = _entry_loop(items, known)
+        entries = {}
+        # Each entry's fields are read in the order they are checked, so the
+        # first bad one is named; error text is built only once a check fails.
+        for i, item in enumerate(_list(document["entries"], "entries")):
+            try:
+                if not isinstance(item, dict):
+                    _object(item, f"entries[{i}]")
+                tx = item["tx"]
+                if type(tx) is not int:
+                    _node_id(tx, f"entries[{i}].tx")
+                rx = item["rx"]
+                if type(rx) is not int:
+                    _node_id(rx, f"entries[{i}].rx")
+                if tx not in known or rx not in known:
+                    raise ValueError(f"entries[{i}]: node of {(tx, rx)} not in nodes")
+                if tx == rx:
+                    raise ValueError(f"entries[{i}].rx: node {rx} equals tx, a self pair")
+                if (tx, rx) in entries:
+                    raise ValueError(f"entries[{i}]: duplicate entry {(tx, rx)}")
+                loss, stddev, count = item["mean_loss"], item["stddev"], item["count"]
+            except KeyError as exc:
+                raise ValueError(f"entries[{i}]: missing field {exc.args[0]!r}") from None
+            if type(loss) is not float or not 0 <= loss < math.inf:
+                if finite(loss, f"entries[{i}].mean_loss") < 0:
+                    raise ValueError(f"entries[{i}].mean_loss {loss!r} is negative")
+            if type(stddev) is not float or not 0 <= stddev < math.inf:
+                if finite(stddev, f"entries[{i}].stddev") < 0:
+                    raise ValueError(f"entries[{i}].stddev {stddev!r} is negative")
+            if type(count) is not int or count < 1:
+                raise ValueError(f"entries[{i}].count {count!r} is not an integer >= 1")
+            entries[tx, rx] = MatrixEntry(loss, stddev, count)
         return LossMatrix(
             nodes=nodes,
             channel=None if channel is None and not entries else check_channel(channel),
             entries=entries,
             meta=_object(document.get("meta", {}), "meta"),
         )
-
-
-def _entry_columns(items: list, known: frozenset[int]) -> dict | None:
-    """The entries, checked a field at a time over every item; None if any check fails.
-
-    Passing here means ``_entry_loop`` would pass with the same entries,
-    which words the error for the first bad item otherwise.
-    """
-    try:
-        tx, rx, loss, stddev, count = (list(map(itemgetter(f), items)) for f in ENTRY_FIELDS)
-        valid = (
-            set(map(type, tx)) | set(map(type, rx)) == {int}
-            and known.issuperset(tx)
-            and known.issuperset(rx)
-            and all(map(ne, tx, rx))
-            and set(map(type, loss)) | set(map(type, stddev)) <= {int, float}
-            and all(map(math.isfinite, loss))
-            and all(map(math.isfinite, stddev))
-            and min(loss) >= 0
-            and min(stddev) >= 0
-            and set(map(type, count)) == {int}
-            and min(count) >= 1
-        )
-    except (KeyError, TypeError, OverflowError):  # no object, a missing field, a huge int
-        return None
-    if not valid:
-        return None
-    entries = dict(zip(zip(tx, rx), map(MatrixEntry, loss, stddev, count)))
-    return entries if len(entries) == len(items) else None
-
-
-def _entry_loop(items: list, known: frozenset[int]) -> dict:
-    """The entries, checked item by item; each error names the item and field."""
-    entries = {}
-    for i, item in enumerate(items):
-        item = _object(item, f"entries[{i}]")
-        try:
-            pair = (
-                _node_id(item["tx"], f"entries[{i}].tx"),
-                _node_id(item["rx"], f"entries[{i}].rx"),
-            )
-            if not known.issuperset(pair):
-                raise ValueError(f"entries[{i}]: node of {pair} not in nodes")
-            if pair[0] == pair[1]:
-                raise ValueError(f"entries[{i}].rx: node {pair[1]} equals tx, a self pair")
-            if pair in entries:
-                raise ValueError(f"entries[{i}]: duplicate entry {pair}")
-            loss, stddev, count = item["mean_loss"], item["stddev"], item["count"]
-        except KeyError as exc:
-            raise ValueError(f"entries[{i}]: missing field {exc.args[0]!r}") from None
-        if finite(loss, f"entries[{i}].mean_loss") < 0:
-            raise ValueError(f"entries[{i}].mean_loss {loss!r} is negative")
-        if finite(stddev, f"entries[{i}].stddev") < 0:
-            raise ValueError(f"entries[{i}].stddev {stddev!r} is negative")
-        if type(count) is not int or count < 1:
-            raise ValueError(f"entries[{i}].count {count!r} is not an integer >= 1")
-        entries[pair] = MatrixEntry(mean_loss=loss, stddev=stddev, count=count)
-    return entries
 
 
 def save_positions(positions: NodePositions, path: Path | str):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter, mul, or_
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 VALID_CHANNELS = range(11, 27)
 # Distinct record heads (a line's text before its last space) whose column
@@ -37,6 +37,10 @@ def check_channel(channel) -> int:
 
 class ChannelMismatchError(ValueError):
     """Samples from different IEEE 802.15.4 channels were mixed."""
+
+
+class PositionsError(ValueError):
+    """Positions that give no finite distance for some pair of a matrix."""
 
 
 def check_record(
@@ -87,8 +91,9 @@ class Rejection:
     reason: str
 
 
-@dataclass(frozen=True)
-class MatrixEntry:
+class MatrixEntry(NamedTuple):
+    """One directed pair's aggregate; a named tuple, as a matrix holds thousands."""
+
     mean_loss: float
     stddev: float
     count: int
@@ -333,17 +338,20 @@ def distance_loss_correlation(matrix: LossMatrix, positions: NodePositions) -> f
 
     In real deployments this correlation is typically weak, which is why
     picking nodes off the floor plan rarely yields the intended topology.
+    Pearson's r is scale-free, so each series is divided by its largest
+    value: no sum of squares then overflows or underflows.
     """
     missing = [n for n in matrix.nodes if n not in positions]
     if missing:
-        raise ValueError(f"missing positions for nodes {missing}")
+        raise PositionsError(f"missing positions for nodes {missing}")
     if len(matrix.entries) < 2:
         raise ValueError("insufficient data: need at least 2 entries")
-    distances = []
-    losses = []
-    for (tx, rx), entry in sorted(matrix.entries.items()):
-        distances.append(math.dist(positions[tx], positions[rx]))
-        losses.append(entry.mean_loss)
-    if min(distances) == max(distances) or min(losses) == max(losses):
+    pairs = sorted(matrix.entries)
+    distances = [math.dist(positions[tx], positions[rx]) for tx, rx in pairs]
+    losses = [matrix.entries[pair].mean_loss for pair in pairs]
+    if math.inf in distances:
+        raise PositionsError(f"distance of pair {pairs[distances.index(math.inf)]} overflows")
+    far, peak = max(distances), max(losses)
+    if min(distances) == far or min(losses) == peak:
         raise ValueError("degenerate: zero variance in distance or loss")
-    return statistics.correlation(distances, losses)
+    return statistics.correlation([d / far for d in distances], [x / peak for x in losses])

@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from helpers import save_profile
+from helpers import matrix_from_losses, save_profile
 from topogen import degree, graphs, io, trees
 from topogen.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 from topogen.radio import AT86RF231, TransceiverProfile
-from topogen.synth import chain_scenario
+from topogen.synth import chain_scenario, grid_positions, grid_scenario
 from topogen.trees import KappaSpec, monitored_bfs
 
 
@@ -382,6 +382,43 @@ def test_analyze_correlation_with_positions(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert "distance-loss correlation:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-170])
+def test_analyze_correlation_is_scale_free(tmp_path, capsys, scale):
+    # at either scale, the sums of squares behind Pearson's r overflow or underflow a float
+    matrix = tmp_path / "matrix.json"
+    io.save_matrix(grid_scenario(5, 5, 10.0, shadowing_sigma=4.0, seed=1), matrix)
+    lines = []
+    for factor in (1.0, scale):
+        positions = tmp_path / f"positions-{factor}.json"
+        placed = {n: tuple(factor * v for v in p) for n, p in grid_positions(5, 5, 10.0).items()}
+        io.save_positions(placed, positions)
+        argv = ["analyze", str(matrix), "--correlation", "--positions", str(positions)]
+        assert main([*argv, "--out", str(tmp_path / f"o-{factor}")]) == EXIT_OK
+        lines.append(capsys.readouterr().out.splitlines()[0])
+    assert lines[0].startswith("distance-loss correlation: 0.")
+    assert lines[1] == lines[0]
+
+
+# case: (losses of a matrix over nodes 0-2, text after the matrix file's name)
+CORRELATION_MATRIX_FAILURES = {
+    "one entry": ({(0, 1): 45.0}, "insufficient data: need at least 2 entries"),
+    "equal losses": (
+        {(0, 1): 45.0, (0, 2): 45.0}, "degenerate: zero variance in distance or loss"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRELATION_MATRIX_FAILURES))
+def test_analyze_correlation_error_names_the_matrix(tmp_path, capsys, case):
+    losses, detail = CORRELATION_MATRIX_FAILURES[case]
+    matrix = tmp_path / "matrix.json"
+    io.save_matrix(matrix_from_losses(losses, nodes=[0, 1, 2]), matrix)
+    positions = tmp_path / "positions.json"
+    io.save_positions({i: (float(i), 0.0, 0.0) for i in range(3)}, positions)
+    argv = ["analyze", str(matrix), "--correlation", "--positions", str(positions)]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {matrix}: {detail}\n"
 
 
 def test_every_analyzed_bound_has_a_radio_setting(tmp_path):
@@ -909,6 +946,13 @@ MALFORMED = {
     "string channel": ("matrix", lambda d: {**d, "channel": "x"}, "channel 'x'"),
     "channel below 11": ("matrix", lambda d: {**d, "channel": 5}, "channel 5"),
     "null channel with entries": ("matrix", lambda d: {**d, "channel": None}, "channel None"),
+    "position lacking a node": (
+        "positions", lambda d: {**d, "positions": d["positions"][:-1]},
+        "missing positions for nodes [2]"),
+    "positions too far apart": (
+        "positions", lambda d: {**d, "positions": [
+            {**p, "x": x} for p, x in zip(d["positions"], (-1.7e308, 0.0, 1.7e308))]},
+        "distance of pair (0, 2) overflows"),
     "repeated position node": (
         "positions", lambda d: {**d, "positions": [*d["positions"], d["positions"][0]]},
         "positions[3].node: node 0 repeats positions[0]"),

@@ -85,6 +85,10 @@ def test_save_matrix_writes_the_bytes_of_json_dumps(tmp_path, case):
     assert path.read_text(encoding="utf-8") == dumped_matrix(matrix)
 
 
+# an entry's fields, in the order the loader checks them
+ENTRY_FIELDS = ("tx", "rx", "mean_loss", "stddev", "count")
+
+
 def entry_loop(items, known):
     """Oracle: the per-entry loop with which ``load_matrix`` checked every file before.
 
@@ -93,7 +97,7 @@ def entry_loop(items, known):
     entries = {}
     for i, item in enumerate(items):
         item = io._object(item, f"entries[{i}]")
-        missing = next((f for f in io.ENTRY_FIELDS if f not in item), None)
+        missing = next((f for f in ENTRY_FIELDS if f not in item), None)
         pair = []
         for field in ("tx", "rx"):
             if field == missing:
@@ -131,7 +135,7 @@ LOSS_FIELDS = ("mean_loss", "stddev")
 # kind -> (fields, values) it may set; "drop" deletes the field, and the last
 # three kinds set no value. Values at the edge may load.
 MUTATIONS = {
-    "drop": (io.ENTRY_FIELDS, [None]),
+    "drop": (ENTRY_FIELDS, [None]),
     "node id": (("tx", "rx"), [True, "1", None, 1.0]),
     "unknown node": (("tx", "rx"), [99, -1]),
     "not finite": (LOSS_FIELDS, [math.nan, math.inf, -math.inf, 10**400]),
@@ -184,6 +188,11 @@ def mutate(entries, mutation, i, j):
 @example([(("negative", "stddev", -1.0), 3, 0), (("drop", "tx", None), 5, 0)])
 @example([(("node id", "rx", 1.0), 7, 0)])  # equal to node 1, but no integer
 @example([(("not finite", "mean_loss", 10**400), 2, 0)])  # an int past the float range
+# a field checked early is named before a missing field checked later
+@example([(("node id", "tx", "1"), 0, 0), (("drop", "rx", None), 0, 0)])
+@example([(("unknown node", "tx", 99), 4, 0), (("drop", "count", None), 4, 0)])
+@example([(("self", "rx", None), 6, 0), (("not finite", "mean_loss", math.nan), 6, 0)])
+@example([(("duplicate", None, None), 3, 2), (("drop", "stddev", None), 3, 0)])
 def test_matrix_loader_names_the_first_bad_entry(tmp_path_factory, mutations):
     saved = tmp_path_factory.getbasetemp() / "grid3.json"
     if not saved.exists():
