@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from . import ilp
 from .graphs import BoundedGraph, GraphFamily, neighborhood_graph
@@ -101,7 +103,7 @@ class LayeredTree:
 
     @property
     def total_nodes(self) -> int:
-        return sum(len(level) for level in self.levels)
+        return sum(map(len, self.levels))
 
 
 def monitored_bfs(
@@ -117,7 +119,8 @@ def monitored_bfs(
     already placed and has no link of loss <= beta + margin into any
     level shallower than the current frontier. Expansion stops once a
     freshly built level has fewer than kappa(depth) nodes; that partial
-    level is discarded.
+    level is discarded. When fewer unblocked nodes remain than kappa(depth),
+    no level could reach that breadth, so it stops without building one.
     """
     root = matrix.position.get(v0)
     if root is None:
@@ -125,29 +128,29 @@ def monitored_bfs(
     near, far = matrix.masks_within(beta, beta + margin)
 
     # Level 1 is the root's neighbours, a prefix of its birth-ordered row,
-    # so it is never decoded from a mask.
+    # so it is never decoded from a mask; its sets are shared across bounds.
     births, neighbors, _ = matrix.edge_births[v0]
-    first = neighbors[: bisect_right(births, beta)]
+    k = bisect_right(births, beta)
     # A negative or NaN margin, which LayeredTree refuses, stops here too:
     # the loop below needs ``far`` to cover ``near``.
-    if len(first) < kappa(1) or not beta + margin >= beta:
+    if k < kappa(1) or not beta + margin >= beta:
         return LayeredTree(root=v0, beta=beta, margin=margin, levels=(frozenset({v0}),))
-    levels = [frozenset({v0}), frozenset(first)]
-    frontier = list(map(matrix.position.__getitem__, first))
+    levels = list(matrix.first_levels(v0, k))
+    frontier = None
     # Nodes with a strong link into a level strictly above the frontier.
     # Links are symmetric, so these are the levels' own strong neighbours.
     # Every placed node is in it too: each level lies in ``near``, so in
-    # ``far``, of the level above, and only the root needs adding.
+    # ``far``, of the level above, and only the root needs adding. The
+    # masks hold node bits only, so the next level lies in the rest.
     blocked = far[root] | 1 << root
-    while True:
-        reached = strong = 0
-        for i in frontier:
-            reached |= near[i]
-            strong |= far[i]
-        nxt = reached & ~blocked
-        blocked |= strong
+    n = len(matrix.nodes)
+    while n - blocked.bit_count() >= kappa(len(levels)):
+        if frontier is None:
+            frontier = list(map(matrix.position.__getitem__, neighbors[:k]))
+        nxt = reduce(or_, map(near.__getitem__, frontier)) & ~blocked
         if nxt.bit_count() < kappa(len(levels)):
             break  # the partial level is dropped without being decoded
+        blocked |= reduce(or_, map(far.__getitem__, frontier))
         frontier = _positions(nxt)
         levels.append(frozenset(map(matrix.nodes.__getitem__, frontier)))
     return LayeredTree(root=v0, beta=beta, margin=margin, levels=tuple(levels))
@@ -178,7 +181,9 @@ def sweep_trees(
     """One tree per (bound, root) pair, best first by ``rank_key``.
 
     The roots default to every node. Bound by bound, so the matrix's
-    per-bound mask vectors serve every root.
+    per-bound mask vectors serve every root, and the trees of a root at
+    consecutive bounds that add it no neighbour share the matrix's cached
+    levels 0 and 1.
     """
     roots = sorted(matrix.nodes) if roots is None else roots
     trees = []

@@ -270,15 +270,32 @@ def test_family_matches_dict_scan(matrix):
     assert monotonicity_report(distribution) == scan_monotonicity_report(family)
 
 
-@settings(max_examples=300, deadline=None)
-@given(matrices(), st.sampled_from(MARGINS), KAPPAS)
-def test_monitored_bfs_matches_graph_oracle(matrix, margin, kappa_text):
+def assert_sweep_matches_graph_oracle(matrix, margin, kappa_text):
     kappa = KappaSpec.parse(kappa_text)
     family = GraphFamily(matrix, beta_min=BETA_MIN, beta_max=BETA_MAX)
     for beta in family.betas():
         for v0 in matrix.nodes:
             expected = graph_bfs(matrix, v0, beta, margin, kappa)
             assert monitored_bfs(matrix, v0, beta, margin, kappa) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.sampled_from(MARGINS), KAPPAS)
+def test_monitored_bfs_matches_graph_oracle(matrix, margin, kappa_text):
+    assert_sweep_matches_graph_oracle(matrix, margin, kappa_text)
+
+
+# breadths the unblocked nodes left after level 1 often cannot reach,
+# and a margin above every finite loss, which blocks every node from
+# level 2 on: specs where the search stops before building a level
+STOPPING_KAPPAS = st.sampled_from(["const:3", "table:1=1,2=5", "linear"])
+STOPPING_MARGINS = st.sampled_from([0.0, 5.0, 200.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(matrices(), line_matrices()), STOPPING_MARGINS, STOPPING_KAPPAS)
+def test_monitored_bfs_stops_early_as_the_graph_oracle_does(matrix, margin, kappa_text):
+    assert_sweep_matches_graph_oracle(matrix, margin, kappa_text)
 
 
 def grid_matrix(rows, cols, seed):
@@ -331,6 +348,25 @@ def test_mask_cache_stays_bounded_over_a_long_sweep():
             assert len(matrix.bound_masks) == 1  # one (beta, beta + margin) pair
             fresh = LossMatrix(list(matrix.nodes), 26, dict(matrix.entries))
             assert tree == monitored_bfs(fresh, v0, beta, 5.0, kappa)
+
+
+def test_first_levels_stay_one_per_node_and_fresh_over_a_long_sweep():
+    matrix = grid_matrix(2, 3, seed=1)
+    kappa = KappaSpec.parse("linear")
+    last = {}
+    # the same 2,801 bounds: each adds a root's neighbour or shares its level 1
+    for beta in (30.0 + 0.025 * k for k in range(2801)):
+        for v0 in sorted(matrix.nodes):
+            tree = monitored_bfs(matrix, v0, beta, 5.0, kappa)
+            assert set(matrix.first_level) <= set(matrix.nodes)
+            fresh = LossMatrix(list(matrix.nodes), 26, dict(matrix.entries))
+            assert tree == monitored_bfs(fresh, v0, beta, 5.0, kappa)
+            if tree.depth:
+                previous = last.get(v0)
+                if previous is not None and previous.levels[1] == tree.levels[1]:
+                    assert previous.levels[1] is tree.levels[1]
+                last[v0] = tree
+    assert len(matrix.first_level) == len(matrix.nodes)
 
 
 def test_rows_skip_nan_in_either_direction():

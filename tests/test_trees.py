@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 from collections import deque
@@ -376,11 +377,37 @@ def test_packing_bound_keeps_the_reduction_small(root, beta, depth, cap):
     assert ilp.solve(program).explored <= cap
 
 
-def test_relabeled_ids_map_the_8x8_winner_and_its_reduction():
-    matrix = grid_scenario(
-        8, 8, 3.0, path_loss_exponent=3.0, shadowing_sigma=4.0,
+def seed_one_grid(side):
+    return grid_scenario(
+        side, side, 3.0, path_loss_exponent=3.0, shadowing_sigma=4.0,
         asymmetry_sigma=1.0, seed=1,
     )
+
+
+# sha256 of every swept tree in sweep order, so a faster search must
+# build the same trees and rank them the same way
+SWEEP_DIGESTS = {
+    # the tree-sweep benchmark's input
+    (8, "linear", 15): "6982b42181cdd90b4ec070d7b7059f98a81da8e977373700a4a95c724bf44873",
+    # deep trees, where few searches run out of unblocked nodes
+    (8, "const:1", 0): "4fa1c8044e1183a5d889bccbf3c5787c71eabb8b7db68a4b606128f8f1398803",
+    (16, "linear", 15): "e860dfa29f860c479ec89f82e166372fe69c62643ea6e2917995b71fa6476378",
+}
+
+
+@pytest.mark.parametrize("side, kappa, margin", SWEEP_DIGESTS)
+def test_sweep_trees_pinned_on_seed_one_grids(side, kappa, margin):
+    matrix = seed_one_grid(side)
+    lines = [
+        f"{t.root} {t.beta!r} {t.margin!r} {[sorted(level) for level in t.levels]}\n"
+        for t in sweep_trees(matrix, KappaSpec.parse(kappa), margin, GraphFamily(matrix))
+    ]
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == SWEEP_DIGESTS[side, kappa, margin]
+
+
+def relabeled_ids_map_the_winner_and_its_reduction(side):
+    matrix = seed_one_grid(side)
     found = []
     for m in (matrix, relabeled(matrix)):
         best = sweep_trees(m, LINEAR, 15, GraphFamily(m))[0]
@@ -395,11 +422,8 @@ def test_relabeled_ids_map_the_8x8_winner_and_its_reduction():
     )
 
 
-def test_shifted_losses_and_grid_map_the_8x8_winner_and_its_reduction():
-    matrix = grid_scenario(
-        8, 8, 3.0, path_loss_exponent=3.0, shadowing_sigma=4.0,
-        asymmetry_sigma=1.0, seed=1,
-    )
+def shifted_losses_and_grid_map_the_winner_and_its_reduction(side):
+    matrix = seed_one_grid(side)
     found = []
     for db in (0, 10):  # the window moved by 10 dB still ends at the last budget, 104 dB
         m = shifted(matrix, db)
@@ -408,6 +432,22 @@ def test_shifted_losses_and_grid_map_the_8x8_winner_and_its_reduction():
         found.append((best, reduce_tree(best, m, LINEAR)))
     assert found[0][1].total_nodes < found[0][0].total_nodes
     assert found[1] == tuple(dataclasses.replace(tree, beta=tree.beta + 10) for tree in found[0])
+
+
+def test_relabeled_ids_map_the_8x8_winner_and_its_reduction():
+    relabeled_ids_map_the_winner_and_its_reduction(8)
+
+
+def test_shifted_losses_and_grid_map_the_8x8_winner_and_its_reduction():
+    shifted_losses_and_grid_map_the_winner_and_its_reduction(8)
+
+
+def test_relabeled_ids_map_the_16x16_winner_and_its_reduction():
+    relabeled_ids_map_the_winner_and_its_reduction(16)
+
+
+def test_shifted_losses_and_grid_map_the_16x16_winner_and_its_reduction():
+    shifted_losses_and_grid_map_the_winner_and_its_reduction(16)
 
 
 def test_reduction_program_root_is_constant():
