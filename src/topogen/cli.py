@@ -256,7 +256,7 @@ def cmd_sweep_report(args) -> tuple[int, list[str]]:
         matrix = _tree_matrix(path)
         swept = trees.sweep_trees(matrix, kappa, args.margin, _family(matrix, args))
         depth = swept[0].depth
-        betas = sorted({t.beta for t in swept if t.depth == depth})
+        betas = sorted({t.beta for t in swept})
         note = "no multi-hop" if depth < 2 else ""
         suffix = f"  ({note})" if note else ""
         name = str(path).removesuffix(".json")  # every matrix topogen writes is matrix.json

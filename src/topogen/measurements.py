@@ -107,8 +107,7 @@ class LossMatrix:
     are treated downstream as a loss above every bound. ``channel`` is
     None only for an empty matrix. Frozen, so the caches below, derived
     from the fields once, cannot outlive a reassigned field: ``bound_masks``
-    holds the last bound pair's masks, and ``first_level`` each node's last
-    levels 0 and 1, shared by the trees of bounds that add it no neighbour.
+    holds the last bound pair's masks.
     """
 
     nodes: list[int]
@@ -116,9 +115,6 @@ class LossMatrix:
     entries: dict[tuple[int, int], MatrixEntry]
     meta: dict = field(default_factory=dict)
     bound_masks: dict[tuple[float, float], tuple[list[int], list[int]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    first_level: dict[int, tuple[int, tuple[frozenset[int], frozenset[int]]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -185,19 +181,6 @@ class LossMatrix:
             self.bound_masks.clear()
             self.bound_masks[key] = masks
         return masks
-
-    def first_levels(self, node: int, k: int) -> tuple[frozenset[int], frozenset[int]]:
-        """``node`` alone, and the first ``k`` neighbours of its row.
-
-        Only the last ``k`` asked for stays per node: a sweep asks for the
-        same ``k`` at every bound that adds ``node`` no neighbour, and those
-        trees share both sets.
-        """
-        cached = self.first_level.get(node)
-        if cached is None or cached[0] != k:
-            levels = (frozenset({node}), frozenset(self.edge_births[node][1][:k]))
-            cached = self.first_level[node] = (k, levels)
-        return cached[1]
 
 
 def parse_campaign_log(

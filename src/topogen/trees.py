@@ -128,14 +128,14 @@ def monitored_bfs(
     near, far = matrix.masks_within(beta, beta + margin)
 
     # Level 1 is the root's neighbours, a prefix of its birth-ordered row,
-    # so it is never decoded from a mask; its sets are shared across bounds.
+    # so it is never decoded from a mask.
     births, neighbors, _ = matrix.edge_births[v0]
     k = bisect_right(births, beta)
     # A negative or NaN margin, which LayeredTree refuses, stops here too:
     # the loop below needs ``far`` to cover ``near``.
     if k < kappa(1) or not beta + margin >= beta:
         return LayeredTree(root=v0, beta=beta, margin=margin, levels=(frozenset({v0}),))
-    levels = list(matrix.first_levels(v0, k))
+    levels = [frozenset({v0}), frozenset(neighbors[:k])]
     frontier = None
     # Nodes with a strong link into a level strictly above the frontier.
     # Links are symmetric, so these are the levels' own strong neighbours.
@@ -178,19 +178,22 @@ def sweep_trees(
     family: GraphFamily,
     roots: list[int] | None = None,
 ) -> list[LayeredTree]:
-    """One tree per (bound, root) pair, best first by ``rank_key``.
+    """The deepest trees over every (bound, root) pair, best first by ``rank_key``.
 
     The roots default to every node. Bound by bound, so the matrix's
-    per-bound mask vectors serve every root, and the trees of a root at
-    consecutive bounds that add it no neighbour share the matrix's cached
-    levels 0 and 1.
+    per-bound mask vectors serve every root. A tree is dropped as soon as
+    a deeper one is found, so only the deepest trees so far are held.
     """
     roots = sorted(matrix.nodes) if roots is None else roots
-    trees = []
+    deepest: list[LayeredTree] = []
     for beta in family.betas():
         for v0 in roots:
-            trees.append(monitored_bfs(matrix, v0, beta, margin, kappa))
-    return sorted(trees, key=rank_key)
+            tree = monitored_bfs(matrix, v0, beta, margin, kappa)
+            if not deepest or tree.depth > deepest[0].depth:
+                deepest = [tree]
+            elif tree.depth == deepest[0].depth:
+                deepest.append(tree)
+    return sorted(deepest, key=rank_key)
 
 
 def parents_of(tree: LayeredTree, matrix: LossMatrix, v: int, i: int) -> frozenset[int]:

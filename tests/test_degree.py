@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -354,24 +355,54 @@ def test_reversed_node_list_keeps_the_winner_on_4x4_grids(seed):
     assert winner(reversed_nodes(matrix), 3, family) == expected
 
 
-def test_relabeled_ids_map_the_5x5_winner():
-    matrix = grid_matrix(5, 1)
-    _, (beta, selected, edges) = winner(matrix, 3, GraphFamily(matrix))
+@pytest.fixture(scope="module")
+def grid_winner():
+    """Per size, the seed-1 grid with losses rounded to 1/8 dB and its winner at 31-94 dB.
+
+    The relabel and shift tests compare against the same winner, so each
+    size's is computed once.
+    """
+
+    @functools.cache
+    def of(size):
+        matrix = shifted(grid_matrix(size, 1), 0)
+        return matrix, winner(matrix, 3, GraphFamily(matrix, 31, 94))[1]
+
+    return of
+
+
+def relabeled_ids_map_the_winner(matrix, found):
+    beta, selected, edges = found
     moved = relabeled(matrix)
-    assert winner(moved, 3, GraphFamily(moved))[1] == (
+    assert winner(moved, 3, GraphFamily(moved, 31, 94))[1] == (
         beta,
         frozenset(map(relabel, selected)),
         frozenset((relabel(a), relabel(b)) for a, b in edges),
     )
 
 
-def test_shifted_losses_and_grid_map_the_5x5_winner():
-    found = []
-    for db in (0, 10):  # the window moved by 10 dB still ends at the last budget, 104 dB
-        m = shifted(grid_matrix(5, 1), db)
-        found.append(winner(m, 3, GraphFamily(m, 31 + db, 94 + db))[1])
-    beta, selected, edges = found[0]
-    assert len(selected) >= 3 and found[1] == (beta + 10, selected, edges)
+def shifted_losses_and_grid_map_the_winner(matrix, found):
+    # the window moved by 10 dB still ends at the last budget, 104 dB
+    m = shifted(matrix, 10)
+    beta, selected, edges = found
+    assert len(selected) >= 3
+    assert winner(m, 3, GraphFamily(m, 41, 104))[1] == (beta + 10, selected, edges)
+
+
+def test_relabeled_ids_map_the_5x5_winner(grid_winner):
+    relabeled_ids_map_the_winner(*grid_winner(5))
+
+
+def test_shifted_losses_and_grid_map_the_5x5_winner(grid_winner):
+    shifted_losses_and_grid_map_the_winner(*grid_winner(5))
+
+
+def test_relabeled_ids_map_the_6x6_winner(grid_winner):
+    relabeled_ids_map_the_winner(*grid_winner(6))
+
+
+def test_shifted_losses_and_grid_map_the_6x6_winner(grid_winner):
+    shifted_losses_and_grid_map_the_winner(*grid_winner(6))
 
 
 @st.composite

@@ -350,25 +350,6 @@ def test_mask_cache_stays_bounded_over_a_long_sweep():
             assert tree == monitored_bfs(fresh, v0, beta, 5.0, kappa)
 
 
-def test_first_levels_stay_one_per_node_and_fresh_over_a_long_sweep():
-    matrix = grid_matrix(2, 3, seed=1)
-    kappa = KappaSpec.parse("linear")
-    last = {}
-    # the same 2,801 bounds: each adds a root's neighbour or shares its level 1
-    for beta in (30.0 + 0.025 * k for k in range(2801)):
-        for v0 in sorted(matrix.nodes):
-            tree = monitored_bfs(matrix, v0, beta, 5.0, kappa)
-            assert set(matrix.first_level) <= set(matrix.nodes)
-            fresh = LossMatrix(list(matrix.nodes), 26, dict(matrix.entries))
-            assert tree == monitored_bfs(fresh, v0, beta, 5.0, kappa)
-            if tree.depth:
-                previous = last.get(v0)
-                if previous is not None and previous.levels[1] == tree.levels[1]:
-                    assert previous.levels[1] is tree.levels[1]
-                last[v0] = tree
-    assert len(matrix.first_level) == len(matrix.nodes)
-
-
 def test_rows_skip_nan_in_either_direction():
     nan = math.nan
     entries = {

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import weakref
 from collections import deque
 
 import pytest
@@ -15,7 +16,7 @@ from helpers import (
     symmetric_matrix,
 )
 from test_edge_births import graph_bfs
-from topogen import ilp
+from topogen import ilp, trees
 from topogen.graphs import GraphFamily, neighborhood_graph
 from topogen.measurements import LossMatrix, MatrixEntry
 from topogen.synth import chain_scenario, grid_scenario
@@ -25,6 +26,7 @@ from topogen.trees import (
     build_reduction_program,
     check_tree,
     monitored_bfs,
+    rank_key,
     reduce_tree,
     sweep_trees,
 )
@@ -259,9 +261,47 @@ def test_sweep_finds_chain():
     best = swept[0]
     assert best.depth == 5
     assert best.root == 0  # tie with root 5 broken by smaller id after beta
-    assert len(swept) == len(family.betas()) * 6
+    every = [
+        monitored_bfs(matrix, v0, beta, 15, ONE) for beta in family.betas() for v0 in range(6)
+    ]
+    assert all(t.depth == 5 for t in swept)
+    assert len(swept) == sum(t.depth == 5 for t in every)
     keys = [(-t.depth, t.total_nodes, t.beta, t.root) for t in swept]
     assert keys == sorted(keys)
+
+
+def test_sweep_keeps_every_tree_when_all_tie():
+    # no edge is born below 45 dB, so every tree is its root alone
+    matrix = chain_scenario(6, 45, 90)
+    family = GraphFamily(matrix, beta_min=31, beta_max=44)
+    swept = sweep_trees(matrix, ONE, 15, family)
+    assert {t.depth for t in swept} == {0}
+    assert len(swept) == len(family.betas()) * 6
+    assert swept == sorted(swept, key=rank_key)
+
+
+def test_sweep_holds_at_most_one_tree_beyond_the_deepest(monkeypatch):
+    # a sweep that builds every tree and then filters holds thousands here
+    matrix = seed_one_grid(8)
+    search = trees.monitored_bfs
+    live = {}  # serial number -> depth of each built tree not yet freed
+    deepest = 0
+    extra = []
+
+    def counted(*args, **kwargs):
+        nonlocal deepest
+        extra.append(sum(depth < deepest for depth in live.values()))
+        tree = search(*args, **kwargs)
+        live[len(extra)] = tree.depth
+        weakref.finalize(tree, live.pop, len(extra))
+        deepest = max(deepest, tree.depth)
+        return tree
+
+    monkeypatch.setattr(trees, "monitored_bfs", counted)
+    swept = sweep_trees(matrix, LINEAR, 15, GraphFamily(matrix))
+    assert len(extra) == 74 * 64
+    assert max(extra) <= 1
+    assert sorted(live.values()) == [deepest] * len(swept)
 
 
 def make_bushy_tree():
@@ -384,8 +424,9 @@ def seed_one_grid(side):
     )
 
 
-# sha256 of every swept tree in sweep order, so a faster search must
-# build the same trees and rank them the same way
+# sha256 of the tree of every (bound, root) pair, best first by
+# ``rank_key``, so a faster search must build the same trees and rank
+# them the same way
 SWEEP_DIGESTS = {
     # the tree-sweep benchmark's input
     (8, "linear", 15): "6982b42181cdd90b4ec070d7b7059f98a81da8e977373700a4a95c724bf44873",
@@ -398,12 +439,24 @@ SWEEP_DIGESTS = {
 @pytest.mark.parametrize("side, kappa, margin", SWEEP_DIGESTS)
 def test_sweep_trees_pinned_on_seed_one_grids(side, kappa, margin):
     matrix = seed_one_grid(side)
+    spec = KappaSpec.parse(kappa)
+    family = GraphFamily(matrix)
+    every = sorted(
+        (
+            monitored_bfs(matrix, v0, beta, margin, spec)
+            for beta in family.betas()
+            for v0 in sorted(matrix.nodes)
+        ),
+        key=rank_key,
+    )
     lines = [
         f"{t.root} {t.beta!r} {t.margin!r} {[sorted(level) for level in t.levels]}\n"
-        for t in sweep_trees(matrix, KappaSpec.parse(kappa), margin, GraphFamily(matrix))
+        for t in every
     ]
     digest = hashlib.sha256("".join(lines).encode()).hexdigest()
     assert digest == SWEEP_DIGESTS[side, kappa, margin]
+    deepest = list(itertools.takewhile(lambda t: t.depth == every[0].depth, every))
+    assert sweep_trees(matrix, spec, margin, family) == deepest
 
 
 def relabeled_ids_map_the_winner_and_its_reduction(side):
