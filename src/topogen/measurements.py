@@ -9,20 +9,27 @@ input of every downstream step.
 from __future__ import annotations
 
 import math
+import re
 import statistics
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
-from operator import itemgetter, mul, or_
-from typing import Iterable, NamedTuple
+from itertools import accumulate, islice, repeat
+from operator import eq, gt, itemgetter, mul, or_, sub
+from typing import NamedTuple, TextIO
 
 VALID_CHANNELS = range(11, 27)
-# Distinct record heads (a line's text before its last space) whose column
-# and loss one parse keeps; a log with more heads parses the rest line by line.
+# Characters of a campaign log read at a time.
+BLOCK = 1 << 16
+# Distinct record heads (a line's text before its last space) that one
+# parse counts before it may add the counts to the store and start again.
 HEAD_CACHE = 1 << 16
+# A line whose last token is a plain decimal seq; group 1 is its head. 640
+# is the least digit limit sys.set_int_max_str_digits takes, so int()
+# converts every such seq whatever the limit.
+_PLAIN_SEQ = re.compile(r"^(.*) [0-9]{1,640}\n", re.M)
 
 Position = tuple[float, float, float]
 NodePositions = dict[int, Position]
@@ -183,10 +190,63 @@ class LossMatrix:
         return masks
 
 
+def _parse_line(raw: str) -> tuple[tuple[int, int], float, int] | str | None:
+    """A line's ((tx, rx), loss, channel), the reason it is rejected, or None if it holds no record."""
+    fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+    if not fields:
+        return None
+    try:
+        if len(fields) != 6:
+            raise ValueError("expected 6 fields")
+        tx, rx, tx_power, rssi, channel, seq = fields
+        tx, rx = int(tx), int(rx)
+        tx_power, rssi = float(tx_power), float(rssi)
+        channel, seq = int(channel), int(seq)
+        return (tx, rx), check_record(tx, rx, tx_power, rssi, channel, seq), channel
+    except ValueError as exc:
+        return str(exc)
+
+
+def _accept_heads(
+    heads: list[str], refused: dict[str, str]
+) -> tuple[list[str], list[tuple[int, int]], list[float], list[int]]:
+    """The heads whose lines with a plain seq are accepted, with their pairs, losses and channels.
+
+    The reason of every rejected head goes to ``refused``. Each field
+    converts column by column in one ``map``, and no token with a ``#``
+    converts; only if some head fails does every head take the line rules.
+    """
+    rows = list(map(str.split, heads))
+    if set(map(len, rows)) == {5}:
+        tx, rx, tx_power, rssi, channel = zip(*rows)
+        try:
+            tx, rx, channel = list(map(int, tx)), list(map(int, rx)), list(map(int, channel))
+            tx_power, rssi = list(map(float, tx_power)), list(map(float, rssi))
+        except ValueError:
+            pass
+        else:
+            losses = list(map(sub, tx_power, rssi))
+            if not (
+                any(map(eq, tx, rx))
+                or any(map(gt, rssi, tx_power))
+                or not all(map(VALID_CHANNELS.__contains__, channel))
+                or not all(map(math.isfinite, losses))
+            ):
+                return heads, list(zip(tx, rx)), losses, channel
+    accepted = []
+    for head in heads:
+        outcome = _parse_line(head + " 0")
+        if type(outcome) is str:
+            refused[head] = outcome
+        elif outcome is not None:
+            accepted.append((head, *outcome))
+    return tuple(map(list, zip(*accepted))) if accepted else ([], [], [], [])
+
+
 def parse_campaign_log(
-    lines: Iterable[str], columns: LossColumns
+    stream: TextIO, columns: LossColumns
 ) -> tuple[LossColumns, list[Rejection]]:
-    """Append the accepted samples of campaign log lines to ``columns``.
+    """Add the accepted samples of a campaign log's text to ``columns``.
 
     Every log of a run parses into one store, so each sample is held once.
     Record format: ``tx rx tx_power_dBm rssi_dBm channel seq``,
@@ -194,48 +254,77 @@ def parse_campaign_log(
     collected as rejections, numbered from the log's first line, and never
     abort the parse.
 
-    A log repeats few heads, the text before a line's last space. Once a
-    line is accepted and its head holds exactly five fields, later lines
-    with that head only check their seq and append the head's loss, one
-    shared float. Those lines hold no comment: ``int`` rejects a ``#`` in
-    the seq, and a head with a ``#`` has at most five fields before it,
-    so no line with such a head is ever accepted.
+    The text is read ``BLOCK`` characters at a time. A line whose last
+    token is a plain decimal seq (``_PLAIN_SEQ``) has the outcome of its
+    head, the text before that token, so a ``Counter`` counts such lines by
+    head and each new head is classified once, as its line with seq 0
+    would be. Every other line, and each line whose head is rejected,
+    takes the line rules in log order. The counts are folded into the
+    store at the end: each accepted head adds its loss, one shared float,
+    once per line. They are folded early, and counting starts again, when
+    more than ``HEAD_CACHE`` heads are counted and over 9 in 10 lines of a
+    block brought a new head, so a log that repeats no head holds no large
+    count.
     """
     losses, channels = columns.losses, columns.channels
     rejections: list[Rejection] = []
-    heads: dict[str, tuple[list[float], float]] = {}
-    for number, raw in enumerate(lines, start=1):
-        head, _, seq = raw.rpartition(" ")
-        cached = heads.get(head)
-        if cached is not None:
-            try:
-                if int(seq) >= 0:
-                    cached[0].append(cached[1])
-                    continue
-            except ValueError:
-                pass
-        fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
-        if not fields:
+    counts: Counter[str] = Counter()
+    refused: dict[str, str] = {}  # rejected head -> reason
+    # the accepted heads in the order counted, with their columns and losses
+    kept_heads, kept_columns, kept_losses = [], [], []
+
+    def fold():
+        tallies = map(counts.__getitem__, kept_heads)
+        # consume the extends in C: one call per head, none per line
+        deque(map(list.extend, kept_columns, map(repeat, kept_losses, tallies)), maxlen=0)
+        for held in (counts, refused, kept_heads, kept_columns, kept_losses):
+            held.clear()
+
+    number, carry = 0, ""
+    while True:
+        block = stream.read(BLOCK)
+        if not block:
+            if not carry:
+                break
+            block = "\n"  # the last line ends where the log does
+        elif "\n" not in block:
+            carry += block  # a line longer than a block is split once, when it ends
             continue
-        try:
-            if len(fields) != 6:
-                raise ValueError("expected 6 fields")
-            tx, rx, tx_power, rssi, channel, seq = fields
-            tx, rx = int(tx), int(rx)
-            tx_power, rssi = float(tx_power), float(rssi)
-            channel, seq = int(channel), int(seq)
-            loss = check_record(tx, rx, tx_power, rssi, channel, seq)
-        except ValueError as exc:
-            rejections.append(Rejection(number, str(exc)))
-            continue
-        column = losses.get((tx, rx))
-        if column is None:
-            column = losses[tx, rx] = [loss]
-        else:
-            column.append(loss)
-        channels.add(channel)
-        if len(heads) < HEAD_CACHE and len(head.split()) == 5:
-            heads[head] = (column, loss)
+        text = carry + block
+        items = _PLAIN_SEQ.split(text)
+        tail = items[-1]
+        end = tail.rfind("\n") + 1
+        items[-1], carry = tail[:end], tail[end:]
+        heads = items[1::2]
+        before = len(counts)
+        counts.update(heads)
+        added = len(counts) - before
+        if added:
+            new = list(islice(reversed(counts), added))[::-1]
+            accepted, pairs, head_losses, head_channels = _accept_heads(new, refused)
+            kept_heads += accepted
+            kept_columns += [losses.setdefault(pair, []) for pair in pairs]
+            kept_losses += head_losses
+            channels.update(head_channels)
+        if any(items[::2]) or not refused.keys().isdisjoint(heads):
+            line = number
+            for lines, head in zip(items[::2], [*heads, None]):
+                for raw in lines.split("\n")[:-1]:
+                    line += 1
+                    outcome = _parse_line(raw)
+                    if type(outcome) is str:
+                        rejections.append(Rejection(line, outcome))
+                    elif outcome is not None:
+                        pair, loss, channel = outcome
+                        losses.setdefault(pair, []).append(loss)
+                        channels.add(channel)
+                line += 1
+                if head in refused:
+                    rejections.append(Rejection(line, refused[head]))
+        number += text.count("\n")
+        if len(counts) > HEAD_CACHE and added * 10 > 9 * len(heads):
+            fold()
+    fold()
     return columns, rejections
 
 

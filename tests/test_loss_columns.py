@@ -1,16 +1,22 @@
-"""Streamed loss columns against the per-sample ingest path they replaced.
+"""Block-parsed loss columns against the per-line and per-sample paths they replaced.
 
-``parse_campaign_log`` appends each accepted loss to its pair's column and
-``build_loss_matrix`` aggregates the columns. The parse oracle is the
-earlier implementation, kept here in behaviour: one ``OldSample`` per line.
-The only rule added since, finiteness of both levels and the loss, is the
-oracle's last check too. The build oracle groups the samples per pair and
-takes the mean, median or pNN as an exact ``Fraction``, which the matrix
-must hold rounded once. Hypothesis draws multi-file logs with integer, decimal,
-exponent-form and repr floats, comments, blank lines, every kind of
-rejected line and mixed channels. A second strategy repeats a few heads
-(a line's text before its last space) with drawn separators and last
-tokens, so that most lines take the parse's head cache. Logs parsed one
+``parse_campaign_log`` reads a log's text in blocks, counts lines by head
+and adds each accepted loss to its pair's column; ``build_loss_matrix``
+aggregates the columns. Two parse oracles are kept here in behaviour: the
+per-line parser that the block parse replaced (``line_parse``), and the
+earlier one ``OldSample`` per line. The only rule added since the latter,
+finiteness of both levels and the loss, is its last check too. The build
+oracle groups the samples per pair and takes the mean, median or pNN as an
+exact ``Fraction``, which the matrix must hold rounded once. Hypothesis
+draws multi-file logs with integer, decimal, exponent-form and repr floats,
+comments, blank lines, every kind of rejected line and mixed channels. A
+second strategy repeats a few heads (a line's text before its last space)
+with drawn separators, last tokens and line ends, so that most lines are
+counted by head. The block parse must give the per-line oracle's
+rejections, channels and per-pair loss multisets (the order within a
+column is not observable: ``aggregate`` counts values) at blocks of 1, 7
+and 64 characters and at count bounds of 1 and 4, so that lines straddle
+reads and the counts are folded into the store mid-log. Logs parsed one
 after another into one store must equal their concatenation parsed once,
 and every line read twice must keep each mean and median bit for bit,
 double each count and give the stddev of the doubled column.
@@ -23,6 +29,7 @@ formula on drawn columns, and the median against ``np.median`` bit for
 bit.
 """
 
+import io
 import math
 import statistics
 import sys
@@ -30,12 +37,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
+from topogen import measurements
 from topogen.measurements import (
     HEAD_CACHE,
     VALID_CHANNELS,
@@ -44,6 +53,7 @@ from topogen.measurements import (
     Rejection,
     aggregate,
     build_loss_matrix,
+    check_record,
     parse_aggregator,
     parse_campaign_log,
 )
@@ -102,6 +112,29 @@ def old_parse(lines):
             continue
         samples.append(sample)
     return samples, rejections
+
+
+def line_parse(lines):
+    """Oracle: the per-line parser the block parse replaced, one list append per line."""
+    columns, rejections = LossColumns(), []
+    for number, raw in enumerate(lines, start=1):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        try:
+            if len(fields) != 6:
+                raise ValueError("expected 6 fields")
+            tx, rx, tx_power, rssi, channel, seq = fields
+            tx, rx = int(tx), int(rx)
+            tx_power, rssi = float(tx_power), float(rssi)
+            channel, seq = int(channel), int(seq)
+            loss = check_record(tx, rx, tx_power, rssi, channel, seq)
+        except ValueError as exc:
+            rejections.append(Rejection(number, str(exc)))
+            continue
+        columns.losses.setdefault((tx, rx), []).append(loss)
+        columns.channels.add(channel)
+    return columns, rejections
 
 
 def exact_location(losses, aggregator):
@@ -197,15 +230,16 @@ AGGREGATORS = st.sampled_from(["mean", "median", "p0", "p33.3", "p90", "p100"])
 def ingest_both(files, aggregator):
     """(old result, new result): per-file rejections and counts, then the matrix.
 
-    Every file parses into one store, as in ``ingest``; a file's count is
-    what the store grew by.
+    Every file's text parses into one store, as in ``ingest``; a file's
+    count is what the store grew by.
     """
     results = []
     old_samples, columns = [], LossColumns()
     for lines in files:
-        samples, old_rejected = old_parse(lines)
+        text = "".join(lines)
+        samples, old_rejected = old_parse(io.StringIO(text))
         before = len(columns)
-        _, rejected = parse_campaign_log(lines, columns)
+        _, rejected = parse_campaign_log(io.StringIO(text), columns)
         results.append(((len(samples), old_rejected), (len(columns) - before, rejected)))
         old_samples.extend(samples)
     try:
@@ -294,25 +328,18 @@ def test_stddev_is_correctly_rounded(losses):
         assert stddev.hex() == statistics.stdev(losses).hex()
 
 
-def old_columns(samples):
-    """Oracle columns: each pair's losses as hex strings, in log order."""
-    columns = {}
-    for s in samples:
-        columns.setdefault((s.tx, s.rx), []).append(s.loss.hex())
-    return list(columns.items()), {s.channel for s in samples}
-
-
 def new_columns(columns):
-    pairs = [(pair, [loss.hex() for loss in losses]) for pair, losses in columns.losses.items()]
+    """Each pair's losses as a multiset of hex strings, and the channels seen."""
+    pairs = {pair: Counter(loss.hex() for loss in losses) for pair, losses in columns.losses.items()}
     return pairs, columns.channels
 
 
-def assert_parses_as_oracle(lines):
-    samples, old_rejected = old_parse(lines)
-    columns, rejected = parse_campaign_log(lines, LossColumns())
-    assert rejected == old_rejected
-    assert new_columns(columns) == old_columns(samples)
-    return columns
+def assert_parses_as_oracle(text):
+    columns, rejected = parse_campaign_log(io.StringIO(text), LossColumns())
+    expected, expected_rejected = line_parse(io.StringIO(text))
+    assert rejected == expected_rejected
+    assert new_columns(columns) == new_columns(expected)
+    return columns, rejected
 
 
 # a head's fields, mostly those of an accepted line; the pool also draws
@@ -359,23 +386,41 @@ REPEATED_HEAD_FILES = st.lists(
 
 @settings(max_examples=500, deadline=None)
 @given(REPEATED_HEAD_FILES)
-def test_head_cache_matches_per_sample_oracle(files):
+def test_repeated_heads_match_per_line_oracle(files):
     for lines in files:
-        assert_parses_as_oracle(lines)
+        assert_parses_as_oracle("".join(lines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(log_files(), REPEATED_HEAD_FILES),
+    st.sampled_from([1, 7, 64, measurements.BLOCK]),
+    st.sampled_from([1, 4, HEAD_CACHE]),
+)
+def test_blocks_and_folds_match_per_line_oracle(files, block, bound):
+    with patch.multiple(measurements, BLOCK=block, HEAD_CACHE=bound):
+        for lines in files:
+            assert_parses_as_oracle("".join(lines))
+
+
+def ended(text):
+    """``text`` with its last line ended, which changes no line's outcome."""
+    return text if not text or text.endswith("\n") else text + "\n"
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.one_of(log_files(), REPEATED_HEAD_FILES))
 def test_logs_parsed_into_one_store_equal_their_concatenation(files):
-    # each parse starts an empty head cache; the concatenation's carries over
+    # each parse starts an empty count; the concatenation's carries over
+    texts = ["".join(lines) for lines in files]
     store, rejected, offset = LossColumns(), [], 0
-    for lines in files:
-        columns, file_rejected = parse_campaign_log(lines, store)
+    for text in texts:
+        columns, file_rejected = parse_campaign_log(io.StringIO(text), store)
         assert columns is store
         rejected += [Rejection(r.line_number + offset, r.reason) for r in file_rejected]
-        offset += len(lines)
-    whole, whole_rejected = parse_campaign_log(sum(files, []), LossColumns())
-    assert store == whole
+        offset += len(io.StringIO(text).readlines())
+    whole_text = "".join(map(ended, texts))
+    whole, whole_rejected = parse_campaign_log(io.StringIO(whole_text), LossColumns())
     assert new_columns(store) == new_columns(whole)
     assert rejected == whole_rejected
 
@@ -383,9 +428,9 @@ def test_logs_parsed_into_one_store_equal_their_concatenation(files):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.one_of(log_files(), REPEATED_HEAD_FILES))
 def test_every_line_twice_keeps_mean_and_median_and_doubles_the_count(files):
-    lines = sum(files, [])
-    once, _ = parse_campaign_log(lines, LossColumns())
-    twice, _ = parse_campaign_log([line for line in lines for _ in range(2)], LossColumns())
+    lines = list(map(ended, io.StringIO("".join(sum(files, []))).readlines()))
+    once, _ = parse_campaign_log(io.StringIO("".join(lines)), LossColumns())
+    twice, _ = parse_campaign_log(io.StringIO("".join(lines * 2)), LossColumns())
     assert twice.channels == once.channels
     if len(once.channels) > 1:
         return  # both are refused for mixing channels
@@ -399,14 +444,67 @@ def test_every_line_twice_keeps_mean_and_median_and_doubles_the_count(files):
             assert_correctly_rounded(twin.stddev, once.losses[pair] * 2)
 
 
-def test_heads_past_the_cache_bound_parse_line_by_line():
-    # one pair per head, each head twice: a cached head's second loss is
-    # the first one's float object, any other head's is a fresh float
-    texts = [f"{i} {i + 1} 3 -{i % 100}.5 26" for i in range(HEAD_CACHE + 64)]
-    lines = [f"{head} 0\n" for head in texts] + [f"{head} 1\n" for head in texts]
-    columns = assert_parses_as_oracle(lines)
+def test_fresh_heads_past_the_bound_fold_and_equal_the_oracle():
+    # one pair per head, each head read twice, HEAD_CACHE + 8,192 heads
+    # apart, so that whole blocks of fresh heads follow the bound: both
+    # reads of a head counted in one go share one float, and a fold between
+    # them gives the second read a float of its own
+    texts = [f"{i} {i + 1} 3 -{i % 100}.5 26" for i in range(HEAD_CACHE + 8192)]
+    text = "".join(f"{head} 0\n" for head in texts) + "".join(f"{head} 1\n" for head in texts)
+    columns, _ = assert_parses_as_oracle(text)
     shared = [first is second for first, second in columns.losses.values()]
-    assert shared == [True] * HEAD_CACHE + [False] * 64
+    assert False in shared
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, measurements.BLOCK])
+def test_a_file_opened_as_ingest_opens_it_parses_as_the_oracle(tmp_path, block):
+    # CRLF and lone CR endings, an undecodable byte, and an em space (3
+    # bytes in UTF-8) that straddles the text reader's 8 KiB byte chunk
+    records = b"".join(b"%d 0 3 -%d 26 %d\r\n" % (1 + i % 9, 40 + i % 7, i) for i in range(400))
+    records += b"0 1 3 \xff 26 0\r\n2 1 3 -44 26 1\r"
+    records += b"#" * (8191 - len(records) - 3) + b"\r\n1"
+    path = tmp_path / "campaign.log"
+    path.write_bytes(records + "\u2003".encode() + b"2 3 -50 26 7\r\n3 1 3 -61 26 8")
+    assert path.read_bytes()[8190:8194] == b"1\xe2\x80\x83"
+
+    def read(parse):
+        with open(path, encoding="utf-8", errors="backslashreplace") as stream:
+            return parse(stream)
+
+    with patch.object(measurements, "BLOCK", block):
+        columns, rejected = read(lambda stream: parse_campaign_log(stream, LossColumns()))
+    expected, expected_rejected = read(line_parse)
+    assert rejected == expected_rejected == [Rejection(401, "could not convert string to float: '\\\\xff'")]
+    assert new_columns(columns) == new_columns(expected)
+    assert len(columns) == 403
+
+
+@pytest.mark.parametrize(
+    "text", ["", "\n", "# only a comment", "1 2 3 -40 26 0", "1 2 3 -40 26 0\n1 2 3 -40 26 1", "x 1"]
+)
+def test_short_logs_and_last_lines_without_a_newline_parse_as_the_oracle(text):
+    for block in (1, measurements.BLOCK):
+        with patch.object(measurements, "BLOCK", block):
+            assert_parses_as_oracle(text)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+def test_a_seq_past_the_int_digit_limit_is_rejected_as_per_line():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        columns, rejected = assert_parses_as_oracle(
+            f"1 2 3 -40 26 {'7' * 640}\n1 2 3 -40 26 {'7' * 641}\n"
+        )
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(columns) == 1
+    assert [r.line_number for r in rejected] == [2]
+
+
+def test_lines_rejected_through_their_head_keep_their_numbers():
+    _, rejected = assert_parses_as_oracle("1 2 3.0 -50.0 26\n" * 5000)
+    assert rejected == [Rejection(n, "expected 6 fields") for n in range(1, 5001)]
 
 
 def old_stddev(losses):

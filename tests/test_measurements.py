@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import random
@@ -20,8 +21,13 @@ from topogen.measurements import (
 )
 
 
+def log(lines):
+    """A campaign log's text stream, one line per item."""
+    return io.StringIO("".join(f"{line}\n" for line in lines))
+
+
 def test_parse_single_record():
-    columns, rejections = parse_campaign_log(["3 7 3.0 -60.0 17 42"], LossColumns())
+    columns, rejections = parse_campaign_log(log(["3 7 3.0 -60.0 17 42"]), LossColumns())
     assert rejections == []
     assert columns == LossColumns(losses={(3, 7): [63.0]}, channels={17})
     assert len(columns) == 1
@@ -29,12 +35,12 @@ def test_parse_single_record():
 
 
 def test_parse_empty_stream():
-    assert parse_campaign_log([], LossColumns()) == (LossColumns(), [])
+    assert parse_campaign_log(log([]), LossColumns()) == (LossColumns(), [])
     assert len(LossColumns()) == 0
 
 
 def test_parse_rejects_negative_loss():
-    samples, rejections = parse_campaign_log(["3 7 3.0 10.0 17 42"], LossColumns())
+    samples, rejections = parse_campaign_log(log(["3 7 3.0 10.0 17 42"]), LossColumns())
     assert len(samples) == 0
     assert len(rejections) == 1
     assert rejections[0].reason == "negative loss"
@@ -49,7 +55,7 @@ def test_parse_skips_comments_and_blank_lines():
         "bad line",
         "1 2 3.0 -50.0 17",
     ]
-    samples, rejections = parse_campaign_log(lines, LossColumns())
+    samples, rejections = parse_campaign_log(log(lines), LossColumns())
     assert len(samples) == 1
     assert [r.line_number for r in rejections] == [4, 5]
     assert all(r.reason == "expected 6 fields" for r in rejections)
@@ -57,7 +63,7 @@ def test_parse_skips_comments_and_blank_lines():
 
 def test_parse_rejects_self_reception_and_bad_channel():
     lines = ["5 5 3.0 -50.0 17 0", "1 2 3.0 -50.0 9 0"]
-    samples, rejections = parse_campaign_log(lines, LossColumns())
+    samples, rejections = parse_campaign_log(log(lines), LossColumns())
     assert len(samples) == 0
     assert len(rejections) == 2
 
@@ -80,7 +86,7 @@ def test_parse_rejects_self_reception_and_bad_channel():
     ],
 )
 def test_parse_rejects_non_finite_levels_last(line, reason):
-    samples, rejections = parse_campaign_log([line, "2 1 3 -60 26 1"], LossColumns())
+    samples, rejections = parse_campaign_log(log([line, "2 1 3 -60 26 1"]), LossColumns())
     assert samples.losses == {(2, 1): [63.0]}
     assert rejections == [Rejection(1, reason)]
     tx, rx, tx_power, rssi, channel, seq = line.split()
@@ -90,7 +96,7 @@ def test_parse_rejects_non_finite_levels_last(line, reason):
 
 def test_parse_never_aborts_on_partial_corruption():
     lines = ["1 2 3.0 -50.0 17 0", "garbage", "2 1 3.0 -52.0 17 1"]
-    samples, rejections = parse_campaign_log(lines, LossColumns())
+    samples, rejections = parse_campaign_log(log(lines), LossColumns())
     assert len(samples) == 2
     assert len(rejections) == 1
 
@@ -113,7 +119,7 @@ def test_format_parse_round_trip_bit_exact():
         f"{tx} {rx} {tx_power!r} {rssi!r} {channel} {seq}"
         for tx, rx, tx_power, rssi, channel, seq in originals
     ]
-    parsed, rejections = parse_campaign_log(text, LossColumns())
+    parsed, rejections = parse_campaign_log(log(text), LossColumns())
     assert rejections == []
     assert parsed == columns(originals)
     assert len(parsed) == len(originals)
