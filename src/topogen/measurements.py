@@ -212,16 +212,17 @@ def _accept_heads(
 ) -> tuple[list[str], list[tuple[int, int]], list[float], list[int]]:
     """The heads whose lines with a plain seq are accepted, with their pairs, losses and channels.
 
-    The reason of every rejected head goes to ``refused``. Each field
-    converts column by column in one ``map``, and no token with a ``#``
-    converts; only if some head fails does every head take the line rules.
+    The reason of every rejected head goes to ``refused``. If every head is
+    five tokens parted by four single spaces, each field converts column by
+    column in one ``map``: ``int`` and ``float`` strip the whitespace that
+    ``split`` parts on, and a token with a ``#`` or inner whitespace does
+    not convert. Only if some head fails does every head take the line rules.
     """
-    rows = list(map(str.split, heads))
-    if set(map(len, rows)) == {5}:
-        tx, rx, tx_power, rssi, channel = zip(*rows)
+    if set(map(str.count, heads, repeat(" "))) == {4}:
+        tokens = " ".join(heads).split(" ")
         try:
-            tx, rx, channel = list(map(int, tx)), list(map(int, rx)), list(map(int, channel))
-            tx_power, rssi = list(map(float, tx_power)), list(map(float, rssi))
+            tx, rx, channel = (list(map(int, tokens[i::5])) for i in (0, 1, 4))
+            tx_power, rssi = list(map(float, tokens[2::5])), list(map(float, tokens[3::5]))
         except ValueError:
             pass
         else:
@@ -240,7 +241,7 @@ def _accept_heads(
             refused[head] = outcome
         elif outcome is not None:
             accepted.append((head, *outcome))
-    return tuple(map(list, zip(*accepted))) if accepted else ([], [], [], [])
+    return tuple(map(list, zip(*accepted))) or ([], [], [], [])
 
 
 def parse_campaign_log(

@@ -349,7 +349,9 @@ HEAD_NODES = st.sampled_from(["0", "1", "2"])
 HEAD_POWERS = st.sampled_from(["3"] * 3 + ["0.5", "-1e308"])
 HEAD_RSSIS = st.sampled_from(["-40"] * 3 + ["-40.25", "-0.0", "1e308", "9"])
 HEAD_CHANNELS = st.sampled_from(["26"] * 4 + ["11", "27"])
-HEAD_SEPARATORS = st.sampled_from([" "] * 6 + ["  ", "\u2003"])
+# a separator with one space and other whitespace leaves five space-parted
+# tokens, which int and float strip and split parts
+HEAD_SEPARATORS = st.sampled_from([" "] * 6 + ["  ", "\u2003", "\t ", " \x1f", "\u2003 "])
 HEAD_COMMENTS = st.sampled_from([""] * 8 + ["#c", " 5#", " 5 #"])
 SEQ_SEPARATORS = st.sampled_from([" ", " ", " ", "  ", "\t", "\u2003"])
 # None ends the line after the head, with no separator and no seq
