@@ -191,7 +191,7 @@ class LossMatrix:
 
 
 def _parse_line(raw: str) -> tuple[tuple[int, int], float, int] | str | None:
-    """A line's ((tx, rx), loss, channel), the reason it is rejected, or None if it holds no record."""
+    """A line's ((tx, rx), loss, channel), the reason it is rejected, or None for no record."""
     fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
     if not fields:
         return None
@@ -212,11 +212,10 @@ def _accept_heads(
 ) -> tuple[list[str], list[tuple[int, int]], list[float], list[int]]:
     """The heads whose lines with a plain seq are accepted, with their pairs, losses and channels.
 
-    The reason of every rejected head goes to ``refused``. If every head is
-    five tokens parted by four single spaces, each field converts column by
-    column in one ``map``: ``int`` and ``float`` strip the whitespace that
-    ``split`` parts on, and a token with a ``#`` or inner whitespace does
-    not convert. Only if some head fails does every head take the line rules.
+    Each rejected head's reason goes to ``refused``. Heads of five tokens
+    parted by single spaces convert a column per ``map``: ``int`` and ``float``
+    strip the whitespace ``split`` parts on, and convert no token with a
+    ``#`` or inner whitespace. If any head fails, all take the line rules.
     """
     if set(map(str.count, heads, repeat(" "))) == {4}:
         tokens = " ".join(heads).split(" ")
@@ -308,6 +307,8 @@ def parse_campaign_log(
             kept_losses += head_losses
             channels.update(head_channels)
         if any(items[::2]) or not refused.keys().isdisjoint(heads):
+            # the items alternate: the lines between counted lines, then the
+            # head of one counted line
             line = number
             for lines, head in zip(items[::2], [*heads, None]):
                 for raw in lines.split("\n")[:-1]:

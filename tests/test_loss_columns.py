@@ -330,7 +330,9 @@ def test_stddev_is_correctly_rounded(losses):
 
 def new_columns(columns):
     """Each pair's losses as a multiset of hex strings, and the channels seen."""
-    pairs = {pair: Counter(loss.hex() for loss in losses) for pair, losses in columns.losses.items()}
+    pairs = {
+        pair: Counter(loss.hex() for loss in losses) for pair, losses in columns.losses.items()
+    }
     return pairs, columns.channels
 
 
@@ -476,13 +478,15 @@ def test_a_file_opened_as_ingest_opens_it_parses_as_the_oracle(tmp_path, block):
     with patch.object(measurements, "BLOCK", block):
         columns, rejected = read(lambda stream: parse_campaign_log(stream, LossColumns()))
     expected, expected_rejected = read(line_parse)
-    assert rejected == expected_rejected == [Rejection(401, "could not convert string to float: '\\\\xff'")]
+    reason = "could not convert string to float: '\\\\xff'"
+    assert rejected == expected_rejected == [Rejection(401, reason)]
     assert new_columns(columns) == new_columns(expected)
     assert len(columns) == 403
 
 
 @pytest.mark.parametrize(
-    "text", ["", "\n", "# only a comment", "1 2 3 -40 26 0", "1 2 3 -40 26 0\n1 2 3 -40 26 1", "x 1"]
+    "text",
+    ["", "\n", "# only a comment", "1 2 3 -40 26 0", "1 2 3 -40 26 0\n1 2 3 -40 26 1", "x 1"],
 )
 def test_short_logs_and_last_lines_without_a_newline_parse_as_the_oracle(text):
     for block in (1, measurements.BLOCK):
