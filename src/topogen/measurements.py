@@ -15,7 +15,7 @@ from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, islice, repeat
 from operator import eq, gt, itemgetter, mul, or_, sub
 from typing import NamedTuple, TextIO
@@ -254,7 +254,8 @@ def parse_campaign_log(
     collected as rejections, numbered from the log's first line, and never
     abort the parse.
 
-    The text is read ``BLOCK`` characters at a time. A line whose last
+    The text is read ``BLOCK`` characters at a time, and ``step`` takes
+    each block's whole lines with tabs made spaces. A line whose last
     token is a plain decimal seq (``_PLAIN_SEQ``) has the outcome of its
     head, the text before that token, so a ``Counter`` counts such lines by
     head and each new head is classified once, as its line with seq 0
@@ -281,20 +282,11 @@ def parse_campaign_log(
             held.clear()
 
     number, carry = 0, ""
-    while True:
-        block = stream.read(BLOCK)
-        if not block:
-            if not carry:
-                break
-            block = "\n"  # the last line ends where the log does
-        elif "\n" not in block:
-            carry += block  # a line longer than a block is split once, when it ends
-            continue
-        text = carry + block
-        items = _PLAIN_SEQ.split(text)
-        tail = items[-1]
-        end = tail.rfind("\n") + 1
-        items[-1], carry = tail[:end], tail[end:]
+
+    def step(text):
+        nonlocal number
+        # no token holds whitespace, so a tab parts fields as a space does
+        items = _PLAIN_SEQ.split(text.replace("\t", " "))
         heads = items[1::2]
         before = len(counts)
         counts.update(heads)
@@ -302,9 +294,9 @@ def parse_campaign_log(
         if added:
             new = list(islice(reversed(counts), added))[::-1]
             accepted, pairs, head_losses, head_channels = _accept_heads(new, refused)
-            kept_heads += accepted
-            kept_columns += [losses.setdefault(pair, []) for pair in pairs]
-            kept_losses += head_losses
+            kept_heads.extend(accepted)
+            kept_columns.extend([losses.setdefault(pair, []) for pair in pairs])
+            kept_losses.extend(head_losses)
             channels.update(head_channels)
         if any(items[::2]) or not refused.keys().isdisjoint(heads):
             # the items alternate: the lines between counted lines, then the
@@ -326,6 +318,14 @@ def parse_campaign_log(
         number += text.count("\n")
         if len(counts) > HEAD_CACHE and added * 10 > 9 * len(heads):
             fold()
+
+    for block in iter(partial(stream.read, BLOCK), ""):
+        end = block.rfind("\n") + 1
+        if end:
+            step(carry + block[:end])
+            carry = ""
+        carry += block[end:]  # a line longer than a block is split once, when it ends
+    step(carry + "\n")  # the last line ends where the log does
     fold()
     return columns, rejections
 

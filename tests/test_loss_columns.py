@@ -352,8 +352,11 @@ HEAD_POWERS = st.sampled_from(["3"] * 3 + ["0.5", "-1e308"])
 HEAD_RSSIS = st.sampled_from(["-40"] * 3 + ["-40.25", "-0.0", "1e308", "9"])
 HEAD_CHANNELS = st.sampled_from(["26"] * 4 + ["11", "27"])
 # a separator with one space and other whitespace leaves five space-parted
-# tokens, which int and float strip and split parts
-HEAD_SEPARATORS = st.sampled_from([" "] * 6 + ["  ", "\u2003", "\t ", " \x1f", "\u2003 "])
+# tokens, which int and float strip and split parts; a tab alone parts
+# fields as a space does
+HEAD_SEPARATORS = st.sampled_from(
+    [" "] * 6 + ["\t", "  ", "\u2003", "\t ", " \x1f", "\u2003 "]
+)
 HEAD_COMMENTS = st.sampled_from([""] * 8 + ["#c", " 5#", " 5 #"])
 SEQ_SEPARATORS = st.sampled_from([" ", " ", " ", "  ", "\t", "\u2003"])
 # None ends the line after the head, with no separator and no seq
@@ -511,6 +514,32 @@ def test_a_seq_past_the_int_digit_limit_is_rejected_as_per_line():
 def test_lines_rejected_through_their_head_keep_their_numbers():
     _, rejected = assert_parses_as_oracle("1 2 3.0 -50.0 26\n" * 5000)
     assert rejected == [Rejection(n, "expected 6 fields") for n in range(1, 5001)]
+
+
+def test_a_tab_separated_log_is_counted_by_head_as_its_space_separated_copy():
+    # five distinct heads over 606 lines: three accepted heads repeated,
+    # one rejected for its channel, and one on a last line with no newline;
+    # the comment is the only other line
+    spaced = (
+        "# campaign seven\n"
+        + "".join(f"{1 + i % 3} 0 3 -{40 + i % 3} 26 {i}\n" for i in range(600))
+        + "".join(f"1 2 3 -50 27 {i}\n" for i in range(5))
+        + "2 1 3 -45 26 9"
+    )
+    parse_line, calls = measurements._parse_line, []
+
+    def counted(raw):
+        calls.append(raw)
+        return parse_line(raw)
+
+    with patch.object(measurements, "_parse_line", counted):
+        columns, rejected = assert_parses_as_oracle(spaced.replace(" ", "\t"))
+    spaced_columns, spaced_rejected = parse_campaign_log(io.StringIO(spaced), LossColumns())
+    reason = "channel 27 outside 11-26"
+    assert rejected == spaced_rejected == [Rejection(n, reason) for n in range(602, 607)]
+    assert new_columns(columns) == new_columns(spaced_columns)
+    assert len(columns) == 601
+    assert len(calls) <= 5 + 1
 
 
 def old_stddev(losses):
