@@ -16,7 +16,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import eq, gt, itemgetter, mul, or_, sub
 from typing import NamedTuple, TextIO
 
@@ -254,8 +254,7 @@ def parse_campaign_log(
     collected as rejections, numbered from the log's first line, and never
     abort the parse.
 
-    The text is read ``BLOCK`` characters at a time, and ``step`` takes
-    each block's whole lines with tabs made spaces. A line whose last
+    The text is read ``BLOCK`` characters at a time. A line whose last
     token is a plain decimal seq (``_PLAIN_SEQ``) has the outcome of its
     head, the text before that token, so a ``Counter`` counts such lines by
     head and each new head is classified once, as its line with seq 0
@@ -282,11 +281,14 @@ def parse_campaign_log(
             held.clear()
 
     number, carry = 0, ""
-
-    def step(text):
-        nonlocal number
-        # no token holds whitespace, so a tab parts fields as a space does
-        items = _PLAIN_SEQ.split(text.replace("\t", " "))
+    # the last line ends where the log does
+    for block in chain(iter(partial(stream.read, BLOCK), ""), ("\n",)):
+        end = block.rfind("\n") + 1
+        if not end:
+            carry += block  # a line longer than a block is split once, when it ends
+            continue
+        text, carry = carry + block[:end], block[end:]
+        items = _PLAIN_SEQ.split(text)
         heads = items[1::2]
         before = len(counts)
         counts.update(heads)
@@ -294,9 +296,9 @@ def parse_campaign_log(
         if added:
             new = list(islice(reversed(counts), added))[::-1]
             accepted, pairs, head_losses, head_channels = _accept_heads(new, refused)
-            kept_heads.extend(accepted)
-            kept_columns.extend([losses.setdefault(pair, []) for pair in pairs])
-            kept_losses.extend(head_losses)
+            kept_heads += accepted
+            kept_columns += [losses.setdefault(pair, []) for pair in pairs]
+            kept_losses += head_losses
             channels.update(head_channels)
         if any(items[::2]) or not refused.keys().isdisjoint(heads):
             # the items alternate: the lines between counted lines, then the
@@ -318,14 +320,6 @@ def parse_campaign_log(
         number += text.count("\n")
         if len(counts) > HEAD_CACHE and added * 10 > 9 * len(heads):
             fold()
-
-    for block in iter(partial(stream.read, BLOCK), ""):
-        end = block.rfind("\n") + 1
-        if end:
-            step(carry + block[:end])
-            carry = ""
-        carry += block[end:]  # a line longer than a block is split once, when it ends
-    step(carry + "\n")  # the last line ends where the log does
     fold()
     return columns, rejections
 

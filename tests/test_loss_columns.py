@@ -516,32 +516,6 @@ def test_lines_rejected_through_their_head_keep_their_numbers():
     assert rejected == [Rejection(n, "expected 6 fields") for n in range(1, 5001)]
 
 
-def test_a_tab_separated_log_is_counted_by_head_as_its_space_separated_copy():
-    # five distinct heads over 606 lines: three accepted heads repeated,
-    # one rejected for its channel, and one on a last line with no newline;
-    # the comment is the only other line
-    spaced = (
-        "# campaign seven\n"
-        + "".join(f"{1 + i % 3} 0 3 -{40 + i % 3} 26 {i}\n" for i in range(600))
-        + "".join(f"1 2 3 -50 27 {i}\n" for i in range(5))
-        + "2 1 3 -45 26 9"
-    )
-    parse_line, calls = measurements._parse_line, []
-
-    def counted(raw):
-        calls.append(raw)
-        return parse_line(raw)
-
-    with patch.object(measurements, "_parse_line", counted):
-        columns, rejected = assert_parses_as_oracle(spaced.replace(" ", "\t"))
-    spaced_columns, spaced_rejected = parse_campaign_log(io.StringIO(spaced), LossColumns())
-    reason = "channel 27 outside 11-26"
-    assert rejected == spaced_rejected == [Rejection(n, reason) for n in range(602, 607)]
-    assert new_columns(columns) == new_columns(spaced_columns)
-    assert len(columns) == 601
-    assert len(calls) <= 5 + 1
-
-
 def old_stddev(losses):
     """Oracle: the exact sums taken sample by sample, before values were counted."""
     ratios = list(map(float.as_integer_ratio, losses))
