@@ -12,7 +12,7 @@ import math
 import re
 import statistics
 from bisect import bisect_right
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
@@ -23,9 +23,6 @@ from typing import NamedTuple, TextIO
 VALID_CHANNELS = range(11, 27)
 # Characters of a campaign log read at a time.
 BLOCK = 1 << 16
-# Distinct record heads (a line's text before its last space) that one
-# parse counts before it may add the counts to the store and start again.
-HEAD_CACHE = 1 << 16
 # A line whose last token is a plain decimal seq; group 1 is its head. 640
 # is the least digit limit sys.set_int_max_str_digits takes, so int()
 # converts every such seq whatever the limit.
@@ -76,18 +73,19 @@ def check_record(
 
 @dataclass
 class LossColumns:
-    """Accepted losses per directed (tx, rx) pair, in log order.
+    """Accepted losses per directed (tx, rx) pair, as ``{loss: count}`` maps.
 
-    Every log of an ``ingest`` run parses into one store, so each sample
-    is held once. ``len()`` is the number of samples; ``channels`` holds
-    every channel seen, so a mix is caught when the matrix is built.
+    Every log of an ``ingest`` run parses into one store, so each distinct
+    loss of a pair is held once. ``len()`` is the number of samples;
+    ``channels`` holds every channel seen, so a mix is caught when the
+    matrix is built.
     """
 
-    losses: dict[tuple[int, int], list[float]] = field(default_factory=dict)
+    losses: dict[tuple[int, int], dict[float, int]] = field(default_factory=dict)
     channels: set[int] = field(default_factory=set)
 
     def __len__(self) -> int:
-        return sum(map(len, self.losses.values()))
+        return sum(sum(column.values()) for column in self.losses.values())
 
 
 @dataclass(frozen=True)
@@ -248,23 +246,21 @@ def parse_campaign_log(
 ) -> tuple[LossColumns, list[Rejection]]:
     """Add the accepted samples of a campaign log's text to ``columns``.
 
-    Every log of a run parses into one store, so each sample is held once.
-    Record format: ``tx rx tx_power_dBm rssi_dBm channel seq``,
-    whitespace-separated; ``#`` starts a comment. Malformed lines are
-    collected as rejections, numbered from the log's first line, and never
-    abort the parse.
+    Every log of a run parses into one store, which holds each pair's
+    distinct losses once, with their counts. Record format: ``tx rx
+    tx_power_dBm rssi_dBm channel seq``, whitespace-separated; ``#`` starts
+    a comment. Malformed lines are collected as rejections, numbered from
+    the log's first line, and never abort the parse.
 
     The text is read ``BLOCK`` characters at a time. A line whose last
     token is a plain decimal seq (``_PLAIN_SEQ``) has the outcome of its
     head, the text before that token, so a ``Counter`` counts such lines by
     head and each new head is classified once, as its line with seq 0
     would be. Every other line, and each line whose head is rejected,
-    takes the line rules in log order. The counts are folded into the
-    store at the end: each accepted head adds its loss, one shared float,
-    once per line. They are folded early, and counting starts again, when
-    more than ``HEAD_CACHE`` heads are counted and over 9 in 10 lines of a
-    block brought a new head, so a log that repeats no head holds no large
-    count.
+    takes the line rules in log order and adds 1 to its loss's count. One
+    head count is kept for the whole log and folded into the store at the
+    end: each accepted distinct head adds its count to its loss's, so the
+    parse holds one entry per distinct head, however many lines repeat it.
     """
     losses, channels = columns.losses, columns.channels
     rejections: list[Rejection] = []
@@ -272,14 +268,6 @@ def parse_campaign_log(
     refused: dict[str, str] = {}  # rejected head -> reason
     # the accepted heads in the order counted, with their columns and losses
     kept_heads, kept_columns, kept_losses = [], [], []
-
-    def fold():
-        tallies = map(counts.__getitem__, kept_heads)
-        # consume the extends in C: one call per head, none per line
-        deque(map(list.extend, kept_columns, map(repeat, kept_losses, tallies)), maxlen=0)
-        for held in (counts, refused, kept_heads, kept_columns, kept_losses):
-            held.clear()
-
     number, carry = 0, ""
     # the last line ends where the log does
     for block in chain(iter(partial(stream.read, BLOCK), ""), ("\n",)):
@@ -297,7 +285,7 @@ def parse_campaign_log(
             new = list(islice(reversed(counts), added))[::-1]
             accepted, pairs, head_losses, head_channels = _accept_heads(new, refused)
             kept_heads += accepted
-            kept_columns += [losses.setdefault(pair, []) for pair in pairs]
+            kept_columns += [losses.setdefault(pair, {}) for pair in pairs]
             kept_losses += head_losses
             channels.update(head_channels)
         if any(items[::2]) or not refused.keys().isdisjoint(heads):
@@ -312,15 +300,15 @@ def parse_campaign_log(
                         rejections.append(Rejection(line, outcome))
                     elif outcome is not None:
                         pair, loss, channel = outcome
-                        losses.setdefault(pair, []).append(loss)
+                        column = losses.setdefault(pair, {})
+                        column[loss] = column.get(loss, 0) + 1
                         channels.add(channel)
                 line += 1
                 if head in refused:
                     rejections.append(Rejection(line, refused[head]))
         number += text.count("\n")
-        if len(counts) > HEAD_CACHE and added * 10 > 9 * len(heads):
-            fold()
-    fold()
+    for head, column, loss in zip(kept_heads, kept_columns, kept_losses):
+        column[loss] = column.get(loss, 0) + counts[head]
     return columns, rejections
 
 
@@ -341,18 +329,19 @@ def parse_aggregator(spec: str) -> float | None:
     raise ValueError(f"unknown aggregator {spec!r}")
 
 
-def aggregate(counts: Counter[float], percentile: float | None) -> tuple[float, float]:
+def aggregate(counts: dict[float, int], percentile: float | None) -> tuple[float, float]:
     """Location and sample stddev of a column of finite losses, each rounded once.
 
-    ``counts`` maps each distinct loss to how often it occurs. The losses
-    are integers over their largest power-of-two denominator ``scale``, so
-    every sum is exact. The location is the mean ``total / (count * scale)``
-    if ``percentile`` is None, else the linearly interpolated percentile
-    with an exact rank ``(count - 1) * percentile / 100``. Both are exact
-    fractions rounded once by an int-by-int division, and lie between the
-    extreme losses, so they never overflow. The square root of the exact
-    variance is rounded once by round-to-odd, as ``statistics.stdev`` does
-    from Python 3.11 on. So the bits are the same on every Python.
+    ``counts`` maps each distinct loss to how often it occurs, as a column
+    of ``LossColumns`` does. The losses are integers over their largest
+    power-of-two denominator ``scale``, so every sum is exact. The location
+    is the mean ``total / (count * scale)`` if ``percentile`` is None, else
+    the linearly interpolated percentile with an exact rank
+    ``(count - 1) * percentile / 100``. Both are exact fractions rounded
+    once by an int-by-int division, and lie between the extreme losses, so
+    they never overflow. The square root of the exact variance is rounded
+    once by round-to-odd, as ``statistics.stdev`` does from Python 3.11 on.
+    So the bits are the same on every Python.
     """
     weights = counts.values()
     ratios = list(map(float.as_integer_ratio, counts))
@@ -397,9 +386,9 @@ def build_loss_matrix(columns: LossColumns, aggregator: str = "mean") -> LossMat
         raise ChannelMismatchError(f"samples mix channels {channels[0]} and {channels[1]}")
     entries = {}
     nodes: set[int] = set()
-    for pair, losses in columns.losses.items():
-        loss, stddev = aggregate(Counter(losses), percentile)
-        entries[pair] = MatrixEntry(mean_loss=loss, stddev=stddev, count=len(losses))
+    for pair, column in columns.losses.items():
+        loss, stddev = aggregate(column, percentile)
+        entries[pair] = MatrixEntry(mean_loss=loss, stddev=stddev, count=sum(column.values()))
         nodes.update(pair)
     channel = channels[0] if channels else None
     return LossMatrix(nodes=sorted(nodes), channel=channel, entries=entries)

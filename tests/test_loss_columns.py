@@ -13,13 +13,13 @@ comments, blank lines, every kind of rejected line and mixed channels. A
 second strategy repeats a few heads (a line's text before its last space)
 with drawn separators, last tokens and line ends, so that most lines are
 counted by head. The block parse must give the per-line oracle's
-rejections, channels and per-pair loss multisets (the order within a
-column is not observable: ``aggregate`` counts values) at blocks of 1, 7
-and 64 characters and at count bounds of 1 and 4, so that lines straddle
-reads and the counts are folded into the store mid-log. Logs parsed one
-after another into one store must equal their concatenation parsed once,
-and every line read twice must keep each mean and median bit for bit,
-double each count and give the stddev of the doubled column.
+rejections, channels and per-pair losses counted by value (``aggregate``
+reads only the counts) at blocks of 1, 7 and 64 characters, so that lines
+straddle reads. A log of 70,000 pairs read in three rounds must classify
+each distinct head once. Logs parsed one after another into one store
+must equal their concatenation parsed once, and every line read twice
+must keep each mean and median bit for bit, double each count and give
+the stddev of the doubled column.
 
 Stddev is checked against exact correct rounding on every Python, and
 against ``statistics.stdev`` from 3.11 on, where it rounds once, and
@@ -46,7 +46,6 @@ from hypothesis import strategies as st
 
 from topogen import measurements
 from topogen.measurements import (
-    HEAD_CACHE,
     VALID_CHANNELS,
     ChannelMismatchError,
     LossColumns,
@@ -115,7 +114,10 @@ def old_parse(lines):
 
 
 def line_parse(lines):
-    """Oracle: the per-line parser the block parse replaced, one list append per line."""
+    """Oracle: the per-line parser the block parse replaced, one list append per line.
+
+    Its columns are lists of losses in log order, not counts.
+    """
     columns, rejections = LossColumns(), []
     for number, raw in enumerate(lines, start=1):
         fields = raw.split("#", 1)[0].split()
@@ -329,11 +331,12 @@ def test_stddev_is_correctly_rounded(losses):
 
 
 def new_columns(columns):
-    """Each pair's losses as a multiset of hex strings, and the channels seen."""
-    pairs = {
-        pair: Counter(loss.hex() for loss in losses) for pair, losses in columns.losses.items()
-    }
-    return pairs, columns.channels
+    """Each pair's losses counted by value, and the channels seen.
+
+    A store's column is already a count; an oracle's list is counted. As
+    keys, -0.0 and 0.0 are one loss, as they are to ``aggregate``.
+    """
+    return {pair: Counter(losses) for pair, losses in columns.losses.items()}, columns.channels
 
 
 def assert_parses_as_oracle(text):
@@ -402,10 +405,9 @@ def test_repeated_heads_match_per_line_oracle(files):
 @given(
     st.one_of(log_files(), REPEATED_HEAD_FILES),
     st.sampled_from([1, 7, 64, measurements.BLOCK]),
-    st.sampled_from([1, 4, HEAD_CACHE]),
 )
-def test_blocks_and_folds_match_per_line_oracle(files, block, bound):
-    with patch.multiple(measurements, BLOCK=block, HEAD_CACHE=bound):
+def test_blocks_and_folds_match_per_line_oracle(files, block):
+    with patch.object(measurements, "BLOCK", block):
         for lines in files:
             assert_parses_as_oracle("".join(lines))
 
@@ -448,19 +450,27 @@ def test_every_line_twice_keeps_mean_and_median_and_doubles_the_count(files):
         for pair, entry in single.entries.items():
             twin = double.entries[pair]
             assert (twin.mean_loss.hex(), twin.count) == (entry.mean_loss.hex(), 2 * entry.count)
-            assert_correctly_rounded(twin.stddev, once.losses[pair] * 2)
+            assert_correctly_rounded(twin.stddev, [*Counter(once.losses[pair]).elements()] * 2)
 
 
-def test_fresh_heads_past_the_bound_fold_and_equal_the_oracle():
-    # one pair per head, each head read twice, HEAD_CACHE + 8,192 heads
-    # apart, so that whole blocks of fresh heads follow the bound: both
-    # reads of a head counted in one go share one float, and a fold between
-    # them gives the second read a float of its own
-    texts = [f"{i} {i + 1} 3 -{i % 100}.5 26" for i in range(HEAD_CACHE + 8192)]
-    text = "".join(f"{head} 0\n" for head in texts) + "".join(f"{head} 1\n" for head in texts)
-    columns, _ = assert_parses_as_oracle(text)
-    shared = [first is second for first, second in columns.losses.values()]
-    assert False in shared
+def test_each_head_of_a_round_ordered_log_is_classified_once():
+    # 70,000 pairs, one head each, read in three rounds as a campaign of
+    # 266 nodes logs them: each head comes back 70,000 lines later and must
+    # still be counted, not classified again
+    heads = [f"{i} {i + 1} 3 -{i % 100}.5 26" for i in range(70_000)]
+    text = "".join(f"{head} {seq}\n" for seq in range(3) for head in heads)
+    classified = []
+    accept_heads = measurements._accept_heads
+
+    def counting(new, refused):
+        classified.extend(new)
+        return accept_heads(new, refused)
+
+    with patch.object(measurements, "_accept_heads", counting):
+        columns, rejected = assert_parses_as_oracle(text)
+    assert classified == heads
+    assert rejected == []
+    assert len(columns) == 3 * len(heads)
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, measurements.BLOCK])

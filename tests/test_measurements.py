@@ -29,7 +29,7 @@ def log(lines):
 def test_parse_single_record():
     columns, rejections = parse_campaign_log(log(["3 7 3.0 -60.0 17 42"]), LossColumns())
     assert rejections == []
-    assert columns == LossColumns(losses={(3, 7): [63.0]}, channels={17})
+    assert columns == LossColumns(losses={(3, 7): {63.0: 1}}, channels={17})
     assert len(columns) == 1
     assert check_record(tx=3, rx=7, tx_power=3.0, rssi=-60.0, channel=17, seq=42) == 63.0
 
@@ -87,7 +87,7 @@ def test_parse_rejects_self_reception_and_bad_channel():
 )
 def test_parse_rejects_non_finite_levels_last(line, reason):
     samples, rejections = parse_campaign_log(log([line, "2 1 3 -60 26 1"]), LossColumns())
-    assert samples.losses == {(2, 1): [63.0]}
+    assert samples.losses == {(2, 1): {63.0: 1}}
     assert rejections == [Rejection(1, reason)]
     tx, rx, tx_power, rssi, channel, seq = line.split()
     with pytest.raises(ValueError, match=reason):
@@ -131,11 +131,12 @@ def sample(tx, rx, loss, channel=17, seq=0):
 
 
 def columns(records):
-    """The loss columns of records, in the order given."""
+    """The loss columns of records, each loss counted by value."""
     result = LossColumns()
     for record in records:
         tx, rx, _, _, channel, _ = record
-        result.losses.setdefault((tx, rx), []).append(check_record(*record))
+        column, loss = result.losses.setdefault((tx, rx), {}), check_record(*record)
+        column[loss] = column.get(loss, 0) + 1
         result.channels.add(channel)
     return result
 
